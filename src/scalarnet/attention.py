@@ -6,13 +6,13 @@ as the global tier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import Affine, Mlp2, hidden_width
-from .tensor import Rng, Tensor, concat
+from .tensor import Rng, Tensor, concat, kernel_attend
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class KernelAttentionParams:
 class AttentionTrace:
     """Intermediates kept for the KL-free diagnostics and feature importance.
 
-    k_hat and w are detached copies; z stays in the graph.
+    k_hat and w are plain arrays outside the graph; z stays in the graph.
     """
 
     k_hat: np.ndarray  # (batch, k, p_in), unit rows up to the eps guard
@@ -106,18 +106,10 @@ def kernel_attention_forward(x: Tensor, params: KernelAttentionParams) -> Attent
         raise ShapeError(
             f"input has {p_in} columns but attention params expect {params.p_in}"
         )
-    k = params.k
     raw = params.phi_k(x)  # (b, k*p_in)
     w = params.phi_w(x).softmax()  # (b, k)
-    attended = None
-    k_hat_blocks = []
-    for j in range(k):
-        kj = raw.cols(j * p_in, (j + 1) * p_in).l2_normalize()
-        term = w.cols(j, j + 1) * (x * kj)
-        attended = term if attended is None else attended + term
-        k_hat_blocks.append(kj.data)
+    attended, k_hat = kernel_attend(x, raw, w)
     z = params.phi_p(attended) + x
-    k_hat = np.stack(k_hat_blocks, axis=1)
     return AttentionTrace(k_hat=k_hat, w=w.data.copy(), z=z)
 
 

@@ -10,16 +10,18 @@ import csv
 import json
 import sys
 
-import importlib
-
 from . import baselines, data
-
-# the package re-exports the train() function under the same name as the
-# module, so resolve the module explicitly
-training = importlib.import_module(__package__ + ".train")
 from .errors import ConfigError, DataError, NumericError
 from .losses import concordance_index, metrics
 from .model import ModelConfig
+from .train import (
+    Checkpoint,
+    ablation_data_fraction,
+    evaluate,
+    gradcheck,
+    importance_scores,
+    train,
+)
 
 
 def _load_config(path, groups, seed=None) -> ModelConfig:
@@ -34,7 +36,7 @@ def _load_config(path, groups, seed=None) -> ModelConfig:
 def cmd_train(args):
     ds = data.load_csv(args.data, args.target, args.groups)
     cfg = _load_config(args.config, [list(g) for g in ds.spec.groups], args.seed)
-    ckpt, history = training.train(data.standardize(ds), cfg)
+    ckpt, history = train(data.standardize(ds), cfg)
     ckpt.save(args.out)
     last = history[-1]
     print(
@@ -50,15 +52,15 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    ckpt = training.Checkpoint.load(args.ckpt)
+    ckpt = Checkpoint.load(args.ckpt)
     ds = data.load_csv(args.data, args.target, args.groups)
-    print(json.dumps(training.evaluate(ckpt, ds, n_bins=args.bins)))
+    print(json.dumps(evaluate(ckpt, ds, n_bins=args.bins)))
 
 
 def cmd_importance(args):
-    ckpt = training.Checkpoint.load(args.ckpt)
+    ckpt = Checkpoint.load(args.ckpt)
     ds = data.load_csv(args.data, args.target, args.groups)
-    _, normalized = training.importance_scores(ckpt, ds)
+    _, normalized = importance_scores(ckpt, ds)
     order = sorted(range(ds.p), key=lambda j: -normalized[j])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -100,12 +102,12 @@ def cmd_ablate(args):
     ds = data.load_csv(args.data, args.target, args.groups)
     cfg = _load_config(args.config, [list(g) for g in ds.spec.groups])
     fractions = [float(f) for f in args.fractions.split(",")]
-    rows = training.ablation_data_fraction(ds, cfg, fractions)
+    rows = ablation_data_fraction(ds, cfg, fractions)
     print(json.dumps(rows))
 
 
 def cmd_gradcheck(args):
-    report = training.gradcheck(seed=args.seed)
+    report = gradcheck(seed=args.seed)
     print(
         json.dumps(
             {

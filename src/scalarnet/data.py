@@ -129,16 +129,6 @@ def standardize(ds: Dataset) -> Dataset:
     )
 
 
-def standardize_with(ds: Dataset, scaler: Scaler) -> Dataset:
-    """Apply an existing scaler (e.g. from a checkpoint) to raw data."""
-    return replace(
-        ds,
-        x=(ds.x - scaler.x_mean) / scaler.x_std,
-        y=(ds.y - scaler.y_mean) / scaler.y_std,
-        scaler=scaler,
-    )
-
-
 def destandardize_predictions(y_std, scaler: Scaler) -> np.ndarray:
     return np.asarray(y_std, dtype=np.float64) * scaler.y_std + scaler.y_mean
 

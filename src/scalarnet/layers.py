@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, affine, mlp2
 
 
 def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -26,7 +26,7 @@ class Affine:
         return cls(Tensor(w), Tensor(np.zeros(fan_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        return affine(x, self.w, self.b)
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -44,7 +44,7 @@ class Mlp2:
         return cls(Affine.init(rng, fan_in, hidden), Affine.init(rng, hidden, fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.l2(self.l1(x).tanh())
+        return mlp2(x, self.l1.w, self.l1.b, self.l2.w, self.l2.b)
 
     def params(self, prefix: str) -> dict:
         return {**self.l1.params(f"{prefix}.l1"), **self.l2.params(f"{prefix}.l2")}

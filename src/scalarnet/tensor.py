@@ -1,10 +1,13 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
-The op vocabulary is exactly what the model topology needs: matmul, limited
-broadcasting arithmetic, last-axis concat/slice, row softmax, L2 row
-normalization, pointwise nonlinearities, and full reductions. Graphs are
-rebuilt every forward pass; backward() runs a deterministic reverse
-topological accumulation seeded with 1.
+The op vocabulary is exactly what the model topology needs: limited
+broadcasting arithmetic, matmul, last-axis concat/slice, row softmax,
+pointwise nonlinearities, full reductions, and three fused layer-level ops
+with hand-written backward: `affine` (x @ w + b), `mlp2` (a two-layer tanh
+net) and `kernel_attend` (L2-normalized kernels mixed by per-row weights).
+Each layer of the model is therefore one graph node. Graphs are rebuilt every
+forward pass; backward() runs a deterministic reverse topological
+accumulation seeded with 1.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-EPS = 1e-12  # guard for l2_normalize and log
+EPS = 1e-12  # guard for kernel normalization and log
 
 
 def _guard(op: str, out: np.ndarray) -> np.ndarray:
-    # overflow/0-div warnings are redundant with this check
-    if not np.all(np.isfinite(out)):
+    # overflow/0-div warnings are redundant with this check. A finite sum
+    # implies finite elements; only a non-finite sum needs the full scan.
+    if not math.isfinite(out.sum()) and not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite output in op '{op}'")
     return out
 
@@ -233,23 +237,6 @@ class Tensor:
 
         return self._unary("softmax", fwd, bwd)
 
-    def l2_normalize(self):
-        """Row-wise L2 normalization of a 2-D tensor, dividing by max(norm, EPS)."""
-        if self.data.ndim != 2 or self.data.shape[1] == 0:
-            raise ShapeError("l2_normalize expects a 2-D tensor with nonempty rows")
-        norm = np.linalg.norm(self.data, axis=1, keepdims=True)
-        m = np.maximum(norm, EPS)
-        out = Tensor(_guard("l2_normalize", self.data / m), (self,), "l2_normalize")
-
-        def backward():
-            g = out.grad
-            safe = norm > EPS
-            proj = (g - out.data * (out.data * g).sum(axis=1, keepdims=True)) / m
-            self.grad += np.where(safe, proj, g / EPS)
-
-        out._backward = backward
-        return out
-
     # ---- reductions ------------------------------------------------------
 
     def sum(self):
@@ -324,6 +311,83 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
     out._backward = backward
     return out
+
+
+def _check_affine(op: str, x: tuple, w: tuple, b: tuple) -> None:
+    """Shapes of x @ w + b: (n, fan_in), (fan_in, fan_out), (fan_out,)."""
+    if len(x) != 2 or len(w) != 2 or x[1] != w[0] or b != w[1:]:
+        raise ShapeError(f"op '{op}': shapes {x}, {w} and {b} do not conform")
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D x, (fan_in, fan_out) w and (fan_out,) b."""
+    _check_affine("affine", x.data.shape, w.data.shape, b.data.shape)
+    out = Tensor(_guard("affine", x.data @ w.data + b.data), (x, w, b), "affine")
+
+    def backward():
+        g = out.grad
+        x.grad += g @ w.data.T
+        w.grad += x.data.T @ g
+        b.grad += g.sum(axis=0)
+
+    out._backward = backward
+    return out
+
+
+def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """tanh(x @ w1 + b1) @ w2 + b2; the hidden activation is kept for backward."""
+    _check_affine("mlp2", x.data.shape, w1.data.shape, b1.data.shape)
+    _check_affine("mlp2", w1.data.shape, w2.data.shape, b2.data.shape)
+    h = np.tanh(_guard("mlp2", x.data @ w1.data + b1.data))
+    out = Tensor(_guard("mlp2", h @ w2.data + b2.data), (x, w1, b1, w2, b2), "mlp2")
+
+    def backward():
+        g = out.grad
+        w2.grad += h.T @ g
+        b2.grad += g.sum(axis=0)
+        gh = (g @ w2.data.T) * (1.0 - h * h)
+        w1.grad += x.data.T @ gh
+        b1.grad += gh.sum(axis=0)
+        x.grad += gh @ w1.data.T
+
+    out._backward = backward
+    return out
+
+
+def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
+    """Adaptive kernel mixing: Σ_j w[:, j] · x · k̂_j.
+
+    `raw` (b, k*p) holds k kernels per row; each is L2-normalized by
+    max(norm, EPS) into k̂ (b, k, p). `w` (b, k) weights the kernels.
+    Returns (the (b, p) mixture Tensor, k̂ as an ndarray).
+    """
+    b, p = x.data.shape
+    k = w.data.shape[-1]
+    if w.data.shape != (b, k) or raw.data.shape != (b, k * p):
+        raise ShapeError(
+            f"op 'kernel_attend': x {x.data.shape}, raw {raw.data.shape} and "
+            f"w {w.data.shape} do not conform"
+        )
+    kr = raw.data.reshape(b, k, p)
+    norm = np.linalg.norm(kr, axis=2, keepdims=True)
+    m = np.maximum(norm, EPS)
+    k_hat = kr / m
+    wk = w.data[:, :, None]
+    xk = x.data[:, None, :] * k_hat
+    out = Tensor(_guard("kernel_attend", (wk * xk).sum(axis=1)), (x, raw, w),
+                 "kernel_attend")
+
+    def backward():
+        g = out.grad
+        gx = g[:, None, :]
+        w.grad += (gx * xk).sum(axis=2)
+        x.grad += g * (wk * k_hat).sum(axis=1)
+        gk = wk * (gx * x.data[:, None, :])
+        proj = (gk - k_hat * (k_hat * gk).sum(axis=2, keepdims=True)) / m
+        raw.grad += np.where(norm > EPS, proj, gk / EPS).reshape(b, k * p)
+
+    out._backward = backward
+    return out, k_hat
 
 
 class Rng:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .data import (
     destandardize_predictions,
     split,
     standardize,
-    standardize_with,
     take,
 )
 from .errors import ConfigError, NumericError
@@ -30,36 +29,46 @@ CHECKPOINT_VERSION = 1
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named parameter dict."""
+    """Adaptive-moment gradient descent over a named parameter dict.
+
+    The optimizer owns one flat float64 buffer holding every parameter; each
+    parameter's `.data` becomes a reshaped view of it, so a step is a few
+    whole-buffer array operations. Assigning a parameter's `.data` after
+    construction detaches that parameter from the optimizer.
+    """
 
     def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self.flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        offset = 0
+        for p in params.values():
+            n = p.data.size
+            p.data = self.flat[offset : offset + n].reshape(p.data.shape)
+            offset += n
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, clip_norm: float = None):
-        grads = {k: p.grad for k, p in self.params.items()}
-        if any(g is None for g in grads.values()):
-            missing = [k for k, g in grads.items() if g is None]
+        grads = [p.grad for p in self.params.values()]
+        if any(g is None for g in grads):
+            missing = [k for k, p in self.params.items() if p.grad is None]
             raise NumericError(f"missing gradients for {missing[:3]}")
+        g = np.concatenate([gr.reshape(-1) for gr in grads])
         if clip_norm is not None:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            total = math.sqrt(float(g @ g))
             if total > clip_norm:
-                scale = clip_norm / total
-                grads = {k: g * scale for k, g in grads.items()}
+                g *= clip_norm / total
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k, p in self.params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (self.m[k] / b1c) / (
-                np.sqrt(self.v[k] / b2c) + self.eps
-            )
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 @dataclass

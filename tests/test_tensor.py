@@ -4,7 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalarnet.errors import NumericError, ShapeError
-from scalarnet.tensor import Rng, Tensor, concat
+from scalarnet.tensor import EPS, Rng, Tensor, affine, concat, kernel_attend, mlp2
+
+W_A = np.linspace(-1, 1, 8).reshape(4, 2)
+W_B = np.linspace(0.5, -0.5, 6).reshape(2, 3)
+
+
+def normalize_rows(t):
+    """L2 row normalization through kernel_attend: one kernel, unit weight
+    and unit input."""
+    rows = t.data.shape[0]
+    out, _ = kernel_attend(Tensor(np.ones(t.data.shape)), t, Tensor(np.ones((rows, 1))))
+    return out
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -39,7 +50,7 @@ class TestForwardExamples:
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_l2_normalize_345(self):
-        out = Tensor([[3.0, 4.0]]).l2_normalize()
+        out = normalize_rows(Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-15)
 
     def test_matmul_identity(self):
@@ -65,7 +76,7 @@ class TestGradients:
             ("relu", lambda t: t.relu()),
             ("sigmoid", lambda t: t.sigmoid()),
             ("softmax", lambda t: t.softmax()),
-            ("l2_normalize", lambda t: t.l2_normalize()),
+            ("l2_normalize", lambda t: normalize_rows(t)),
             ("abs", lambda t: t.abs()),
             ("clamp", lambda t: t.clamp(-0.5, 0.5)),
             ("mean", lambda t: t.mean()),
@@ -73,6 +84,28 @@ class TestGradients:
             ("reshape", lambda t: t.reshape(4, 3)),
             ("neg", lambda t: -t),
             ("concat", lambda t: concat([t, t * 2.0])),
+            ("affine", lambda t: affine(t, Tensor(W_A), Tensor(np.array([0.3, -0.2])))),
+            (
+                "mlp2",
+                lambda t: mlp2(t, Tensor(W_A), Tensor(np.array([0.1, -0.4])),
+                               Tensor(W_B), Tensor(np.array([0.2, 0.0, -0.1]))),
+            ),
+            (
+                "kernel_attend",  # k=2 kernels over p=4 features; d/dx
+                lambda t: kernel_attend(
+                    t,
+                    Tensor(np.linspace(-2, 1.5, 24).reshape(3, 8)),
+                    Tensor(np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])),
+                )[0],
+            ),
+            (
+                "kernel_attend_w",  # k=4 kernels over p=2 features; d/dw
+                lambda t: kernel_attend(
+                    Tensor(np.array([[1.0, -0.5], [0.2, 2.0], [-1.5, 0.7]])),
+                    Tensor(np.linspace(-2, 1.5, 24).reshape(3, 8)),
+                    t,
+                )[0],
+            ),
         ],
     )
     def test_op_matches_finite_differences(self, name, build):
@@ -121,12 +154,19 @@ class TestInvariantsProperties:
     def test_l2_normalize_unit(self, row):
         arr = np.array([row])
         if np.linalg.norm(arr) > 1e-12:
-            out = Tensor(arr).l2_normalize().data
+            out = normalize_rows(Tensor(arr)).data
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_l2_normalize_zero_row_passes_guard(self):
-        out = Tensor(np.zeros((1, 3))).l2_normalize()
+        out = normalize_rows(Tensor(np.zeros((1, 3))))
         np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
+
+    def test_tiny_kernel_gradient_passes_through_scaled(self):
+        # below the EPS norm the normalization divides by EPS, so the
+        # gradient is the upstream gradient over EPS, with no projection
+        raw = Tensor(np.array([[3e-13, 4e-13, 0.0]]))
+        normalize_rows(raw).sum().backward()
+        np.testing.assert_array_equal(raw.grad, np.full((1, 3), 1.0 / EPS))
 
 
 class TestErrors:
@@ -141,6 +181,24 @@ class TestErrors:
     def test_nonfinite_names_op(self):
         with pytest.raises(NumericError, match="exp"):
             Tensor(np.array([[1000.0]])).exp()
+
+    def test_guard_passes_finite_elements_with_overflowing_sum(self):
+        out = Tensor([[1e308, 1e308]]) * 1.0
+        np.testing.assert_array_equal(out.data, [[1e308, 1e308]])
+
+    def test_guard_names_op_of_nan_element(self):
+        with pytest.raises(NumericError, match="'mul'"):
+            Tensor([[1.0, np.nan, 2.0]]) * 1.0
+
+    def test_fused_ops_reject_nonconforming_shapes(self):
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="affine"):
+            affine(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="mlp2"):
+            mlp2(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
+                 Tensor(np.zeros((5, 1))), Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError, match="kernel_attend"):
+            kernel_attend(x, Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 2))))
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):

@@ -3,11 +3,12 @@ import pytest
 
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.data import standardize, synth_nonlinear
-from scalarnet.errors import ConfigError
+from scalarnet.errors import ConfigError, NumericError
 from scalarnet.losses import LossConfig
 from scalarnet.model import ModelConfig, ScalarModel
 from scalarnet.tensor import Rng
 from scalarnet.train import (
+    Adam,
     Checkpoint,
     evaluate,
     gradcheck,
@@ -71,6 +72,71 @@ class TestGradcheck:
         total.backward()
         for name, t in model.named_parameters().items():
             assert np.isfinite(t.grad).all(), name
+
+
+def loss_graph_size(root):
+    """Non-leaf nodes reachable from `root` through the parent links."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += node.op != "leaf"
+        for parent in node._prev:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+class TestAdam:
+    def test_flat_buffer_matches_per_tensor_update(self):
+        model = ScalarModel(quick_cfg(), 8)
+        named = model.named_parameters()
+        ref = {k: t.data.copy() for k, t in named.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        lr, b1, b2, eps, clip = 3e-3, 0.9, 0.999, 1e-8, 5.0
+        opt = Adam(named, lr)
+        rng = np.random.default_rng(0)
+        clipped = 0
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=a.shape) * 3.0 for k, a in ref.items()}
+            for k, p in named.items():
+                p.grad = grads[k]
+            # per-tensor reference: the update rule written one tensor at a time
+            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if total > clip:
+                clipped += 1
+                grads = {k: g * (clip / total) for k, g in grads.items()}
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (
+                    np.sqrt(v[k] / (1.0 - b2**t)) + eps
+                )
+            opt.step(clip)
+        assert clipped == 5
+        for k, p in named.items():
+            np.testing.assert_allclose(p.data, ref[k], rtol=1e-12, atol=0.0)
+            assert np.shares_memory(p.data, opt.flat), k
+
+    def test_missing_gradient_raises(self):
+        named = ScalarModel(quick_cfg(), 8).named_parameters()
+        opt = Adam(named, 1e-3)
+        with pytest.raises(NumericError, match="missing gradients"):
+            opt.step(5.0)
+
+
+class TestGraphSize:
+    def test_acceptance_loss_graph_is_one_node_per_layer(self):
+        from scalarnet.losses import composite_loss
+
+        cfg = ModelConfig(groups=[[0, 6], [6, 12]], k=4, batch_size=32, seed=0)
+        model = ScalarModel(cfg, 12)
+        rng = Rng(1)
+        x, y = rng.normal((32, 12)), rng.normal(32)
+        y_hat, trace = model.forward(x, "train", rng)
+        total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
+        assert loss_graph_size(total) <= 90
 
 
 class TestTraining:
