@@ -80,13 +80,6 @@ class KernelAttentionParams:
             phi_p=Affine.init(rng, p_in, p_in, zero=True),
         )
 
-    def params(self, prefix: str) -> dict:
-        return {
-            **self.phi_k.params(f"{prefix}.phi_k"),
-            **self.phi_w.params(f"{prefix}.phi_w"),
-            **self.phi_p.params(f"{prefix}.phi_p"),
-        }
-
 
 @dataclass
 class AttentionTrace:

@@ -110,39 +110,13 @@ def pls_predict(model: PlsModel, x) -> np.ndarray:
     return _scale_x(x, model.x_mean, model.x_scale) @ model.coef + model.y_mean
 
 
-def pls_scores(model: PlsModel, x) -> np.ndarray:
-    """Latent score matrix T for fitted training data (used by tests)."""
-    e = _scale_x(np.asarray(x, dtype=np.float64), model.x_mean, model.x_scale)
-    scores = []
-    for a in range(model.n_components):
-        t = e @ model.x_weights[:, a]
-        e = e - np.outer(t, model.x_loadings[:, a])
-        scores.append(t)
-    return np.column_stack(scores)
-
-
-def select_components(x, y, max_components=20, k_folds=5, seed=0, method="cv"):
-    """Pick the PLS component count by k-fold CV MSE (default) or by the
-    smallest count explaining >= 95% of (centered, scaled) X variance."""
+def select_components(x, y, max_components=20, k_folds=5, seed=0):
+    """Pick the PLS component count with the lowest k-fold CV MSE."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n, p = x.shape
-    hi = min(max_components, n - 1 - (n // k_folds if method == "cv" else 0), p)
-    hi = max(hi, 1)
-    if method == "variance":
-        xs = _scale_x(x, x.mean(axis=0), np.where(x.std(axis=0) == 0, 1, x.std(axis=0)))
-        total = (xs**2).sum()
-        model = pls_fit(x, y, hi)
-        t = pls_scores(model, x)
-        explained = np.cumsum((t**2).sum(axis=0) * (model.x_loadings**2).sum(axis=0))
-        for a in range(hi):
-            if explained[a] / total >= 0.95:
-                return a + 1
-        return hi
-    if method != "cv":
-        raise ConfigError(f"unknown selection method {method!r}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    hi = max(min(max_components, n - 1 - n // k_folds, p), 1)
+    perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, k_folds)
     best_a, best_mse = 1, np.inf
     for a in range(1, hi + 1):

@@ -29,12 +29,6 @@ class CalibrationParams:
         h = hidden_width(p)
         return cls(p=p, phi_t=Mlp2.init(rng, p, h, p), phi_c=Mlp2.init(rng, p, h, 2))
 
-    def params(self, prefix: str) -> dict:
-        return {
-            **self.phi_t.params(f"{prefix}.phi_t"),
-            **self.phi_c.params(f"{prefix}.phi_c"),
-        }
-
 
 @dataclass
 class VariationalParams:
@@ -58,14 +52,6 @@ class VariationalParams:
             phi_sigma=Affine.init(rng, h, d),
             phi_d=Mlp2.init(rng, d, hidden_width(p), p),
         )
-
-    def params(self, prefix: str) -> dict:
-        return {
-            **self.phi_e.params(f"{prefix}.phi_e"),
-            **self.phi_mu.params(f"{prefix}.phi_mu"),
-            **self.phi_sigma.params(f"{prefix}.phi_sigma"),
-            **self.phi_d.params(f"{prefix}.phi_d"),
-        }
 
 
 def default_latent_dim(p: int) -> int:

@@ -27,6 +27,8 @@ from .train import (
 def _load_config(path, groups, seed=None) -> ModelConfig:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config is not a JSON object")
     raw.setdefault("groups", groups)
     if seed is not None:
         raw["seed"] = seed
@@ -75,9 +77,9 @@ def cmd_baseline(args):
     plan = data.split(ds, test_fraction=0.2, seed=args.seed)
     tr, te = data.take(ds, plan.train), data.take(ds, plan.test)
     if args.method == "pls":
-        n_comp = args.components or baselines.select_components(
-            tr.x, tr.y, seed=args.seed
-        )
+        n_comp = args.components
+        if n_comp is None:
+            n_comp = baselines.select_components(tr.x, tr.y, seed=args.seed)
         model = baselines.pls_fit(tr.x, tr.y, n_comp)
         y_hat = baselines.pls_predict(model, te.x)
         extra = {"n_components": n_comp}
@@ -101,7 +103,11 @@ def cmd_synth(args):
 def cmd_ablate(args):
     ds = data.load_csv(args.data, args.target, args.groups)
     cfg = _load_config(args.config, [list(g) for g in ds.spec.groups])
-    fractions = [float(f) for f in args.fractions.split(",")]
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")]
+    except ValueError:
+        raise ConfigError(f"--fractions must be comma-separated numbers, "
+                          f"got {args.fractions!r}") from None
     rows = ablation_data_fraction(ds, cfg, fractions)
     print(json.dumps(rows))
 

@@ -1,5 +1,5 @@
 """Dataset ingestion, standardization, synthetic benchmark generation, and
-train/test/CV splitting.
+the seeded train/test split.
 
 CSV files carry a header row and numeric cells only; the feature-group file
 is JSON listing half-open [start, end) column intervals.
@@ -49,8 +49,6 @@ class Dataset:
 class SplitPlan:
     train: np.ndarray
     test: np.ndarray
-    folds: list  # list of index arrays partitioning `train`, or []
-    seed: int
 
 
 def load_groups(path) -> FeatureGroupSpec:
@@ -169,8 +167,8 @@ def synth_nonlinear(
     return Dataset(x=x, y=y, feature_names=names, spec=spec)
 
 
-def split(ds: Dataset, test_fraction: float, k_folds=None, seed: int = 0) -> SplitPlan:
-    """Seeded shuffle split; optional k folds partitioning the training rows."""
+def split(ds: Dataset, test_fraction: float, seed: int = 0) -> SplitPlan:
+    """Seeded shuffle split into sorted train and test row indices."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = ds.n
@@ -180,17 +178,7 @@ def split(ds: Dataset, test_fraction: float, k_folds=None, seed: int = 0) -> Spl
     perm = np.random.default_rng(seed).permutation(n)
     test = np.sort(perm[:n_test])
     train = np.sort(perm[n_test:])
-    folds = []
-    if k_folds is not None:
-        if k_folds < 2:
-            raise ConfigError(f"k_folds must be >= 2, got {k_folds}")
-        if k_folds > len(train):
-            raise ConfigError(
-                f"cannot make {k_folds} folds from {len(train)} training rows"
-            )
-        fold_perm = np.random.default_rng(seed + 1).permutation(train)
-        folds = [np.sort(f) for f in np.array_split(fold_perm, k_folds)]
-    return SplitPlan(train=train, test=test, folds=folds, seed=seed)
+    return SplitPlan(train=train, test=test)
 
 
 def take(ds: Dataset, idx) -> Dataset:

@@ -52,15 +52,6 @@ class HeadParams:
             phi_y=Mlp2.init(rng, total, hidden_width(total), 1),
         )
 
-    def params(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.w3": self.w3,
-            **self.phi_alpha.params(f"{prefix}.phi_alpha"),
-            **self.phi_y.params(f"{prefix}.phi_y"),
-        }
-
 
 def head_forward(g: Tensor, params: HeadParams):
     """Predict one scalar per row of the global-attention output.

@@ -1,13 +1,27 @@
-"""Affine layers and the two-layer tanh blocks used by every subnetwork."""
+"""Affine layers and the two-layer tanh blocks used by every subnetwork, and
+the dataclass walk that names every parameter."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .tensor import Rng, Tensor, affine, mlp2
+
+
+def named_tensors(obj, prefix: str) -> dict:
+    """Every Tensor field of a dataclass, recursing into nested dataclasses,
+    keyed by its dotted field path under `prefix`, in declaration order."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, Tensor):
+            out[f"{prefix}.{f.name}"] = value
+        elif is_dataclass(value):
+            out.update(named_tensors(value, f"{prefix}.{f.name}"))
+    return out
 
 
 def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -28,9 +42,6 @@ class Affine:
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.w, self.b)
 
-    def params(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-
 
 @dataclass
 class Mlp2:
@@ -45,9 +56,6 @@ class Mlp2:
 
     def __call__(self, x: Tensor) -> Tensor:
         return mlp2(x, self.l1.w, self.l1.b, self.l2.w, self.l2.b)
-
-    def params(self, prefix: str) -> dict:
-        return {**self.l1.params(f"{prefix}.l1"), **self.l2.params(f"{prefix}.l2")}
 
 
 def hidden_width(p_in: int) -> int:

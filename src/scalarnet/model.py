@@ -25,6 +25,7 @@ from .calibration import (
 )
 from .errors import ConfigError
 from .head import HeadParams, default_components, head_forward
+from .layers import named_tensors
 from .losses import LossConfig
 from .tensor import Rng, Tensor
 
@@ -114,14 +115,15 @@ class ScalarModel:
         self.head_params = HeadParams.init(rng, p, comps)
 
     def named_parameters(self) -> dict:
+        """Checkpoint name -> parameter, in optimizer order."""
         out = {}
         for g, gp in enumerate(self.group_params):
-            out.update(gp.params(f"group{g}"))
-        out.update(self.cal_params.params("cal"))
+            out.update(named_tensors(gp, f"group{g}"))
+        out.update(named_tensors(self.cal_params, "cal"))
         if self.cfg.use_variational:
-            out.update(self.var_params.params("var"))
-        out.update(self.global_params.params("global"))
-        out.update(self.head_params.params("head"))
+            out.update(named_tensors(self.var_params, "var"))
+        out.update(named_tensors(self.global_params, "global"))
+        out.update(named_tensors(self.head_params, "head"))
         return out
 
     def forward(self, x: np.ndarray, mode: str = "train", rng: Rng = None, noise=None):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-EPS = 1e-12  # guard for kernel normalization and log
+EPS = 1e-12  # floor on a kernel's norm in kernel_attend
 
 
 def _guard(op: str, out: np.ndarray) -> np.ndarray:
@@ -133,12 +133,6 @@ class Tensor:
             other, "div", np.divide, lambda a, b, g: (g / b, -g * a / (b * b))
         )
 
-    def __rtruediv__(self, other):
-        return Tensor._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return self._unary("neg", np.negative, lambda a, y, g: -g)
-
     def __matmul__(self, other):
         other = Tensor._lift(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
@@ -185,21 +179,8 @@ class Tensor:
     def exp(self):
         return self._unary("exp", np.exp, lambda a, y, g: g * y)
 
-    def log(self):
-        # guarded: log(max(x, EPS))
-        return self._unary(
-            "log",
-            lambda a: np.log(np.maximum(a, EPS)),
-            lambda a, y, g: g / np.maximum(a, EPS),
-        )
-
     def tanh(self):
         return self._unary("tanh", np.tanh, lambda a, y, g: g * (1.0 - y * y))
-
-    def relu(self):
-        return self._unary(
-            "relu", lambda a: np.maximum(a, 0.0), lambda a, y, g: g * (a > 0.0)
-        )
 
     def sigmoid(self):
         def fwd(a):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .data import (
 from .errors import ConfigError, NumericError
 from .head import feature_importance
 from .losses import LossConfig, binwise_rmse, composite_loss, metrics
-from .model import ForwardTrace, ModelConfig, ScalarModel
-from .tensor import Rng, Tensor
+from .model import ModelConfig, ScalarModel
+from .tensor import Rng
 
 CHECKPOINT_VERSION = 1
 
@@ -82,25 +82,21 @@ class Checkpoint:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format_version": self.format_version,
-                    "config": self.config,
-                    "params": self.params,
-                    "scaler": self.scaler,
-                    "best_val_loss": self.best_val_loss,
-                    "epoch": self.epoch,
-                },
-                fh,
-            )
+            json.dump(vars(self), fh)  # the fields, in declaration order
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        if raw.get("format_version") != CHECKPOINT_VERSION:
+        names = {f.name for f in fields(cls)}
+        if not isinstance(raw, dict) or raw.keys() != names:
             raise ConfigError(
-                f"unsupported checkpoint format_version {raw.get('format_version')}"
+                f"{path}: a checkpoint is a JSON object with exactly the fields "
+                f"{sorted(names)}"
+            )
+        if raw["format_version"] != CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"unsupported checkpoint format_version {raw['format_version']}"
             )
         return cls(**raw)
 
@@ -154,6 +150,19 @@ def _checkpoint_from(model, ds, best_val, epoch) -> Checkpoint:
     )
 
 
+def train_step(model: ScalarModel, opt: Adam, x, y, epoch: int, rng: Rng) -> float:
+    """One mini-batch: train-mode forward, composite loss, backward and a
+    clipped Adam step, configured by `model.cfg`. Returns the batch loss."""
+    cfg = model.cfg
+    y_hat, trace = model.forward(x, "train", rng)
+    total, _ = composite_loss(
+        y, y_hat, trace.mu, trace.log_sigma, epoch, cfg.max_epochs, cfg.loss
+    )
+    total.backward()
+    opt.step(cfg.grad_clip_norm)
+    return float(total.data)
+
+
 def train(ds: Dataset, cfg: ModelConfig):
     """Mini-batch training per the end-to-end pipeline; returns the
     best-validation checkpoint and the per-epoch history."""
@@ -183,18 +192,12 @@ def train(ds: Dataset, cfg: ModelConfig):
         for b0 in range(0, len(x_tr), cfg.batch_size):
             idx = order[b0 : b0 + cfg.batch_size]
             try:
-                y_hat, trace = model.forward(x_tr[idx], "train", noise_rng)
-                total, parts = composite_loss(
-                    y_tr[idx], y_hat, trace.mu, trace.log_sigma,
-                    epoch, cfg.max_epochs, cfg.loss,
-                )
-                total.backward()
+                loss = train_step(model, opt, x_tr[idx], y_tr[idx], epoch, noise_rng)
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch {b0 // cfg.batch_size}: {exc}"
                 ) from exc
-            opt.step(cfg.grad_clip_norm)
-            batch_losses.append(float(total.data))
+            batch_losses.append(loss)
 
         y_hat_val, trace_val = model.forward(x_val, "eval")
         val_total, val_parts = composite_loss(
@@ -224,8 +227,9 @@ def train(ds: Dataset, cfg: ModelConfig):
     return _checkpoint_from(model, ds, best_val, best_epoch), history
 
 
-def predict(ckpt: Checkpoint, ds_raw: Dataset) -> np.ndarray:
-    """Deterministic eval-mode predictions on the original target scale."""
+def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset):
+    """Eval-mode forward of the checkpoint's model on raw, unstandardized
+    data; returns (standardized y_hat Tensor, ForwardTrace)."""
     scaler = ckpt.get_scaler()
     if ds_raw.p != len(scaler.x_mean):
         raise ConfigError(
@@ -233,13 +237,20 @@ def predict(ckpt: Checkpoint, ds_raw: Dataset) -> np.ndarray:
         )
     model = ckpt.build_model()
     x_std = (ds_raw.x - scaler.x_mean) / scaler.x_std
-    y_hat, _ = model.forward(x_std, "eval")
-    return destandardize_predictions(y_hat.data, scaler)
+    return model.forward(x_std, "eval")
+
+
+def predict(ckpt: Checkpoint, ds_raw: Dataset) -> np.ndarray:
+    """Deterministic eval-mode predictions on the original target scale."""
+    y_hat, _ = _forward_eval(ckpt, ds_raw)
+    return destandardize_predictions(y_hat.data, ckpt.get_scaler())
 
 
 def evaluate(ckpt: Checkpoint, ds_raw: Dataset, n_bins: int = 5) -> dict:
     """Metrics JSON (plus the bin-wise RMSE table) for raw, unstandardized
     evaluation data."""
+    # imported here so that a patched `losses.concordance_index` (the
+    # benchmark tracer's) is the one called
     from .losses import concordance_index
 
     y_hat = predict(ckpt, ds_raw)
@@ -251,10 +262,7 @@ def evaluate(ckpt: Checkpoint, ds_raw: Dataset, n_bins: int = 5) -> dict:
 
 def importance_scores(ckpt: Checkpoint, ds_raw: Dataset):
     """Global-tier feature importance over the whole evaluation set."""
-    scaler = ckpt.get_scaler()
-    model = ckpt.build_model()
-    x_std = (ds_raw.x - scaler.x_mean) / scaler.x_std
-    _, trace = model.forward(x_std, "eval")
+    _, trace = _forward_eval(ckpt, ds_raw)
     return feature_importance(trace.global_trace.k_hat, trace.global_trace.w)
 
 

@@ -20,6 +20,7 @@ from scalarnet.baselines import pls_fit, pls_predict, ridge_fit, select_componen
 from scalarnet.calibration import kl_term
 from scalarnet.data import split, standardize, synth_nonlinear, take
 from scalarnet.head import HeadParams, feature_importance, head_forward
+from scalarnet.layers import named_tensors
 from scalarnet.losses import concordance_index, kl_weight, metrics
 from scalarnet.model import ModelConfig, ScalarModel
 from scalarnet.tensor import Rng, Tensor
@@ -150,7 +151,7 @@ def _head_loop(g, params):
 def test_03_loop_oracle_equivalence():
     rng = Rng(21)
     att = KernelAttentionParams.init(rng, 4, 2)
-    for t in att.phi_p.params("p").values():  # randomize the zero-init layer
+    for t in named_tensors(att.phi_p, "p").values():  # randomize the zero-init layer
         t.data = rng.normal(t.data.shape) * 0.3
     x = rng.normal((3, 4))
     att_err = np.abs(
@@ -240,8 +241,8 @@ def test_06_capacity():
     # pure capacity question, so no validation carve-out and no early stop:
     # run the optimizer directly over all 64 rows and score the final model
     from scalarnet.data import destandardize_predictions
-    from scalarnet.losses import LossConfig, composite_loss
-    from scalarnet.train import Adam
+    from scalarnet.losses import LossConfig
+    from scalarnet.train import Adam, train_step
 
     t0 = time.perf_counter()
     spec = FeatureGroupSpec([(0, 4), (4, 8)])
@@ -263,12 +264,7 @@ def test_06_capacity():
         perm = order.permutation(ds.n)
         for b0 in range(0, ds.n, cfg.batch_size):
             idx = perm[b0 : b0 + cfg.batch_size]
-            y_hat, tr = model.forward(ds.x[idx], "train", noise)
-            total, _ = composite_loss(
-                ds.y[idx], y_hat, tr.mu, tr.log_sigma, epoch, cfg.max_epochs, cfg.loss
-            )
-            total.backward()
-            opt.step(cfg.grad_clip_norm)
+            train_step(model, opt, ds.x[idx], ds.y[idx], epoch, noise)
     y_hat, _ = model.forward(ds.x, "eval")
     r2 = metrics(ds_raw.y, destandardize_predictions(y_hat.data, ds.scaler))["r2"]
     elapsed = time.perf_counter() - t0

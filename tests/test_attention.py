@@ -8,6 +8,7 @@ from scalarnet.attention import (
     kernel_attention_forward,
 )
 from scalarnet.errors import ConfigError
+from scalarnet.layers import named_tensors
 from scalarnet.tensor import Rng, Tensor
 
 
@@ -116,7 +117,7 @@ class TestKernelAttention:
         x = np.random.default_rng(11).normal(size=(5, 4))
         trace = kernel_attention_forward(Tensor(x), params)
         (trace.z * trace.z).mean().backward()
-        for name, t in params.params("a").items():
+        for name, t in named_tensors(params, "a").items():
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
 
 

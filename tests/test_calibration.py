@@ -10,11 +10,12 @@ from scalarnet.calibration import (
     self_calibrate,
     variational_encode_decode,
 )
+from scalarnet.layers import named_tensors
 from scalarnet.tensor import Rng, Tensor
 
 
 def zeroed(net):
-    for t in net.params("x").values():
+    for t in named_tensors(net, "x").values():
         t.data = np.zeros_like(t.data)
 
 

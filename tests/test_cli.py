@@ -174,3 +174,49 @@ class TestBaselineSynthGradcheck:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["fraction"] == 1.0
         assert "r2_variational" in rows[0] and "r2_ablated" in rows[0]
+
+
+def _trained_checkpoint(tmp, common, config_path):
+    ckpt = tmp / "model.json"
+    assert run(["train", *common, "--config", config_path, "--out", ckpt]) == 0
+    return ckpt
+
+
+def _narrow_data(tmp):
+    """A 6-feature CSV and groups file, for an 8-feature checkpoint."""
+    write_csv(synth_nonlinear(20, FeatureGroupSpec([(0, 3), (3, 6)]), 0.1, seed=0),
+              tmp / "narrow.csv")
+    (tmp / "narrow.json").write_text("[[0, 3], [3, 6]]", encoding="utf-8")
+    return ["--data", tmp / "narrow.csv", "--target", "y", "--groups", tmp / "narrow.json"]
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+BAD_INPUTS = {
+    "baseline_zero_components": lambda tmp, common, config: [
+        "baseline", *common, "--method", "pls", "--components", "0"],
+    "checkpoint_json_list": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _write(tmp / "c.json", "[1, 2]")],
+    "checkpoint_missing_field": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _write(tmp / "c.json", '{"format_version": 1}')],
+    "config_json_list": lambda tmp, common, config: [
+        "train", *common, "--config", _write(tmp / "l.json", "[]"), "--out", tmp / "m.json"],
+    "ablate_non_numeric_fraction": lambda tmp, common, config: [
+        "ablate", *common, "--config", config, "--fractions", "0.5,abc"],
+    "importance_width_mismatch": lambda tmp, common, config: [
+        "importance", *_narrow_data(tmp), "--ckpt",
+        _trained_checkpoint(tmp, common, config), "--out", tmp / "imp.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(case, workspace, capsys):
+    tmp, data_path, groups_path, config_path = workspace
+    common = ["--data", data_path, "--target", "y", "--groups", groups_path]
+    argv = BAD_INPUTS[case](tmp, common, config_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err

@@ -177,19 +177,9 @@ class TestSplit:
     def test_deterministic(self):
         spec = FeatureGroupSpec([(0, 2), (2, 4)])
         ds = synth_nonlinear(50, spec, 0.1, seed=0)
-        a = split(ds, 0.3, k_folds=4, seed=7)
-        b = split(ds, 0.3, k_folds=4, seed=7)
+        a = split(ds, 0.3, seed=7)
+        b = split(ds, 0.3, seed=7)
         assert np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
-        assert all(np.array_equal(x, y) for x, y in zip(a.folds, b.folds))
-
-    def test_fold_sizes_and_coverage(self):
-        spec = FeatureGroupSpec([(0, 2), (2, 4)])
-        ds = synth_nonlinear(10, spec, 0.1, seed=0)
-        plan = split(ds, 0.2, k_folds=5, seed=2)
-        sizes = sorted(len(f) for f in plan.folds)
-        assert sizes == [1, 1, 2, 2, 2]
-        joined = np.sort(np.concatenate(plan.folds))
-        assert np.array_equal(joined, plan.train)
 
     def test_partition_of_all_rows(self):
         spec = FeatureGroupSpec([(0, 2), (2, 4)])
@@ -197,9 +187,3 @@ class TestSplit:
         plan = split(ds, 0.25, seed=3)
         joined = np.sort(np.concatenate([plan.train, plan.test]))
         assert np.array_equal(joined, np.arange(33))
-
-    def test_too_many_folds(self):
-        spec = FeatureGroupSpec([(0, 2), (2, 4)])
-        ds = synth_nonlinear(6, spec, 0.1, seed=0)
-        with pytest.raises(ConfigError):
-            split(ds, 0.5, k_folds=5, seed=0)

@@ -5,6 +5,7 @@ import pytest
 
 from scalarnet.errors import ConfigError, DataError
 from scalarnet.head import HeadParams, default_components, feature_importance, head_forward
+from scalarnet.layers import named_tensors
 from scalarnet.tensor import Rng, Tensor
 
 
@@ -46,7 +47,7 @@ def loop_oracle(g, params):
 class TestHeadForward:
     def test_equal_logits_give_uniform_alpha(self):
         params = HeadParams.init(Rng(0), p=6)
-        for t in params.phi_alpha.params("a").values():
+        for t in named_tensors(params.phi_alpha, "a").values():
             t.data = np.zeros_like(t.data)
         g = np.random.default_rng(1).normal(size=(4, 6))
         y, alpha = head_forward(Tensor(g), params)
@@ -79,7 +80,7 @@ class TestHeadForward:
         g = np.random.default_rng(9).normal(size=(5, 6))
         y, _ = head_forward(Tensor(g), params)
         (y * y).mean().backward()
-        for name, t in params.params("h").items():
+        for name, t in named_tensors(params, "h").items():
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
 
     def test_c1_exceeding_p_rejected(self):

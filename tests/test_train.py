@@ -6,7 +6,7 @@ from scalarnet.data import standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
 from scalarnet.losses import LossConfig
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng
+from scalarnet.tensor import Rng, Tensor
 from scalarnet.train import (
     Adam,
     Checkpoint,
@@ -124,6 +124,46 @@ class TestAdam:
         opt = Adam(named, 1e-3)
         with pytest.raises(NumericError, match="missing gradients"):
             opt.step(5.0)
+
+
+MLP = ["l1.w", "l1.b", "l2.w", "l2.b"]
+KA = [
+    "phi_k.l1.w", "phi_k.l1.b", "phi_k.l2.w", "phi_k.l2.b",
+    "phi_w.l1.w", "phi_w.l1.b", "phi_w.l2.w", "phi_w.l2.b",
+    "phi_p.w", "phi_p.b",
+]
+CAL = [f"phi_t.{n}" for n in MLP] + [f"phi_c.{n}" for n in MLP]
+VAR = [
+    "phi_e.w", "phi_e.b", "phi_mu.w", "phi_mu.b", "phi_sigma.w", "phi_sigma.b",
+] + [f"phi_d.{n}" for n in MLP]
+HEAD = ["w1", "w2", "w3"] + [f"phi_alpha.{n}" for n in MLP] + [f"phi_y.{n}" for n in MLP]
+
+
+class TestParameterNames:
+    """Names are the checkpoint keys and their order is Adam's flat layout."""
+
+    @pytest.mark.parametrize("use_variational", [True, False])
+    def test_names_and_order_are_pinned(self, use_variational):
+        cfg = ModelConfig(groups=[[0, 3], [3, 6]], k=2, d=2, components=(4, 3, 2),
+                          use_variational=use_variational, seed=0)
+        expected = (
+            [f"group0.{n}" for n in KA]
+            + [f"group1.{n}" for n in KA]
+            + [f"cal.{n}" for n in CAL]
+            + ([f"var.{n}" for n in VAR] if use_variational else [])
+            + [f"global.{n}" for n in KA]
+            + [f"head.{n}" for n in HEAD]
+        )
+        assert list(ScalarModel(cfg, 6).named_parameters()) == expected
+
+    def test_train_names_epoch_and_batch_of_missing_gradient(self, monkeypatch):
+        named = ScalarModel.named_parameters
+        monkeypatch.setattr(
+            ScalarModel, "named_parameters",
+            lambda self: {**named(self), "unused": Tensor(np.zeros(1))},
+        )
+        with pytest.raises(NumericError, match=r"epoch 0, batch 0: missing gradients"):
+            train(standardize(tiny_dataset()), quick_cfg())
 
 
 class TestGraphSize:
