@@ -6,6 +6,7 @@ as the global tier.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ from .layers import Affine, Mlp2, hidden_width
 from .tensor import Rng, Tensor, concat, kernel_attend
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FeatureGroupSpec:
     """Ordered half-open column intervals partitioning [0, p)."""
@@ -22,6 +28,14 @@ class FeatureGroupSpec:
     groups: tuple
 
     def __init__(self, groups):
+        if not isinstance(groups, (list, tuple)) or not all(
+            isinstance(g, (list, tuple)) and len(g) == 2 and all(map(is_int, g))
+            for g in groups
+        ):
+            raise ConfigError(
+                f"feature groups must be a list of [start, end) integer pairs, "
+                f"got {groups!r}"
+            )
         object.__setattr__(self, "groups", tuple((int(s), int(e)) for s, e in groups))
         if not self.groups:
             raise ConfigError("feature group spec is empty")
@@ -43,10 +57,6 @@ class FeatureGroupSpec:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
-
-    @property
-    def widths(self) -> list:
-        return [e - s for s, e in self.groups]
 
     def validate_width(self, p: int) -> None:
         if self.n_features != p:

@@ -1,19 +1,22 @@
-"""Classical reference regressors: NIPALS PLS and closed-form ridge.
+"""Classical reference regressors: PLS1 and closed-form ridge.
 
+With a single response the NIPALS weight vector is the normalized covariance
+E^T f, so PLS1 takes one pass per component. Components come in sequence: the
+first `a` of a larger fit are the a-component fit, so CV fits each fold once.
 X is standardized (zero mean, unit population variance) and y centered
 inside fit; predictions are returned on the original target scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericError
 
-NIPALS_TOL = 1e-10
-NIPALS_MAX_ITER = 500
+MAX_COMPONENTS = 20
+K_FOLDS = 5
 
 
 @dataclass
@@ -25,21 +28,27 @@ class PlsModel:
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
-    coef: np.ndarray = field(default=None)  # (p,), on the scaled/centered scale
 
-    def __post_init__(self):
-        if self.coef is None:
-            # W (P^T W)^-1 q: regression vector equivalent to the deflation path
+    @property
+    def coef(self) -> np.ndarray:
+        """W (P^T W)^-1 q on the scaled/centered scale, equivalent to the
+        deflation path."""
+        try:
             r = self.x_weights @ np.linalg.inv(self.x_loadings.T @ self.x_weights)
-            self.coef = r @ self.y_loadings
+        except np.linalg.LinAlgError:
+            raise NumericError(
+                f"P^T W is singular at {self.n_components} components; X has lower rank"
+            ) from None
+        return r @ self.y_loadings
 
-
-def _scale_x(x, mean, scale):
-    return (x - mean) / scale
+    def first(self, a: int) -> "PlsModel":
+        """The a-component fit: the first `a` components of this one."""
+        w, p, q = self.x_weights[:, :a], self.x_loadings[:, :a], self.y_loadings[:a]
+        return replace(self, n_components=a, x_weights=w, x_loadings=p, y_loadings=q)
 
 
 def pls_fit(x, y, n_components: int) -> PlsModel:
-    """Fit PLS1 by NIPALS with deflation.
+    """Fit PLS1 with deflation, one pass per component.
 
     Parameters
     ----------
@@ -59,33 +68,18 @@ def pls_fit(x, y, n_components: int) -> PlsModel:
     x_scale = x.std(axis=0)
     x_scale[x_scale == 0.0] = 1.0
     y_mean = float(y.mean())
-    e = _scale_x(x, x_mean, x_scale)
+    e = (x - x_mean) / x_scale
     f = y - y_mean
 
     weights, loadings, y_loads = [], [], []
     for a in range(n_components):
-        u = f.copy()
-        for _ in range(NIPALS_MAX_ITER):
-            w = e.T @ u / (u @ u)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                raise ConvergenceError(f"zero weight vector at component {a + 1}")
-            w /= norm
-            t = e @ w
-            c = (t @ f) / (t @ t)
-            u_new = f * c / (c * c)
-            # converged when the y-score direction is stationary
-            # (sign-invariant: u and -u describe the same component)
-            ud, nd = u / np.linalg.norm(u), u_new / np.linalg.norm(u_new)
-            diff = min(np.linalg.norm(nd - ud), np.linalg.norm(nd + ud))
-            if diff <= NIPALS_TOL:
-                break
-            u = u_new
-        else:
-            raise ConvergenceError(
-                f"NIPALS did not converge at component {a + 1} "
-                f"after {NIPALS_MAX_ITER} iterations"
-            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = e.T @ f / (f @ f)
+        norm = np.linalg.norm(w)
+        if not 0.0 < norm < np.inf:  # zero, or NaN once y is exhausted
+            raise ConvergenceError(f"zero weight vector at component {a + 1}")
+        w /= norm
+        t = e @ w
         pa = e.T @ t / (t @ t)
         qa = (t @ f) / (t @ t)
         e = e - np.outer(t, pa)
@@ -107,32 +101,32 @@ def pls_fit(x, y, n_components: int) -> PlsModel:
 
 def pls_predict(model: PlsModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return _scale_x(x, model.x_mean, model.x_scale) @ model.coef + model.y_mean
+    return ((x - model.x_mean) / model.x_scale) @ model.coef + model.y_mean
 
 
-def select_components(x, y, max_components=20, k_folds=5, seed=0):
-    """Pick the PLS component count with the lowest k-fold CV MSE."""
+def select_components(x, y, seed):
+    """Pick the PLS component count with the lowest k-fold CV MSE, fitting
+    each fold once; a count a fold cannot support scores an infinite MSE."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n, p = x.shape
-    hi = max(min(max_components, n - 1 - n // k_folds, p), 1)
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k_folds)
-    best_a, best_mse = 1, np.inf
-    for a in range(1, hi + 1):
-        sse, cnt = 0.0, 0
-        for i in range(k_folds):
-            test_idx = folds[i]
-            train_idx = np.concatenate([folds[j] for j in range(k_folds) if j != i])
+    hi = max(min(MAX_COMPONENTS, n - 1 - n // K_FOLDS, p), 1)
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), K_FOLDS)
+    sse = np.zeros(hi)
+    for i, test_idx in enumerate(folds):
+        train_idx = np.concatenate(folds[:i] + folds[i + 1 :])
+        top = min(hi, len(train_idx) - 1)  # a fit needs more rows than components
+        sse[max(top, 0) :] = np.inf
+        fit = pls_fit(x[train_idx], y[train_idx], top) if top >= 1 else None
+        for a in range(1, top + 1):
             try:
-                m = pls_fit(x[train_idx], y[train_idx], a)
-            except ConfigError:
-                sse = np.inf
-                break
-            pred = pls_predict(m, x[test_idx])
-            sse += float(((pred - y[test_idx]) ** 2).sum())
-            cnt += len(test_idx)
-        mse = sse / max(cnt, 1)
+                pred = pls_predict(fit.first(a), x[test_idx])
+            except NumericError:  # P^T W is singular: `a` exceeds the rank of X
+                sse[a - 1] = np.inf
+            else:
+                sse[a - 1] += float(((pred - y[test_idx]) ** 2).sum())
+    best_a, best_mse = 1, np.inf
+    for a, mse in enumerate(sse / n, start=1):
         if mse < best_mse - 1e-15:
             best_a, best_mse = a, mse
     return best_a

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width
 from .tensor import Rng, Tensor
@@ -56,17 +54,6 @@ class VariationalParams:
 
 def default_latent_dim(p: int) -> int:
     return max(2, min(16, -(-p // 4)))
-
-
-@dataclass
-class VariationalTrace:
-    mu: Tensor  # (batch, d)
-    log_sigma: Tensor  # (batch, d)
-    z: np.ndarray  # (batch, d), detached
-    s: Tensor  # (batch, p)
-    v: Tensor  # (batch, p)
-    delta: np.ndarray  # (batch,)
-    gamma: np.ndarray  # (batch,)
 
 
 def self_calibrate(z, params, mode="train", rng=None, mask=None):

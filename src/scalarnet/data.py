@@ -103,10 +103,10 @@ def load_csv(path, target_column: str, groups_path=None) -> Dataset:
     return Dataset(x=x, y=y, feature_names=names, spec=spec)
 
 
-def write_csv(ds: Dataset, path, target_name: str = "y") -> None:
+def write_csv(ds: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [target_name])
+        writer.writerow(list(ds.feature_names) + ["y"])
         for xi, yi in zip(ds.x, ds.y):
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
 
@@ -132,12 +132,7 @@ def destandardize_predictions(y_std, scaler: Scaler) -> np.ndarray:
 
 
 def synth_nonlinear(
-    n: int,
-    spec: FeatureGroupSpec,
-    noise_sigma: float,
-    seed: int,
-    amp_scale: float = 1.0,
-    cross_strength: float = 1.0,
+    n: int, spec: FeatureGroupSpec, noise_sigma: float, seed: int
 ) -> Dataset:
     """Synthetic benchmark: standard-normal X, within-group tanh ridges plus
     one cross-group product interaction, plus Gaussian noise.
@@ -154,14 +149,14 @@ def synth_nonlinear(
     for s, e in spec.groups:
         b = rng.normal(e - s)
         b *= 1.5 / np.linalg.norm(b)
-        a = amp_scale * (0.8 + 0.4 * rng.uniform())
+        a = 0.8 + 0.4 * rng.uniform()
         y += a * np.tanh(x[:, s:e] @ b)
     (s1, e1), (s2, e2) = spec.groups[0], spec.groups[1]
     u = rng.normal(e1 - s1)
     u /= np.linalg.norm(u)
     v = rng.normal(e2 - s2)
     v /= np.linalg.norm(v)
-    y += cross_strength * (x[:, s1:e1] @ u) * (x[:, s2:e2] @ v)
+    y += (x[:, s1:e1] @ u) * (x[:, s2:e2] @ v)
     y += noise_sigma * rng.normal(n)
     names = [f"f{j}" for j in range(p)]
     return Dataset(x=x, y=y, feature_names=names, spec=spec)

@@ -18,4 +18,4 @@ class DataError(ValueError):
 
 
 class ConvergenceError(NumericError):
-    """An iterative fit failed to converge."""
+    """A fit found nothing left to extract, e.g. PLS on a constant target."""

@@ -5,6 +5,7 @@ configuration record that owns every free hyperparameter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from .attention import (
     FeatureGroupSpec,
     KernelAttentionParams,
     grouped_attention_forward,
+    is_int,
     kernel_attention_forward,
 )
 from .calibration import (
@@ -28,6 +30,24 @@ from .head import HeadParams, default_components, head_forward
 from .layers import named_tensors
 from .losses import LossConfig
 from .tensor import Rng, Tensor
+
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossConfig": dict}
+
+
+def _check_fields(cls, raw: dict, what: str) -> None:
+    """Reject keys that are not fields of dataclass `cls`, and JSON values of
+    the wrong type: a bool only for a bool field, None only as the default."""
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(by_name)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in raw.items():
+        f = by_name[name]
+        kind = _KINDS.get(f.type)
+        if kind is None or (value is None and f.default is None):
+            continue
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise ConfigError(f"{what} field {name!r} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -52,7 +72,10 @@ class ModelConfig:
         if isinstance(self.loss, dict):
             self.loss = LossConfig(**self.loss)
         if self.components is not None:
-            self.components = tuple(int(c) for c in self.components)
+            c = self.components
+            if not (isinstance(c, (list, tuple)) and len(c) == 3 and all(map(is_int, c))):
+                raise ConfigError(f"components must be three integers, got {c!r}")
+            self.components = tuple(int(v) for v in c)
         for name in ("k", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -65,21 +88,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        loss_raw = raw.get("loss", {})
-        if isinstance(loss_raw, dict):
-            loss_known = {f.name for f in fields(LossConfig)}
-            bad = set(loss_raw) - loss_known
-            if bad:
-                raise ConfigError(f"unknown loss config keys: {sorted(bad)}")
+        _check_fields(cls, raw, "config")
+        _check_fields(LossConfig, raw.get("loss", {}), "loss config")
         return cls(**raw)
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d.pop("spec", None)
         if d["components"] is not None:
             d["components"] = list(d["components"])
         return d

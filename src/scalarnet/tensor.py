@@ -271,10 +271,10 @@ class Tensor:
         return order
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
     """Concatenate 2-D tensors along the last axis."""
     tensors = [Tensor._lift(t) for t in tensors]
-    if axis != 1 or any(t.data.ndim != 2 for t in tensors):
+    if any(t.data.ndim != 2 for t in tensors):
         raise ShapeError("concat supports 2-D tensors along axis 1")
     rows = {t.data.shape[0] for t in tensors}
     if len(rows) != 1:
@@ -386,6 +386,3 @@ class Rng:
     def bernoulli(self, q, shape) -> np.ndarray:
         """Elementwise Bernoulli(q) in {0., 1.}; q may broadcast over shape."""
         return (self._g.random(shape) < np.asarray(q)).astype(np.float64)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._g.permutation(n)

@@ -63,7 +63,6 @@ class TestFeatureGroupSpec:
     def test_valid(self):
         spec = FeatureGroupSpec([(0, 2), (2, 5)])
         assert spec.n_features == 5
-        assert spec.widths == [2, 3]
 
     @pytest.mark.parametrize(
         "groups", [[(1, 3)], [(0, 2), (3, 5)], [(0, 0)], [(0, 3), (2, 5)], []]

@@ -1,15 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from scalarnet.attention import FeatureGroupSpec
 from scalarnet.baselines import (
-    PlsModel,
     pls_fit,
     pls_predict,
     ridge_fit,
     ridge_predict,
     select_components,
 )
-from scalarnet.errors import ConfigError, NumericError
+from scalarnet.data import split, synth_nonlinear, take
+from scalarnet.errors import ConfigError, ConvergenceError, NumericError
 from scalarnet.losses import metrics
 
 
@@ -113,6 +116,74 @@ class TestPls:
         # noiseless linear target: CV should find it needs few components well
         model = pls_fit(x, y, n)
         assert metrics(y, pls_predict(model, x))["r2"] > 0.99
+
+    def test_constant_target_fails_at_once(self):
+        x = np.random.default_rng(8).normal(size=(12, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="component 1"):
+                pls_fit(x, np.full(12, 3.0), 1)
+
+
+def refit_select_reference(x, y, seed, max_components=20, k_folds=5):
+    """Per-count refit CV: every candidate count is fitted from scratch on
+    every fold; a count a fold's rows or X's rank cannot support scores an
+    infinite MSE."""
+    n, p = x.shape
+    hi = max(min(max_components, n - 1 - n // k_folds, p), 1)
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k_folds)
+    best_a, best_mse = 1, np.inf
+    for a in range(1, hi + 1):
+        sse = 0.0
+        for i in range(k_folds):
+            train_idx = np.concatenate([folds[j] for j in range(k_folds) if j != i])
+            try:
+                pred = pls_predict(pls_fit(x[train_idx], y[train_idx], a), x[folds[i]])
+            except (ConfigError, NumericError):
+                sse = np.inf
+                break
+            sse += float(((pred - y[folds[i]]) ** 2).sum())
+        if sse / n < best_mse - 1e-15:
+            best_a, best_mse = a, sse / n
+    return best_a
+
+
+class TestSelectComponents:
+    def test_first_components_are_the_smaller_fit(self):
+        rng = np.random.default_rng(9)
+        for n, p in ((20, 5), (9, 14), (40, 6)):
+            x, y = rng.normal(size=(n, p)), rng.normal(size=n)
+            full = pls_fit(x, y, min(n - 1, p))
+            for a in range(1, full.n_components + 1):
+                part, alone = full.first(a), pls_fit(x, y, a)
+                for name in ("x_weights", "x_loadings", "y_loadings", "coef"):
+                    got, want = getattr(part, name), getattr(alone, name)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (n, p, a, name)
+
+    # n % 5 != 0 throughout; (7, 6) and (23, 30) make some folds too small
+    # for the largest count, and the constant column makes P^T W singular
+    # above the rank of X
+    @pytest.mark.parametrize(
+        "n, p, constant_column",
+        [(7, 6, False), (13, 4, False), (23, 30, False), (61, 8, False), (41, 6, True)],
+    )
+    def test_matches_per_count_refit(self, n, p, constant_column):
+        rng = np.random.default_rng(n * p)
+        x = rng.normal(size=(n, p))
+        if constant_column:
+            x[:, 2] = 1.5
+        y = np.tanh(x[:, 0]) + x[:, 1] + 0.3 * rng.normal(size=n)
+        for seed in range(4):
+            assert select_components(x, y, seed=seed) == refit_select_reference(x, y, seed)
+
+    def test_rounding_noise_component(self):
+        # the benchmark's score_cli rows for seed 34, where the last
+        # candidate component's covariance with y is only rounding noise
+        ds = synth_nonlinear(5800, FeatureGroupSpec([(0, 6), (6, 12)]), 0.1, 34)
+        rows = take(ds, split(ds, 5000 / 5800, seed=34).test)
+        tr = take(rows, split(rows, 0.2, seed=34).train)
+        assert select_components(tr.x, tr.y, seed=34) == 2
 
 
 def ridge_gd_oracle(x, y, lam, lr=1e-3, steps=200_000):

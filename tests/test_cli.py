@@ -6,7 +6,7 @@ import pytest
 
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.cli import main
-from scalarnet.data import synth_nonlinear, write_csv
+from scalarnet.data import Dataset, synth_nonlinear, write_csv
 
 
 @pytest.fixture
@@ -125,6 +125,18 @@ class TestBaselineSynthGradcheck:
         out = json.loads(capsys.readouterr().out)
         assert "r2" in out and "n_components" in out
 
+    def test_baseline_pls_constant_column(self, tmp_path, capsys):
+        # CV must skip the counts above the rank of X instead of failing
+        rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n_components"] <= 5
+
+    def test_baseline_pls_count_above_rank_exits_3(self, tmp_path, capsys):
+        rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls",
+                  "--components", "6"])
+        assert rc == 3
+        assert "singular at 6 components" in capsys.readouterr().err
+
     def test_baseline_ridge_with_lambda(self, workspace, capsys):
         _, data_path, groups_path, _ = workspace
         rc = run(
@@ -195,6 +207,33 @@ def _write(path, text):
     return path
 
 
+def _constant_column_data(tmp):
+    """A 200x6 CSV whose third feature is constant, so X has rank 5."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 6))
+    x[:, 2] = 1.5
+    y = x[:, 0] - 2 * x[:, 1] + 0.1 * rng.normal(size=200)
+    names = [f"f{j}" for j in range(6)]
+    write_csv(Dataset(x=x, y=y, feature_names=names, spec=FeatureGroupSpec([(0, 6)])),
+              tmp / "const.csv")
+    return ["--data", tmp / "const.csv", "--target", "y"]
+
+
+def _bad_config(**entry):
+    """`train` with the workspace's config plus one malformed entry."""
+    def argv(tmp, common, config):
+        raw = {**json.loads(config.read_text(encoding="utf-8")), **entry}
+        return ["train", *common, "--config", _write(tmp / "bad.json", json.dumps(raw)),
+                "--out", tmp / "m.json"]
+    return argv
+
+
+def _bad_groups(text):
+    """`baseline` with a malformed groups file."""
+    return lambda tmp, common, config: [
+        "baseline", *common[:4], "--groups", _write(tmp / "g.json", text), "--method", "pls"]
+
+
 BAD_INPUTS = {
     "baseline_zero_components": lambda tmp, common, config: [
         "baseline", *common, "--method", "pls", "--components", "0"],
@@ -209,6 +248,15 @@ BAD_INPUTS = {
     "importance_width_mismatch": lambda tmp, common, config: [
         "importance", *_narrow_data(tmp), "--ckpt",
         _trained_checkpoint(tmp, common, config), "--out", tmp / "imp.csv"],
+    "config_k_string": _bad_config(k="4"),
+    "config_learning_rate_string": _bad_config(learning_rate="fast"),
+    "config_groups_string": _bad_config(groups="abc"),
+    "config_two_components": _bad_config(components=[3, 2]),
+    "config_loss_list": _bad_config(loss=[1]),
+    "config_use_variational_string": _bad_config(use_variational="no"),
+    "groups_not_pairs": _bad_groups("[1, 2]"),
+    "groups_non_integer_end": _bad_groups('[[0, "x"]]'),
+    "groups_object": _bad_groups('{"a": 1}'),
 }
 
 

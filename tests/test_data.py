@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,9 @@ class TestSynth:
 
     def test_no_signal_case(self):
         spec = FeatureGroupSpec([(0, 3), (3, 6)])
-        ds = synth_nonlinear(300, spec, 1.0, seed=4, amp_scale=0.0, cross_strength=0.0)
+        # noise is the last draw, so the same draw without noise leaves only it
+        ds = synth_nonlinear(300, spec, 1.0, seed=4)
+        ds = replace(ds, y=ds.y - synth_nonlinear(300, spec, 0.0, seed=4).y)
         plan = split(ds, 0.3, seed=0)
         tr, te = take(ds, plan.train), take(ds, plan.test)
         model = ridge_fit(tr.x, tr.y, 1.0)
