@@ -32,14 +32,14 @@ class PlsModel:
     @property
     def coef(self) -> np.ndarray:
         """W (P^T W)^-1 q on the scaled/centered scale, equivalent to the
-        deflation path."""
-        try:
-            r = self.x_weights @ np.linalg.inv(self.x_loadings.T @ self.x_weights)
-        except np.linalg.LinAlgError:
+        deflation path. P^T W counts as singular below numpy's default
+        numerical rank, as it is once a component is fit to rounding noise."""
+        ptw = self.x_loadings.T @ self.x_weights
+        if np.linalg.matrix_rank(ptw) < self.n_components:
             raise NumericError(
                 f"P^T W is singular at {self.n_components} components; X has lower rank"
-            ) from None
-        return r @ self.y_loadings
+            )
+        return self.x_weights @ np.linalg.inv(ptw) @ self.y_loadings
 
     def first(self, a: int) -> "PlsModel":
         """The a-component fit: the first `a` components of this one."""

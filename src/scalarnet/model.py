@@ -6,7 +6,7 @@ configuration record that owns every free hyperparameter.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,12 +35,17 @@ _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossCon
 
 
 def _check_fields(cls, raw: dict, what: str) -> None:
-    """Reject keys that are not fields of dataclass `cls`, and JSON values of
-    the wrong type: a bool only for a bool field, None only as the default."""
+    """Reject keys that are not fields of dataclass `cls`, missing fields that
+    have no default, and JSON values of the wrong type: a bool only for a
+    bool field, None only as the default."""
     by_name = {f.name: f for f in fields(cls)}
     unknown = set(raw) - set(by_name)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in by_name.values() if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {missing}")
     for name, value in raw.items():
         f = by_name[name]
         kind = _KINDS.get(f.type)

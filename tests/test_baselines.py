@@ -117,6 +117,19 @@ class TestPls:
         model = pls_fit(x, y, n)
         assert metrics(y, pls_predict(model, x))["r2"] > 0.99
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_count_above_rank_is_singular(self, seed):
+        # a constant column leaves X rank p - 1, so P^T W at p components is
+        # singular up to rounding, where inv() may still return coefs ~1e13
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(20, 201)), int(rng.integers(5, 14))
+        x = rng.normal(size=(n, p))
+        x[:, int(rng.integers(p))] = 1.5
+        y = x[:, 0] - 2 * x[:, 1] + 0.1 * rng.normal(size=n)
+        with pytest.raises(NumericError, match=f"singular at {p} components"):
+            pls_fit(x, y, p).coef
+        assert np.abs(pls_fit(x, y, p - 1).coef).max() < 10.0
+
     def test_constant_target_fails_at_once(self):
         x = np.random.default_rng(8).normal(size=(12, 3))
         with warnings.catch_warnings():

@@ -241,6 +241,11 @@ BAD_INPUTS = {
         "eval", *common, "--ckpt", _write(tmp / "c.json", "[1, 2]")],
     "checkpoint_missing_field": lambda tmp, common, config: [
         "eval", *common, "--ckpt", _write(tmp / "c.json", '{"format_version": 1}')],
+    "checkpoint_config_missing_groups": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _write(tmp / "c.json", json.dumps(
+            {"format_version": 1, "config": {}, "params": {},
+             "scaler": {"x_mean": [0.0] * 8, "x_std": [1.0] * 8, "y_mean": 0.0,
+                        "y_std": 1.0}, "best_val_loss": 0.0, "epoch": 0}))],
     "config_json_list": lambda tmp, common, config: [
         "train", *common, "--config", _write(tmp / "l.json", "[]"), "--out", tmp / "m.json"],
     "ablate_non_numeric_fraction": lambda tmp, common, config: [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,42 @@ class TestConcordanceIndex:
     def test_all_equal_targets_error(self):
         with pytest.raises(DataError, match="comparable"):
             concordance_index([1.0, 1.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_error(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            concordance_index([1.0, 2.0, 3.0], [bad, 1.0, 2.0])
+        with pytest.raises(DataError, match="finite"):
+            concordance_index([1.0, bad, 3.0], [0.0, 1.0, 2.0])
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle_under_heavy_ties(self, pairs):
+        y, y_hat = (np.array(v, dtype=float) for v in zip(*pairs))
+        if (y == y[0]).all():
+            with pytest.raises(DataError, match="comparable"):
+                concordance_index(y, y_hat)
+        else:
+            assert concordance_index(y, y_hat) == ci_oracle(y, y_hat)
+
+    def test_equals_numpy_brute_force_n2000(self):
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 200, 2000).astype(float)
+        y_hat = np.round(y + rng.normal(scale=30.0, size=2000))
+        dy, dp = y[:, None] - y[None, :], y_hat[:, None] - y_hat[None, :]
+        score = ((dp > 0) + 0.5 * (dp == 0))[dy > 0]
+        assert concordance_index(y, y_hat) == score.sum() / score.size
+
+    def test_100k_rows_in_bounded_memory(self):
+        y = np.random.default_rng(4).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            values = [concordance_index(y, y_hat) for y_hat in (y, -y, np.zeros_like(y))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == [1.0, 0.0, 0.5]
+        assert peak <= 32 * 2**20  # an n x n float64 array would be 80 GB
 
 
 class TestBinwiseRmse:
