@@ -141,8 +141,8 @@ class RidgeModel:
 
 def ridge_fit(x, y, lam: float) -> RidgeModel:
     """Closed-form ridge on centered data: solve (X^T X + lam I) w = X^T y."""
-    if lam < 0.0:
-        raise ConfigError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ConfigError(f"lambda must be finite and nonnegative, got {lam}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     x_mean = x.mean(axis=0)

@@ -9,10 +9,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width
-from .tensor import Rng, Tensor
+from .tensor import Rng, calibrate, kl_term, reparameterize  # kl_term re-exported
 
-DELTA_RANGE = (0.0, 0.4)
-GAMMA_RANGE = (0.5, 1.0)
 LOG_SIGMA_CLAMP = 10.0
 
 
@@ -57,29 +55,24 @@ def default_latent_dim(p: int) -> int:
 
 
 def self_calibrate(z, params, mode="train", rng=None, mask=None):
-    """Apply the calibrated residual branch; returns (s, delta, gamma) Tensors.
+    """Apply the calibrated residual branch.
 
-    Train mode multiplies the transformed features by an inverted-dropout
-    Bernoulli mask drawn per element; eval mode replaces the mask by its
-    expectation, which cancels the 1/(1-delta) factor.
-    `mask` overrides the draw (used to freeze noise for gradient checks).
+    Returns (s, delta, gamma): s is the (b, p) graph Tensor; delta and gamma
+    are (b, 1) ndarrays outside the graph. Train mode multiplies the
+    transformed features by an inverted-dropout Bernoulli mask drawn per
+    element; eval mode replaces the mask by its expectation, which cancels
+    the 1/(1-delta) factor. `mask` overrides the draw (used to freeze noise
+    for gradient checks).
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
-    cal = params.phi_c(z).sigmoid()  # (b, 2) in (0, 1)
-    delta = cal.cols(0, 1) * (DELTA_RANGE[1] - DELTA_RANGE[0]) + DELTA_RANGE[0]
-    gamma = cal.cols(1, 2) * (GAMMA_RANGE[1] - GAMMA_RANGE[0]) + GAMMA_RANGE[0]
-    t = params.phi_t(z)
-    if mode == "eval":
-        s = z + gamma * t
-    else:
-        if mask is None:
-            if rng is None:
-                raise ConfigError("train-mode self_calibrate needs an rng or a mask")
-            mask = rng.bernoulli(1.0 - delta.data, z.data.shape)
-        # mask is a constant: gradients flow via gamma, phi_t and delta only
-        s = z + gamma * (t * Tensor(mask)) / (1.0 - delta)
-    return s, delta, gamma
+    if mode == "train" and mask is None and rng is None:
+        raise ConfigError("train-mode self_calibrate needs an rng or a mask")
+
+    def draw(delta):  # after delta is known, before the variational eps
+        return mask if mask is not None else rng.bernoulli(1.0 - delta, z.data.shape)
+
+    return calibrate(z, params.phi_c(z), params.phi_t(z), draw if mode == "train" else None)
 
 
 def variational_encode_decode(s, params, mode="train", rng=None, eps=None):
@@ -97,14 +90,6 @@ def variational_encode_decode(s, params, mode="train", rng=None, eps=None):
             if rng is None:
                 raise ConfigError("train-mode encode needs an rng or frozen eps")
             eps = rng.normal(mu.data.shape)
-        z = mu + Tensor(eps) * (log_sigma * 0.5).exp()
+        z = reparameterize(mu, log_sigma, eps)
     v = s + params.phi_d(z)
     return v, mu, log_sigma, z
-
-
-def kl_term(mu: Tensor, log_sigma: Tensor) -> Tensor:
-    """Batch-mean KL divergence of N(mu, sigma^2 I) from N(0, I); nonnegative,
-    zero iff mu = 0 and log sigma = 0."""
-    b = mu.data.shape[0]
-    per_elem = mu * mu + (log_sigma * 2.0).exp() - log_sigma * 2.0 - 1.0
-    return per_elem.sum() * (0.5 / b)

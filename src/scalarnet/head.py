@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .layers import Mlp2, glorot, hidden_width
-from .tensor import Rng, Tensor, concat
+from .tensor import Rng, Tensor, tiered_projection
 
 
 def default_components(p: int):
@@ -54,15 +54,14 @@ class HeadParams:
 
 
 def head_forward(g: Tensor, params: HeadParams):
-    """Predict one scalar per row of the global-attention output.
+    """Predict one scalar per row of the global-attention output g (b, p).
 
-    Returns (y_hat (batch,) Tensor, alpha (batch, 3) ndarray).
+    Returns (y_hat, alpha): y_hat is the (b,) graph Tensor and alpha the
+    (b, 3) tier weights, an ndarray copy outside the graph.
     """
     alpha = params.phi_alpha(g).softmax()  # (b, 3)
-    blocks = []
-    for idx, w in enumerate((params.w1, params.w2, params.w3)):
-        blocks.append(alpha.cols(idx, idx + 1) * (g @ w))
-    y = params.phi_y(concat(blocks))  # (b, 1)
+    blocks = tiered_projection(g, params.w1, params.w2, params.w3, alpha)
+    y = params.phi_y(blocks)  # (b, 1)
     return y.reshape(-1), alpha.data.copy()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .calibration import kl_term
 from .errors import ConfigError, DataError
-from .tensor import Tensor
+from .tensor import regression_loss
 
 
 @dataclass
@@ -23,23 +23,20 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.omega_mse <= 1.0:
             raise ConfigError(f"omega_mse must be in [0, 1], got {self.omega_mse}")
-        if self.huber_delta <= 0.0:
+        if not self.huber_delta > 0.0:
             raise ConfigError(f"huber_delta must be positive, got {self.huber_delta}")
-        if self.beta0 < 0.0:
+        if not self.beta0 >= 0.0:
             raise ConfigError(f"beta0 must be nonnegative, got {self.beta0}")
+        if not self.warmup_fraction > 0.0:
+            raise ConfigError(
+                f"warmup_fraction must be positive, got {self.warmup_fraction}"
+            )
 
 
 def kl_weight(epoch: int, total_epochs: int, warmup_fraction: float = 0.1) -> float:
     """min(1, (epoch/total_epochs)/warmup_fraction): linear warmup that
     saturates after the first tenth of training."""
     return min(1.0, (epoch / total_epochs) / warmup_fraction)
-
-
-def huber(residual: Tensor, delta: float) -> Tensor:
-    """Elementwise Huber: r^2/2 inside |r| <= delta, delta*(|r| - delta/2) outside."""
-    a = residual.abs()
-    q = a.clamp(0.0, delta)
-    return q * a - q * q * 0.5
 
 
 def composite_loss(y, y_hat, mu, log_sigma, epoch, total_epochs, cfg: LossConfig):
@@ -55,32 +52,32 @@ def composite_loss(y, y_hat, mu, log_sigma, epoch, total_epochs, cfg: LossConfig
         )
     if not 0 <= epoch <= total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {total_epochs}]")
-    residual = y_hat - Tensor(y)
-    mse = (residual * residual).mean()
-    hub = huber(residual, cfg.huber_delta).mean()
+    total, mse, hub = regression_loss(y_hat, y, cfg.omega_mse, cfg.huber_delta)
     w_kl = kl_weight(epoch, total_epochs, cfg.warmup_fraction)
-    total = cfg.omega_mse * mse + (1.0 - cfg.omega_mse) * hub
-    parts = {
-        "mse": float(mse.data),
-        "huber": float(hub.data),
-        "kl": 0.0,
-        "kl_weight": w_kl,
-    }
+    parts = {"mse": mse, "huber": hub, "kl": 0.0, "kl_weight": w_kl}
     if mu is not None and cfg.beta0 > 0.0:
         kl = kl_term(mu, log_sigma)
-        total = total + (w_kl * cfg.beta0) * kl
+        total = total + kl * (w_kl * cfg.beta0)
         parts["kl"] = float(kl.data)
     return total, parts
 
 
-def metrics(y, y_hat) -> dict:
-    """Standard regression metrics; R^2 is 1 - SS_res/SS_tot about mean(y)."""
+def _targets_and_predictions(y, y_hat):
+    """y and y_hat as equal-length float64 vectors of at least 2 finite values."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
     if y.shape != y_hat.shape:
         raise DataError(f"length mismatch: {y.shape[0]} vs {y_hat.shape[0]}")
     if y.shape[0] < 2:
         raise DataError("need at least 2 samples")
+    if not (np.isfinite(y).all() and np.isfinite(y_hat).all()):
+        raise DataError("metrics need finite targets and predictions")
+    return y, y_hat
+
+
+def metrics(y, y_hat) -> dict:
+    """Standard regression metrics; R^2 is 1 - SS_res/SS_tot about mean(y)."""
+    y, y_hat = _targets_and_predictions(y, y_hat)
     err = y - y_hat
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
@@ -122,15 +119,8 @@ def concordance_index(y, y_hat) -> float:
     prediction ties count 0.5. O(n log n) time, O(n) memory: with the rows
     sorted by (y, y_hat), the discordant pairs are the inversions of y_hat's
     ranks; comparable and tied pairs follow from the sizes of equal groups."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
-    if y.shape != y_hat.shape:
-        raise DataError(f"length mismatch: {y.shape[0]} vs {y_hat.shape[0]}")
+    y, y_hat = _targets_and_predictions(y, y_hat)
     n = y.shape[0]
-    if n < 2:
-        raise DataError("need at least 2 samples")
-    if not (np.isfinite(y).all() and np.isfinite(y_hat).all()):
-        raise DataError("concordance index needs finite targets and predictions")
     order = np.lexsort((y_hat, y))
     block = np.unique(y[order], return_inverse=True)[1]
     rank = np.unique(y_hat[order], return_inverse=True)[1]
@@ -148,8 +138,7 @@ def binwise_rmse(y, y_hat, n_bins: int):
     Returns a list of dicts {lo, hi, count, rmse}; empty bins carry
     rmse=None. The top bin is closed so max(y) is included.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
+    y, y_hat = _targets_and_predictions(y, y_hat)
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     edges = np.linspace(y.min(), y.max(), n_bins + 1)

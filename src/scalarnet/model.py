@@ -5,6 +5,7 @@ configuration record that owns every free hyperparameter.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -36,8 +37,9 @@ _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossCon
 
 def _check_fields(cls, raw: dict, what: str) -> None:
     """Reject keys that are not fields of dataclass `cls`, missing fields that
-    have no default, and JSON values of the wrong type: a bool only for a
-    bool field, None only as the default."""
+    have no default, JSON values of the wrong type (a bool only for a bool
+    field, None only as the default) and non-finite floats (JSON NaN and
+    Infinity)."""
     by_name = {f.name: f for f in fields(cls)}
     unknown = set(raw) - set(by_name)
     if unknown:
@@ -53,6 +55,8 @@ def _check_fields(cls, raw: dict, what: str) -> None:
             continue
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise ConfigError(f"{what} field {name!r} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{what} field {name!r} must be finite, got {value!r}")
 
 
 @dataclass
@@ -86,7 +90,7 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d is not None and self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
+        if not (self.learning_rate > 0 and self.grad_clip_norm > 0):  # NaN fails too
             raise ConfigError("learning_rate and grad_clip_norm must be positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
@@ -168,8 +172,8 @@ class ScalarModel:
         y_hat, alpha = head_forward(global_trace.z, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,
-            delta=delta.data.reshape(-1).copy(),
-            gamma=gamma.data.reshape(-1).copy(),
+            delta=delta.reshape(-1),
+            gamma=gamma.reshape(-1),
             mu=mu,
             log_sigma=log_sigma,
             global_trace=global_trace,

@@ -1,11 +1,14 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
-The op vocabulary is exactly what the model topology needs: limited
-broadcasting arithmetic, matmul, last-axis concat/slice, row softmax,
-pointwise nonlinearities, full reductions, and three fused layer-level ops
-with hand-written backward: `affine` (x @ w + b), `mlp2` (a two-layer tanh
-net) and `kernel_attend` (L2-normalized kernels mixed by per-row weights).
-Each layer of the model is therefore one graph node. Graphs are rebuilt every
+The op vocabulary is what the model topology needs; each layer and stage is
+one graph node. Generic ops: same-shape `+` and `*`, `*` by a Python float (a
+constant of the node, never a leaf), `cols`, `concat`, `reshape`, `tanh`,
+`clamp` and row `softmax`. Fused ops with a hand-written backward: `affine`,
+`mlp2` (two-layer tanh net), `kernel_attend` (normalized kernels mixed by
+per-row weights), `calibrate` (self-calibrated residual), `reparameterize`,
+`tiered_projection` (the head's α-scaled projections), `regression_loss`
+(MSE/Huber blend) and `kl_term`. Nothing broadcasts: operands match in shape,
+or a fused op checks the shapes it documents. Graphs are rebuilt every
 forward pass; backward() runs a deterministic reverse topological
 accumulation seeded with 1.
 """
@@ -19,6 +22,8 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 EPS = 1e-12  # floor on a kernel's norm in kernel_attend
+DELTA_RANGE = (0.0, 0.4)  # calibrated dropout rate
+GAMMA_RANGE = (0.5, 1.0)  # calibrated residual scale
 
 
 def _guard(op: str, out: np.ndarray) -> np.ndarray:
@@ -29,32 +34,12 @@ def _guard(op: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of the limited broadcast rules)."""
-    if grad.shape == shape:
-        return grad
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
-
-
-def _broadcast_ok(sa: tuple, sb: tuple) -> bool:
-    # allowed: identical shapes, scalar vs anything, row vector (m,) vs (n, m),
-    # column vector (n, 1) vs (n, m)
-    if sa == sb:
-        return True
-    for x, y in ((sa, sb), (sb, sa)):
-        if math.prod(x) == 1:
-            return True
-        if len(y) == 2 and x == (y[1],):
-            return True
-        if len(y) == 2 and x == (y[0], 1):
-            return True
-    return False
+def _conform(op: str, ok: bool, *operands) -> None:
+    """Raise a ShapeError naming `op` and the operands' shapes unless `ok`."""
+    if not ok:
+        shapes = ", ".join(str(np.shape(a.data if isinstance(a, Tensor) else a))
+                           for a in operands)
+        raise ShapeError(f"op '{op}': shapes {shapes} do not conform")
 
 
 class Tensor:
@@ -69,33 +54,18 @@ class Tensor:
         self._backward = None
         self.op = op
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
-    # ---- graph construction helpers -------------------------------------
-
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-    def _binary(self, other, op, fwd, bwd):
-        other = Tensor._lift(other)
-        if not _broadcast_ok(self.data.shape, other.data.shape):
-            raise ShapeError(
-                f"op '{op}': shapes {self.data.shape} and {other.data.shape} "
-                "do not conform"
-            )
+    def _binary(self, other: "Tensor", op, fwd, bwd):
+        _conform(op, other.data.shape == self.data.shape, self, other)
         with np.errstate(all="ignore"):
             out = Tensor(_guard(op, fwd(self.data, other.data)), (self, other), op)
 
         def backward():
             ga, gb = bwd(self.data, other.data, out.grad)
-            self.grad += _unbroadcast(ga, self.data.shape)
-            other.grad += _unbroadcast(gb, other.data.shape)
+            self.grad += ga
+            other.grad += gb
 
         out._backward = backward
         return out
@@ -110,48 +80,15 @@ class Tensor:
         out._backward = backward
         return out
 
-    # ---- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
+    def __add__(self, other: "Tensor"):
         return self._binary(other, "add", np.add, lambda a, b, g: (g, g))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, "sub", np.subtract, lambda a, b, g: (g, -g))
-
-    def __rsub__(self, other):
-        return Tensor._lift(other).__sub__(self)
-
     def __mul__(self, other):
-        return self._binary(other, "mul", np.multiply, lambda a, b, g: (g * b, g * a))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(
-            other, "div", np.divide, lambda a, b, g: (g / b, -g * a / (b * b))
-        )
-
-    def __matmul__(self, other):
-        other = Tensor._lift(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul expects 2-D operands")
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ShapeError(
-                f"op 'matmul': shapes {self.data.shape} and {other.data.shape} "
-                "do not conform"
-            )
-        out = Tensor(_guard("matmul", self.data @ other.data), (self, other), "matmul")
-
-        def backward():
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
-
-        out._backward = backward
-        return out
-
-    # ---- shape ops -------------------------------------------------------
+        """Same-shape product, or scaling by a Python float."""
+        if isinstance(other, Tensor):
+            return self._binary(other, "mul", np.multiply, lambda a, b, g: (g * b, g * a))
+        c = float(other)
+        return self._unary("mul", lambda a: a * c, lambda a, y, g: g * c)
 
     def cols(self, start: int, stop: int) -> "Tensor":
         """Slice columns [start, stop) of a 2-D tensor."""
@@ -174,34 +111,12 @@ class Tensor:
         out._backward = backward
         return out
 
-    # ---- nonlinearities --------------------------------------------------
-
-    def exp(self):
-        return self._unary("exp", np.exp, lambda a, y, g: g * y)
-
     def tanh(self):
         return self._unary("tanh", np.tanh, lambda a, y, g: g * (1.0 - y * y))
 
-    def sigmoid(self):
-        def fwd(a):
-            out = np.empty_like(a)
-            pos = a >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-            e = np.exp(a[~pos])
-            out[~pos] = e / (1.0 + e)
-            return out
-
-        return self._unary("sigmoid", fwd, lambda a, y, g: g * y * (1.0 - y))
-
-    def abs(self):
-        return self._unary("abs", np.abs, lambda a, y, g: g * np.sign(a))
-
     def clamp(self, lo: float, hi: float):
-        return self._unary(
-            "clamp",
-            lambda a: np.clip(a, lo, hi),
-            lambda a, y, g: g * ((a >= lo) & (a <= hi)),
-        )
+        return self._unary("clamp", lambda a: np.clip(a, lo, hi),
+                           lambda a, y, g: g * ((a >= lo) & (a <= hi)))
 
     def softmax(self):
         """Row-wise softmax of a 2-D tensor."""
@@ -217,29 +132,6 @@ class Tensor:
             return y * (g - (g * y).sum(axis=1, keepdims=True))
 
         return self._unary("softmax", fwd, bwd)
-
-    # ---- reductions ------------------------------------------------------
-
-    def sum(self):
-        out = Tensor(_guard("sum", np.asarray(self.data.sum())), (self,), "sum")
-
-        def backward():
-            self.grad += out.grad * np.ones_like(self.data)
-
-        out._backward = backward
-        return out
-
-    def mean(self):
-        n = self.data.size
-        out = Tensor(_guard("mean", np.asarray(self.data.mean())), (self,), "mean")
-
-        def backward():
-            self.grad += out.grad * np.ones_like(self.data) / n
-
-        out._backward = backward
-        return out
-
-    # ---- backward --------------------------------------------------------
 
     def backward(self):
         """Reverse-mode accumulation from this scalar node; seed gradient 1."""
@@ -273,17 +165,13 @@ class Tensor:
 
 def concat(tensors) -> Tensor:
     """Concatenate 2-D tensors along the last axis."""
-    tensors = [Tensor._lift(t) for t in tensors]
     if any(t.data.ndim != 2 for t in tensors):
         raise ShapeError("concat supports 2-D tensors along axis 1")
     rows = {t.data.shape[0] for t in tensors}
     if len(rows) != 1:
         raise ShapeError(f"concat: mismatched row counts {sorted(rows)}")
-    out = Tensor(
-        _guard("concat", np.concatenate([t.data for t in tensors], axis=1)),
-        tensors,
-        "concat",
-    )
+    out = Tensor(_guard("concat", np.concatenate([t.data for t in tensors], axis=1)),
+                 tensors, "concat")
     offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
 
     def backward():
@@ -294,15 +182,16 @@ def concat(tensors) -> Tensor:
     return out
 
 
-def _check_affine(op: str, x: tuple, w: tuple, b: tuple) -> None:
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
     """Shapes of x @ w + b: (n, fan_in), (fan_in, fan_out), (fan_out,)."""
-    if len(x) != 2 or len(w) != 2 or x[1] != w[0] or b != w[1:]:
-        raise ShapeError(f"op '{op}': shapes {x}, {w} and {b} do not conform")
+    xs, ws = x.data.shape, w.data.shape
+    ok = len(xs) == len(ws) == 2 and xs[1] == ws[0] and b.data.shape == ws[1:]
+    _conform(op, ok, x, w, b)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a 2-D x, (fan_in, fan_out) w and (fan_out,) b."""
-    _check_affine("affine", x.data.shape, w.data.shape, b.data.shape)
+    _check_affine("affine", x, w, b)
     out = Tensor(_guard("affine", x.data @ w.data + b.data), (x, w, b), "affine")
 
     def backward():
@@ -317,8 +206,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """tanh(x @ w1 + b1) @ w2 + b2; the hidden activation is kept for backward."""
-    _check_affine("mlp2", x.data.shape, w1.data.shape, b1.data.shape)
-    _check_affine("mlp2", w1.data.shape, w2.data.shape, b2.data.shape)
+    _check_affine("mlp2", x, w1, b1)
+    _check_affine("mlp2", w1, w2, b2)
     h = np.tanh(_guard("mlp2", x.data @ w1.data + b1.data))
     out = Tensor(_guard("mlp2", h @ w2.data + b2.data), (x, w1, b1, w2, b2), "mlp2")
 
@@ -344,11 +233,8 @@ def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
     """
     b, p = x.data.shape
     k = w.data.shape[-1]
-    if w.data.shape != (b, k) or raw.data.shape != (b, k * p):
-        raise ShapeError(
-            f"op 'kernel_attend': x {x.data.shape}, raw {raw.data.shape} and "
-            f"w {w.data.shape} do not conform"
-        )
+    _conform("kernel_attend", w.data.shape == (b, k) and raw.data.shape == (b, k * p),
+             x, raw, w)
     kr = raw.data.reshape(b, k, p)
     norm = np.linalg.norm(kr, axis=2, keepdims=True)
     m = np.maximum(norm, EPS)
@@ -369,6 +255,140 @@ def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
 
     out._backward = backward
     return out, k_hat
+
+
+def calibrate(z: Tensor, logits: Tensor, t: Tensor, draw):
+    """Self-calibrated residual on z (b, p) with transformed features t (b, p).
+
+    A stable sigmoid of `logits` (b, 2) maps into the dropout rate δ ∈
+    DELTA_RANGE and the scale γ ∈ GAMMA_RANGE, each (b, 1). Train mode gives
+    s = z + γ·(t·m)/(1−δ) with the constant mask m = draw(δ); eval mode
+    (`draw` None) gives s = z + γ·t. Returns (s Tensor, δ, γ as ndarrays).
+    """
+    b, p = z.data.shape
+    _conform("calibrate", logits.data.shape == (b, 2) and t.data.shape == (b, p),
+             z, logits, t)
+    a = logits.data
+    c = np.empty_like(a)
+    pos = a >= 0
+    c[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    c[~pos] = e / (1.0 + e)
+    (d_lo, d_hi), (g_lo, g_hi) = DELTA_RANGE, GAMMA_RANGE
+    delta = c[:, 0:1] * (d_hi - d_lo) + d_lo
+    gamma = c[:, 1:2] * (g_hi - g_lo) + g_lo
+    if draw is None:
+        m, keep = 1.0, 1.0
+        s = z.data + gamma * t.data
+    else:
+        m, keep = draw(delta), 1.0 - delta
+        s = z.data + gamma * (t.data * m) / keep
+    out = Tensor(_guard("calibrate", s), (z, logits, t), "calibrate")
+
+    def backward():
+        g = out.grad
+        z.grad += g
+        t.grad += g * m * (gamma / keep)
+        g_gamma = (g * t.data * m).sum(axis=1, keepdims=True) / keep
+        slope = c * (1.0 - c)
+        logits.grad[:, 1:2] += g_gamma * (g_hi - g_lo) * slope[:, 1:2]
+        if draw is not None:
+            g_delta = g_gamma * gamma / keep
+            logits.grad[:, 0:1] += g_delta * (d_hi - d_lo) * slope[:, 0:1]
+
+    out._backward = backward
+    return out, delta, gamma
+
+
+def reparameterize(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
+    """mu + eps·exp(log_sigma/2): a draw from N(mu, sigma²) for the constant
+    standard-normal noise `eps`, differentiable in mu and log sigma."""
+    _conform("reparameterize", mu.data.shape == log_sigma.data.shape == eps.shape,
+             mu, log_sigma, eps)
+    with np.errstate(all="ignore"):
+        sd = np.exp(log_sigma.data * 0.5)
+        out = Tensor(_guard("reparameterize", mu.data + eps * sd), (mu, log_sigma),
+                     "reparameterize")
+
+    def backward():
+        g = out.grad
+        mu.grad += g
+        log_sigma.grad += g * eps * sd * 0.5
+
+    out._backward = backward
+    return out
+
+
+def tiered_projection(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, alpha: Tensor):
+    """concat_i(alpha[:, i] · g @ w_i) for g (b, p), w_i (p, c_i) and tier
+    weights alpha (b, 3); returns the (b, c1+c2+c3) Tensor."""
+    ws = (w1, w2, w3)
+    b, p = g.data.shape
+    ok = alpha.data.shape == (b, 3) and all(w.data.shape[:-1] == (p,) for w in ws)
+    _conform("tiered_projection", ok, g, *ws, alpha)
+    proj = [g.data @ w.data for w in ws]
+    blocks = [alpha.data[:, i : i + 1] * pr for i, pr in enumerate(proj)]
+    out = Tensor(_guard("tiered_projection", np.concatenate(blocks, axis=1)),
+                 (g, w1, w2, w3, alpha), "tiered_projection")
+    offsets = np.cumsum([0] + [pr.shape[1] for pr in proj])
+
+    def backward():
+        for i, (w, pr) in enumerate(zip(ws, proj)):
+            gi = out.grad[:, offsets[i] : offsets[i + 1]]
+            alpha.grad[:, i] += (gi * pr).sum(axis=1)
+            gp = gi * alpha.data[:, i : i + 1]
+            w.grad += g.data.T @ gp
+            g.grad += gp @ w.data.T
+
+    out._backward = backward
+    return out
+
+
+def regression_loss(y_hat: Tensor, y: np.ndarray, omega: float, delta: float):
+    """omega·mean(r²) + (1−omega)·mean(huber(r)) for r = y_hat − y, where
+    huber(r) is r²/2 inside |r| <= delta and delta·(|r| − delta/2) outside.
+
+    Returns (the scalar loss Tensor, the MSE and the mean Huber as floats).
+    """
+    _conform("regression_loss", y_hat.data.ndim == 1 and y.shape == y_hat.data.shape,
+             y_hat, y)
+    r = y_hat.data - y
+    mse = (r * r).mean()
+    a = np.abs(r)
+    q = np.clip(a, 0.0, delta)
+    hub = (q * a - q * q * 0.5).mean()
+    out = Tensor(_guard("regression_loss", np.asarray(mse * omega + hub * (1.0 - omega))),
+                 (y_hat,), "regression_loss")
+
+    def backward():
+        # d huber/dr = clip(r, -delta, delta), on both sides of delta
+        dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
+        y_hat.grad += out.grad * dr / r.size
+
+    out._backward = backward
+    return out, float(mse), float(hub)
+
+
+def kl_term(mu: Tensor, log_sigma: Tensor) -> Tensor:
+    """Batch-mean KL divergence of N(mu, sigma^2 I) from N(0, I); nonnegative,
+    zero iff mu = 0 and log sigma = 0."""
+    _conform("kl_term", mu.data.ndim == 2 and log_sigma.data.shape == mu.data.shape,
+             mu, log_sigma)
+    scale = 0.5 / mu.data.shape[0]
+    with np.errstate(all="ignore"):
+        ls2 = log_sigma.data * 2.0
+        var = np.exp(ls2)
+        per_elem = mu.data * mu.data + var - ls2 - 1.0
+        out = Tensor(_guard("kl_term", np.asarray(per_elem.sum() * scale)),
+                     (mu, log_sigma), "kl_term")
+
+    def backward():
+        g = out.grad * scale
+        mu.grad += g * 2.0 * mu.data
+        log_sigma.grad += g * 2.0 * (var - 1.0)
+
+    out._backward = backward
+    return out
 
 
 class Rng:

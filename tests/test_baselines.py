@@ -261,3 +261,8 @@ class TestRidge:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             ridge_fit(np.zeros((4, 2)), np.zeros(4), -1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            ridge_fit(np.zeros((4, 2)), np.zeros(4), lam)

@@ -58,8 +58,19 @@ class TestSelfCalibrate:
         params = CalibrationParams.init(Rng(8), p=6)
         z = Tensor(np.random.default_rng(9).normal(size=(10_000, 6)) * 5)
         _, delta, gamma = self_calibrate(z, params, "eval")
-        assert (delta.data >= 0).all() and (delta.data <= 0.4).all()
-        assert (gamma.data >= 0.5).all() and (gamma.data <= 1.0).all()
+        assert delta.shape == gamma.shape == (10_000, 1)
+        assert (delta >= 0).all() and (delta <= 0.4).all()
+        assert (gamma >= 0.5).all() and (gamma <= 1.0).all()
+
+    def test_train_mask_is_bernoulli_of_keep_probability(self):
+        # the mask is rng.bernoulli(1 - delta, z.shape), drawn once per call
+        params = CalibrationParams.init(Rng(12), p=4)
+        z = Tensor(np.random.default_rng(13).normal(size=(5, 4)))
+        s, delta, gamma = self_calibrate(z, params, "train", Rng(3))
+        mask = Rng(3).bernoulli(1.0 - delta, (5, 4))
+        t = params.phi_t(z).data
+        expected = z.data + gamma * (t * mask) / (1.0 - delta)
+        np.testing.assert_array_equal(s.data, expected)
 
     def test_train_deterministic_given_seed(self):
         params = CalibrationParams.init(Rng(10), p=4)

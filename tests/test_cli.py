@@ -259,6 +259,13 @@ BAD_INPUTS = {
     "config_two_components": _bad_config(components=[3, 2]),
     "config_loss_list": _bad_config(loss=[1]),
     "config_use_variational_string": _bad_config(use_variational="no"),
+    "config_learning_rate_nan": _bad_config(learning_rate=float("nan")),
+    "config_grad_clip_infinity": _bad_config(grad_clip_norm=float("inf")),
+    "loss_huber_delta_nan": _bad_config(loss={"huber_delta": float("nan")}),
+    "loss_warmup_fraction_zero": _bad_config(loss={"warmup_fraction": 0}),
+    "loss_warmup_fraction_negative": _bad_config(loss={"warmup_fraction": -1.0}),
+    "baseline_ridge_lambda_nan": lambda tmp, common, config: [
+        "baseline", *common, "--method", "ridge", "--lambda", "nan"],
     "groups_not_pairs": _bad_groups("[1, 2]"),
     "groups_non_integer_end": _bad_groups('[[0, "x"]]'),
     "groups_object": _bad_groups('{"a": 1}'),

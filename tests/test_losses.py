@@ -11,26 +11,31 @@ from scalarnet.losses import (
     binwise_rmse,
     composite_loss,
     concordance_index,
-    huber,
     kl_weight,
     metrics,
 )
 from scalarnet.tensor import Tensor
 
 
+def huber(r, delta):
+    """Huber term of `composite_loss` alone (omega_mse = 0, no KL) on one residual."""
+    cfg = LossConfig(omega_mse=0.0, huber_delta=delta, beta0=0.0)
+    total, parts = composite_loss(np.zeros(1), Tensor(np.array([r])), None, None, 0, 1, cfg)
+    assert float(total.data) == parts["huber"]
+    return parts["huber"]
+
+
 class TestHuber:
     def test_quadratic_branch(self):
-        out = huber(Tensor(np.array([0.5])), delta=1.0)
-        assert out.data.item() == pytest.approx(0.125, abs=1e-15)
+        assert huber(0.5, delta=1.0) == pytest.approx(0.125, abs=1e-15)
 
     def test_linear_branch(self):
-        out = huber(Tensor(np.array([2.0])), delta=1.0)
-        assert out.data.item() == pytest.approx(1.5, abs=1e-15)
+        assert huber(2.0, delta=1.0) == pytest.approx(1.5, abs=1e-15)
 
     @given(st.floats(-10, 10), st.floats(0.1, 5))
     @settings(max_examples=100, deadline=None)
     def test_bounded_by_half_square(self, r, delta):
-        h = huber(Tensor(np.array([r])), delta).data.item()
+        h = huber(r, delta)
         assert h <= 0.5 * r * r + 1e-12
         if abs(r) <= delta:
             assert h == pytest.approx(0.5 * r * r, abs=1e-12)
@@ -149,10 +154,11 @@ class TestConcordanceIndex:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_error(self, bad):
-        with pytest.raises(DataError, match="finite"):
-            concordance_index([1.0, 2.0, 3.0], [bad, 1.0, 2.0])
-        with pytest.raises(DataError, match="finite"):
-            concordance_index([1.0, bad, 3.0], [0.0, 1.0, 2.0])
+        for score in (concordance_index, metrics, lambda y, p: binwise_rmse(y, p, 2)):
+            with pytest.raises(DataError, match="finite"):
+                score([1.0, 2.0, 3.0], [bad, 1.0, 2.0])
+            with pytest.raises(DataError, match="finite"):
+                score([1.0, bad, 3.0], [0.0, 1.0, 2.0])
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=60))
     @settings(max_examples=200, deadline=None)
@@ -198,6 +204,10 @@ class TestBinwiseRmse:
         bins = binwise_rmse(y, y, 5)
         empty = [b for b in bins if b["count"] == 0]
         assert empty and all(b["rmse"] is None for b in empty)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="length mismatch"):
+            binwise_rmse([0.0, 1.0, 2.0], [0.0, 1.0], 2)
 
     def test_constant_offset(self):
         y = np.linspace(0, 10, 200)

@@ -1,10 +1,27 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalarnet
 from scalarnet.errors import NumericError, ShapeError
-from scalarnet.tensor import EPS, Rng, Tensor, affine, concat, kernel_attend, mlp2
+from scalarnet.tensor import (
+    EPS,
+    Rng,
+    Tensor,
+    affine,
+    calibrate,
+    concat,
+    kernel_attend,
+    kl_term,
+    mlp2,
+    regression_loss,
+    reparameterize,
+    tiered_projection,
+)
 
 W_A = np.linspace(-1, 1, 8).reshape(4, 2)
 W_B = np.linspace(0.5, -0.5, 6).reshape(2, 3)
@@ -16,6 +33,12 @@ def normalize_rows(t):
     rows = t.data.shape[0]
     out, _ = kernel_attend(Tensor(np.ones(t.data.shape)), t, Tensor(np.ones((rows, 1))))
     return out
+
+
+def total(t):
+    """Sum of every element of t as one scalar node: t as a row times ones."""
+    n = t.data.size
+    return affine(t.reshape(1, n), Tensor(np.ones((n, 1))), Tensor(np.zeros(1)))
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -37,11 +60,32 @@ def numeric_grad(fn, x, h=1e-6):
 def check_op(build, x0, rtol=1e-6):
     """Compare autodiff gradient of sum(op(x)) against finite differences."""
     t = Tensor(x0.copy())
-    out = build(t).sum()
-    out.backward()
-    num = numeric_grad(lambda a: float(build(Tensor(a)).sum().data), x0.copy())
+    total(build(t)).backward()
+    num = numeric_grad(lambda a: float(build(Tensor(a)).data.sum()), x0.copy())
     denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-3)
     assert (np.abs(t.grad - num) / denom).max() < rtol
+
+
+# fixed operands of the fused-op cases; the (3, 4) variable is the t below
+Z = np.linspace(-1.5, 1.2, 12).reshape(3, 4)
+T = np.linspace(0.8, -0.9, 12).reshape(3, 4)
+LOGITS = np.array([[0.4, -1.1], [-2.0, 0.3], [1.5, 0.9]])
+MASK = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
+EPS_NOISE = np.linspace(-1.2, 1.4, 12).reshape(3, 4)
+TIER_W = [np.linspace(-1, 1, 4 * c).reshape(4, c) for c in (3, 2, 1)]
+ALPHA = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
+Y12 = np.linspace(-3.0, 3.0, 12)  # residuals reach both sides of delta
+
+
+def cal(z=Z, logits=LOGITS, t=T, train=True):
+    """calibrate with one operand varied; train mode freezes the mask."""
+    wrap = [x if isinstance(x, Tensor) else Tensor(x) for x in (z, logits, t)]
+    return calibrate(*wrap, (lambda delta: MASK) if train else None)[0]
+
+
+def tiers(g=Z, w1=TIER_W[0], alpha=ALPHA):
+    g, w1, alpha = (x if isinstance(x, Tensor) else Tensor(x) for x in (g, w1, alpha))
+    return tiered_projection(g, w1, Tensor(TIER_W[1]), Tensor(TIER_W[2]), alpha)
 
 
 class TestForwardExamples:
@@ -54,9 +98,10 @@ class TestForwardExamples:
         np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-15)
 
     def test_matmul_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        out = Tensor(np.eye(2)) @ Tensor(b)
-        np.testing.assert_array_equal(out.data, b)
+        # g @ w_i inside tiered_projection, with g = I and unit tier weights
+        w = [np.arange(6.0).reshape(3, 2), np.ones((3, 1)), -np.eye(3)]
+        out = tiered_projection(Tensor(np.eye(3)), *map(Tensor, w), Tensor(np.ones((3, 3))))
+        np.testing.assert_array_equal(out.data, np.hstack(w))
 
 
 class TestGradients:
@@ -64,21 +109,24 @@ class TestGradients:
         "name,build",
         [
             ("add", lambda t: t + Tensor(np.linspace(-1, 1, 12).reshape(3, 4))),
-            ("sub", lambda t: Tensor(np.ones((3, 4))) - t),
             ("mul", lambda t: t * Tensor(np.linspace(0.5, 2, 12).reshape(3, 4))),
-            ("div", lambda t: t / Tensor(np.linspace(1.0, 2, 12).reshape(3, 4))),
             ("scalar_mul", lambda t: t * 2.5),
-            ("rowvec_add", lambda t: t + Tensor(np.array([1.0, -1.0, 0.5, 2.0]))),
-            ("colvec_mul", lambda t: t * Tensor(np.array([[1.0], [2.0], [0.5]]))),
-            ("matmul", lambda t: t @ Tensor(np.linspace(-1, 1, 8).reshape(4, 2))),
-            ("exp", lambda t: t.exp()),
+            # the deleted generic ops keep their cases, each re-pointed at the
+            # fused op that now holds that arithmetic
+            ("sub", lambda t: regression_loss(t.reshape(-1), Y12, 1.0, 1.0)[0]),
+            ("div", lambda t: cal(logits=t.cols(1, 3))),  # the 1/(1 - delta)
+            ("rowvec_add", lambda t: affine(Tensor(np.ones((2, 5))),
+                                            Tensor(np.ones((5, 12))), t.reshape(-1))),
+            ("colvec_mul", lambda t: tiers(alpha=t.cols(0, 3))),
+            ("matmul", lambda t: tiers(g=t)),
+            ("exp", lambda t: reparameterize(Tensor(Z), t, EPS_NOISE)),
             ("tanh", lambda t: t.tanh()),
-            ("sigmoid", lambda t: t.sigmoid()),
+            ("sigmoid", lambda t: cal(logits=t.cols(2, 4), train=False)),
             ("softmax", lambda t: t.softmax()),
             ("l2_normalize", lambda t: normalize_rows(t)),
-            ("abs", lambda t: t.abs()),
+            ("abs", lambda t: regression_loss(t.reshape(-1), Y12, 0.0, 0.7)[0]),
             ("clamp", lambda t: t.clamp(-0.5, 0.5)),
-            ("mean", lambda t: t.mean()),
+            ("mean", lambda t: kl_term(t, Tensor(T))),
             ("cols", lambda t: t.cols(1, 3)),
             ("reshape", lambda t: t.reshape(4, 3)),
             ("concat", lambda t: concat([t, t * 2.0])),
@@ -104,6 +152,18 @@ class TestGradients:
                     t,
                 )[0],
             ),
+            ("calibrate_train_dz", lambda t: cal(z=t)),
+            ("calibrate_train_dt", lambda t: cal(t=t)),
+            ("calibrate_eval_dz", lambda t: cal(z=t, train=False)),
+            ("calibrate_eval_dt", lambda t: cal(t=t, train=False)),
+            ("reparameterize_dmu", lambda t: reparameterize(t, Tensor(T), EPS_NOISE)),
+            (
+                "tiered_projection_dw",  # p = 3 rows, so the (3, 4) t is w1
+                lambda t: tiered_projection(Tensor(Z[:, :3]), t, Tensor(TIER_W[1][:3]),
+                                            Tensor(TIER_W[2][:3]), Tensor(ALPHA)),
+            ),
+            ("regression_loss", lambda t: regression_loss(t.reshape(-1), Y12, 0.7, 0.5)[0]),
+            ("kl_term_dlog_sigma", lambda t: kl_term(Tensor(Z), t)),
         ],
     )
     def test_op_matches_finite_differences(self, name, build):
@@ -113,7 +173,7 @@ class TestGradients:
 
     def test_square_at_3(self):
         x = Tensor(np.array([[3.0]]))
-        (x * x).sum().backward()
+        (x * x).backward()
         assert x.grad[0, 0] == pytest.approx(6.0)
 
     def test_softmax_jacobian_diagonal_at_uniform(self):
@@ -121,14 +181,15 @@ class TestGradients:
         m = 4
         for i in range(m):
             x = Tensor(np.zeros((1, m)))
-            x.softmax().cols(i, i + 1).sum().backward()
+            x.softmax().cols(i, i + 1).backward()
             assert x.grad[0, i] == pytest.approx((1 / m) * (1 - 1 / m), abs=1e-12)
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 3)))
         w = Tensor(rng.normal(size=(3, 2)))
-        loss = ((x @ w).tanh() * (x @ w)).mean()
+        h = affine(x, w, Tensor(np.zeros(2)))
+        loss = total(h.tanh() * h)
         loss.backward()
         g1 = x.grad.copy(), w.grad.copy()
         loss.backward()
@@ -159,7 +220,7 @@ class TestInvariantsProperties:
         # below the EPS norm the normalization divides by EPS, so the
         # gradient is the upstream gradient over EPS, with no projection
         raw = Tensor(np.array([[3e-13, 4e-13, 0.0]]))
-        normalize_rows(raw).sum().backward()
+        total(normalize_rows(raw)).backward()
         np.testing.assert_array_equal(raw.grad, np.full((1, 3), 1.0 / EPS))
 
 
@@ -169,12 +230,24 @@ class TestErrors:
             Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
 
     def test_matmul_mismatch(self):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+        # g @ w_i inside tiered_projection needs w_i to have p rows
+        with pytest.raises(ShapeError, match="tiered_projection"):
+            tiers(w1=np.zeros((3, 3)))
 
     def test_nonfinite_names_op(self):
-        with pytest.raises(NumericError, match="exp"):
-            Tensor(np.array([[1000.0]])).exp()
+        with pytest.raises(NumericError, match="reparameterize"):
+            reparameterize(Tensor([[0.0]]), Tensor([[2000.0]]), np.ones((1, 1)))
+
+    def test_no_broadcasting(self):
+        with pytest.raises(ShapeError, match="mul"):
+            Tensor(np.zeros((3, 4))) * Tensor(np.zeros((3, 1)))
+        with pytest.raises(ShapeError, match="add"):
+            Tensor(np.zeros((3, 4))) + Tensor(np.zeros(4))
+
+    def test_float_scale_is_not_a_leaf(self):
+        t = Tensor(np.ones((2, 2)))
+        out = t * 2.5
+        assert out._prev == (t,) and out.op == "mul"
 
     def test_guard_passes_finite_elements_with_overflowing_sum(self):
         out = Tensor([[1e308, 1e308]]) * 1.0
@@ -193,6 +266,16 @@ class TestErrors:
                  Tensor(np.zeros((5, 1))), Tensor(np.zeros(1)))
         with pytest.raises(ShapeError, match="kernel_attend"):
             kernel_attend(x, Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 2))))
+        with pytest.raises(ShapeError, match="calibrate"):
+            calibrate(x, Tensor(np.zeros((2, 3))), x, None)
+        with pytest.raises(ShapeError, match="reparameterize"):
+            reparameterize(x, x, np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match="tiered_projection"):
+            tiered_projection(x, x, x, x, Tensor(np.zeros((2, 2))))
+        with pytest.raises(ShapeError, match="regression_loss"):
+            regression_loss(Tensor(np.zeros(2)), np.zeros(3), 0.5, 1.0)
+        with pytest.raises(ShapeError, match="kl_term"):
+            kl_term(x, Tensor(np.zeros((3, 2))))
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -213,3 +296,32 @@ class TestRng:
     def test_bernoulli_degenerate(self):
         assert (Rng(0).bernoulli(1.0, (1000,)) == 1.0).all()
         assert (Rng(0).bernoulli(0.0, (1000,)) == 0.0).all()
+
+
+class TestVocabulary:
+    def test_every_tensor_op_has_a_caller_in_the_package(self):
+        """Each public function and method of tensor.py is named by another
+        module of the package, so no op lives on with test-only callers."""
+        src = Path(scalarnet.__file__).parent
+        defined = set()
+        for node in ast.parse((src / "tensor.py").read_text(encoding="utf-8")).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined |= {f.name for f in body if isinstance(f, ast.FunctionDef)}
+        public = {name for name in defined if not name.startswith("_")}
+        used = set()
+        for path in src.glob("*.py"):
+            if path.name != "tensor.py":
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        used.add(node.name)
+        assert len(public) >= 15
+        assert sorted(public - used) == []
+
+    @pytest.mark.parametrize("name", ["__sub__", "__rsub__", "__truediv__", "__matmul__",
+                                      "sigmoid", "abs", "exp", "sum", "mean"])
+    def test_deleted_generic_ops_stay_deleted(self, name):
+        assert not hasattr(Tensor, name)

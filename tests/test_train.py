@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -74,17 +76,19 @@ class TestGradcheck:
             assert np.isfinite(t.grad).all(), name
 
 
-def loss_graph_size(root):
-    """Non-leaf nodes reachable from `root` through the parent links."""
-    seen, stack, count = {id(root)}, [root], 0
+def loss_graph_histogram(root) -> Counter:
+    """Op histogram of the non-leaf nodes reachable from `root` through the
+    parent links."""
+    seen, stack, hist = {id(root)}, [root], Counter()
     while stack:
         node = stack.pop()
-        count += node.op != "leaf"
+        if node.op != "leaf":
+            hist[node.op] += 1
         for parent in node._prev:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return count
+    return hist
 
 
 class TestAdam:
@@ -176,7 +180,11 @@ class TestGraphSize:
         x, y = rng.normal((32, 12)), rng.normal(32)
         y_hat, trace = model.forward(x, "train", rng)
         total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
-        assert loss_graph_size(total) <= 90
+        hist = loss_graph_histogram(total)
+        assert sum(hist.values()) <= 41  # 84 before the stage ops, 200 before layers
+        assert len(hist) <= 16
+        deleted = {"sub", "div", "matmul", "sigmoid", "abs", "exp", "sum", "mean"}
+        assert not deleted & set(hist), hist
 
 
 class TestTraining:
@@ -271,3 +279,8 @@ class TestModelConfig:
             ModelConfig(groups=GROUPS, k=0)
         with pytest.raises(ConfigError):
             ModelConfig(groups=[[0, 2], [3, 5]])
+
+    def test_nan_rate_and_clip_rejected(self):
+        for name in ("learning_rate", "grad_clip_norm"):
+            with pytest.raises(ConfigError):
+                ModelConfig(groups=GROUPS, **{name: float("nan")})
