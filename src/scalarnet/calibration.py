@@ -54,42 +54,25 @@ def default_latent_dim(p: int) -> int:
     return max(2, min(16, -(-p // 4)))
 
 
-def self_calibrate(z, params, mode="train", rng=None, mask=None):
+def self_calibrate(z, params, rng):
     """Apply the calibrated residual branch.
 
     Returns (s, delta, gamma): s is the (b, p) graph Tensor; delta and gamma
-    are (b, 1) ndarrays outside the graph. Train mode multiplies the
-    transformed features by an inverted-dropout Bernoulli mask drawn per
-    element; eval mode replaces the mask by its expectation, which cancels
-    the 1/(1-delta) factor. `mask` overrides the draw (used to freeze noise
-    for gradient checks).
+    are (b, 1) ndarrays outside the graph. With an `rng` (train mode) the
+    transformed features are multiplied by an inverted-dropout Bernoulli mask
+    drawn per element, after delta is known; with `rng` None (eval mode) the
+    mask is replaced by its expectation, which cancels the 1/(1-delta) factor.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "train" and mask is None and rng is None:
-        raise ConfigError("train-mode self_calibrate needs an rng or a mask")
-
-    def draw(delta):  # after delta is known, before the variational eps
-        return mask if mask is not None else rng.bernoulli(1.0 - delta, z.data.shape)
-
-    return calibrate(z, params.phi_c(z), params.phi_t(z), draw if mode == "train" else None)
+    return calibrate(z, params.phi_c(z), params.phi_t(z), rng)
 
 
-def variational_encode_decode(s, params, mode="train", rng=None, eps=None):
-    """Encode to (mu, log sigma), sample by reparameterization (train) or take
-    the posterior mean (eval), decode with a residual back to feature space."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown mode {mode!r}")
+def variational_encode_decode(s, params, rng):
+    """Encode to (mu, log sigma), sample by reparameterization with noise
+    from `rng` (train mode) or take the posterior mean (`rng` None, eval
+    mode), decode with a residual back to feature space."""
     h = params.phi_e(s).tanh()
     mu = params.phi_mu(h)
     log_sigma = params.phi_sigma(h).clamp(-LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
-    if mode == "eval":
-        z = mu
-    else:
-        if eps is None:
-            if rng is None:
-                raise ConfigError("train-mode encode needs an rng or frozen eps")
-            eps = rng.normal(mu.data.shape)
-        z = reparameterize(mu, log_sigma, eps)
+    z = mu if rng is None else reparameterize(mu, log_sigma, rng.normal(mu.data.shape))
     v = s + params.phi_d(z)
     return v, mu, log_sigma, z

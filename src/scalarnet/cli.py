@@ -10,6 +10,8 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from . import baselines, data
 from .errors import ConfigError, DataError, NumericError
 from .losses import concordance_index, metrics
@@ -190,7 +192,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # NumericError reports a numeric failure in one line; numpy's
+        # overflow and invalid-value warnings would only repeat it
+        with np.errstate(all="ignore"):
+            args.func(args)
     except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

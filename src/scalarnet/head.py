@@ -35,8 +35,8 @@ class HeadParams:
     phi_y: Mlp2  # c1+c2+c3 -> 1
 
     @classmethod
-    def init(cls, rng: Rng, p: int, components=None) -> "HeadParams":
-        c1, c2, c3 = components if components is not None else default_components(p)
+    def init(cls, rng: Rng, p: int, components) -> "HeadParams":
+        c1, c2, c3 = components
         if not (c1 > c2 > c3 >= 1):
             raise ConfigError(f"need c1 > c2 > c3 >= 1, got {(c1, c2, c3)}")
         if c1 > p:

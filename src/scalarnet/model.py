@@ -149,23 +149,25 @@ class ScalarModel:
         out.update(named_tensors(self.head_params, "head"))
         return out
 
-    def forward(self, x: np.ndarray, mode: str = "train", rng: Rng = None, noise=None):
+    def forward(self, x: np.ndarray, mode: str = "train", rng: Rng = None):
         """Run the pipeline on a (batch, p) array.
 
-        `noise` may carry precomputed {"mask", "eps"} arrays to freeze the
-        stochastic draws (gradient checking). Returns (y_hat, ForwardTrace).
+        Train mode draws the dropout mask and then the latent noise from
+        `rng`, the only source of noise; eval mode is deterministic and
+        ignores `rng`. Returns (y_hat, ForwardTrace).
         """
-        noise = noise or {}
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"unknown mode {mode!r}")
+        if mode == "train" and rng is None:
+            raise ConfigError("train-mode forward needs an rng")
+        if mode == "eval":
+            rng = None
         xt = Tensor(np.asarray(x, dtype=np.float64))
         z, group_traces = grouped_attention_forward(xt, self.cfg.spec, self.group_params)
-        s, delta, gamma = self_calibrate(
-            z, self.cal_params, mode, rng, mask=noise.get("mask")
-        )
+        s, delta, gamma = self_calibrate(z, self.cal_params, rng)
         mu = log_sigma = None
         if self.cfg.use_variational:
-            v, mu, log_sigma, _ = variational_encode_decode(
-                s, self.var_params, mode, rng, eps=noise.get("eps")
-            )
+            v, mu, log_sigma, _ = variational_encode_decode(s, self.var_params, rng)
         else:
             v = s
         global_trace = kernel_attention_forward(v, self.global_params)

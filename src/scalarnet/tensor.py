@@ -8,9 +8,13 @@ constant of the node, never a leaf), `cols`, `concat`, `reshape`, `tanh`,
 per-row weights), `calibrate` (self-calibrated residual), `reparameterize`,
 `tiered_projection` (the head's α-scaled projections), `regression_loss`
 (MSE/Huber blend) and `kl_term`. Nothing broadcasts: operands match in shape,
-or a fused op checks the shapes it documents. Graphs are rebuilt every
-forward pass; backward() runs a deterministic reverse topological
-accumulation seeded with 1.
+or a fused op checks the shapes it documents.
+
+`Tensor(data)` makes a leaf. Every op makes its non-leaf node through
+`_node`, the one place that guards the output, records the parents and binds
+the backward closure; a closure receives the node's gradient `g` and adds its
+parents' shares. Graphs are rebuilt every forward pass; backward() runs a
+deterministic reverse topological accumulation seeded with 1.
 """
 
 from __future__ import annotations
@@ -42,42 +46,48 @@ def _conform(op: str, ok: bool, *operands) -> None:
         raise ShapeError(f"op '{op}': shapes {shapes} do not conform")
 
 
+def _node(op: str, value: np.ndarray, parents: tuple, backward) -> "Tensor":
+    """The non-leaf node of `op`: the guarded `value`, its `parents` and the
+    closure `backward(g)` that adds the parents' gradients given this node's."""
+    out = Tensor(_guard(op, value))
+    out._prev = parents
+    out._backward = backward
+    out.op = op
+    return out
+
+
 class Tensor:
     """A node in the computation graph holding a float64 ndarray."""
 
     __slots__ = ("data", "grad", "_prev", "_backward", "op")
 
-    def __init__(self, data, _prev=(), op="leaf"):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._prev = tuple(_prev)
+        self._prev = ()
         self._backward = None
-        self.op = op
+        self.op = "leaf"
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
     def _binary(self, other: "Tensor", op, fwd, bwd):
         _conform(op, other.data.shape == self.data.shape, self, other)
-        with np.errstate(all="ignore"):
-            out = Tensor(_guard(op, fwd(self.data, other.data)), (self, other), op)
 
-        def backward():
-            ga, gb = bwd(self.data, other.data, out.grad)
+        def backward(g):
+            ga, gb = bwd(self.data, other.data, g)
             self.grad += ga
             other.grad += gb
 
-        out._backward = backward
-        return out
+        with np.errstate(all="ignore"):
+            return _node(op, fwd(self.data, other.data), (self, other), backward)
 
     def _unary(self, op, fwd, bwd):
+        def backward(g):
+            self.grad += bwd(self.data, out.data, g)
+
         with np.errstate(all="ignore"):
-            out = Tensor(_guard(op, fwd(self.data)), (self,), op)
-
-        def backward():
-            self.grad += bwd(self.data, out.data, out.grad)
-
-        out._backward = backward
+            out = _node(op, fwd(self.data), (self,), backward)
         return out
 
     def __add__(self, other: "Tensor"):
@@ -94,22 +104,17 @@ class Tensor:
         """Slice columns [start, stop) of a 2-D tensor."""
         if self.data.ndim != 2:
             raise ShapeError("cols expects a 2-D tensor")
-        out = Tensor(self.data[:, start:stop], (self,), "cols")
 
-        def backward():
-            self.grad[:, start:stop] += out.grad
+        def backward(g):
+            self.grad[:, start:stop] += g
 
-        out._backward = backward
-        return out
+        return _node("cols", self.data[:, start:stop], (self,), backward)
 
     def reshape(self, *shape) -> "Tensor":
-        out = Tensor(self.data.reshape(*shape), (self,), "reshape")
+        def backward(g):
+            self.grad += g.reshape(self.data.shape)
 
-        def backward():
-            self.grad += out.grad.reshape(self.data.shape)
-
-        out._backward = backward
-        return out
+        return _node("reshape", self.data.reshape(*shape), (self,), backward)
 
     def tanh(self):
         return self._unary("tanh", np.tanh, lambda a, y, g: g * (1.0 - y * y))
@@ -145,7 +150,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None:
-                t._backward()
+                t._backward(t.grad)
 
     def _toposort(self):
         order, visited = [], set()
@@ -170,16 +175,14 @@ def concat(tensors) -> Tensor:
     rows = {t.data.shape[0] for t in tensors}
     if len(rows) != 1:
         raise ShapeError(f"concat: mismatched row counts {sorted(rows)}")
-    out = Tensor(_guard("concat", np.concatenate([t.data for t in tensors], axis=1)),
-                 tensors, "concat")
     offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
 
-    def backward():
+    def backward(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            t.grad += out.grad[:, a:b]
+            t.grad += g[:, a:b]
 
-    out._backward = backward
-    return out
+    return _node("concat", np.concatenate([t.data for t in tensors], axis=1),
+                 tuple(tensors), backward)
 
 
 def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
@@ -192,16 +195,13 @@ def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a 2-D x, (fan_in, fan_out) w and (fan_out,) b."""
     _check_affine("affine", x, w, b)
-    out = Tensor(_guard("affine", x.data @ w.data + b.data), (x, w, b), "affine")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         x.grad += g @ w.data.T
         w.grad += x.data.T @ g
         b.grad += g.sum(axis=0)
 
-    out._backward = backward
-    return out
+    return _node("affine", x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -209,10 +209,8 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _check_affine("mlp2", x, w1, b1)
     _check_affine("mlp2", w1, w2, b2)
     h = np.tanh(_guard("mlp2", x.data @ w1.data + b1.data))
-    out = Tensor(_guard("mlp2", h @ w2.data + b2.data), (x, w1, b1, w2, b2), "mlp2")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         w2.grad += h.T @ g
         b2.grad += g.sum(axis=0)
         gh = (g @ w2.data.T) * (1.0 - h * h)
@@ -220,8 +218,7 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         b1.grad += gh.sum(axis=0)
         x.grad += gh @ w1.data.T
 
-    out._backward = backward
-    return out
+    return _node("mlp2", h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
 
 
 def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
@@ -241,11 +238,8 @@ def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
     k_hat = kr / m
     wk = w.data[:, :, None]
     xk = x.data[:, None, :] * k_hat
-    out = Tensor(_guard("kernel_attend", (wk * xk).sum(axis=1)), (x, raw, w),
-                 "kernel_attend")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         gx = g[:, None, :]
         w.grad += (gx * xk).sum(axis=2)
         x.grad += g * (wk * k_hat).sum(axis=1)
@@ -253,17 +247,17 @@ def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
         proj = (gk - k_hat * (k_hat * gk).sum(axis=2, keepdims=True)) / m
         raw.grad += np.where(norm > EPS, proj, gk / EPS).reshape(b, k * p)
 
-    out._backward = backward
-    return out, k_hat
+    return _node("kernel_attend", (wk * xk).sum(axis=1), (x, raw, w), backward), k_hat
 
 
-def calibrate(z: Tensor, logits: Tensor, t: Tensor, draw):
+def calibrate(z: Tensor, logits: Tensor, t: Tensor, rng):
     """Self-calibrated residual on z (b, p) with transformed features t (b, p).
 
     A stable sigmoid of `logits` (b, 2) maps into the dropout rate δ ∈
     DELTA_RANGE and the scale γ ∈ GAMMA_RANGE, each (b, 1). Train mode gives
-    s = z + γ·(t·m)/(1−δ) with the constant mask m = draw(δ); eval mode
-    (`draw` None) gives s = z + γ·t. Returns (s Tensor, δ, γ as ndarrays).
+    s = z + γ·(t·m)/(1−δ) with the constant mask m = rng.bernoulli(1−δ,
+    z.shape); eval mode (`rng` None) gives s = z + γ·t. Returns (s Tensor, δ,
+    γ as ndarrays).
     """
     b, p = z.data.shape
     _conform("calibrate", logits.data.shape == (b, 2) and t.data.shape == (b, p),
@@ -277,27 +271,24 @@ def calibrate(z: Tensor, logits: Tensor, t: Tensor, draw):
     (d_lo, d_hi), (g_lo, g_hi) = DELTA_RANGE, GAMMA_RANGE
     delta = c[:, 0:1] * (d_hi - d_lo) + d_lo
     gamma = c[:, 1:2] * (g_hi - g_lo) + g_lo
-    if draw is None:
+    if rng is None:
         m, keep = 1.0, 1.0
         s = z.data + gamma * t.data
     else:
-        m, keep = draw(delta), 1.0 - delta
+        m, keep = rng.bernoulli(1.0 - delta, z.data.shape), 1.0 - delta
         s = z.data + gamma * (t.data * m) / keep
-    out = Tensor(_guard("calibrate", s), (z, logits, t), "calibrate")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         z.grad += g
         t.grad += g * m * (gamma / keep)
         g_gamma = (g * t.data * m).sum(axis=1, keepdims=True) / keep
         slope = c * (1.0 - c)
         logits.grad[:, 1:2] += g_gamma * (g_hi - g_lo) * slope[:, 1:2]
-        if draw is not None:
+        if rng is not None:
             g_delta = g_gamma * gamma / keep
             logits.grad[:, 0:1] += g_delta * (d_hi - d_lo) * slope[:, 0:1]
 
-    out._backward = backward
-    return out, delta, gamma
+    return _node("calibrate", s, (z, logits, t), backward), delta, gamma
 
 
 def reparameterize(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
@@ -305,18 +296,14 @@ def reparameterize(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
     standard-normal noise `eps`, differentiable in mu and log sigma."""
     _conform("reparameterize", mu.data.shape == log_sigma.data.shape == eps.shape,
              mu, log_sigma, eps)
-    with np.errstate(all="ignore"):
-        sd = np.exp(log_sigma.data * 0.5)
-        out = Tensor(_guard("reparameterize", mu.data + eps * sd), (mu, log_sigma),
-                     "reparameterize")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         mu.grad += g
         log_sigma.grad += g * eps * sd * 0.5
 
-    out._backward = backward
-    return out
+    with np.errstate(all="ignore"):
+        sd = np.exp(log_sigma.data * 0.5)
+        return _node("reparameterize", mu.data + eps * sd, (mu, log_sigma), backward)
 
 
 def tiered_projection(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, alpha: Tensor):
@@ -328,20 +315,18 @@ def tiered_projection(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, alpha: Tens
     _conform("tiered_projection", ok, g, *ws, alpha)
     proj = [g.data @ w.data for w in ws]
     blocks = [alpha.data[:, i : i + 1] * pr for i, pr in enumerate(proj)]
-    out = Tensor(_guard("tiered_projection", np.concatenate(blocks, axis=1)),
-                 (g, w1, w2, w3, alpha), "tiered_projection")
     offsets = np.cumsum([0] + [pr.shape[1] for pr in proj])
 
-    def backward():
+    def backward(g_out):
         for i, (w, pr) in enumerate(zip(ws, proj)):
-            gi = out.grad[:, offsets[i] : offsets[i + 1]]
+            gi = g_out[:, offsets[i] : offsets[i + 1]]
             alpha.grad[:, i] += (gi * pr).sum(axis=1)
             gp = gi * alpha.data[:, i : i + 1]
             w.grad += g.data.T @ gp
             g.grad += gp @ w.data.T
 
-    out._backward = backward
-    return out
+    return _node("tiered_projection", np.concatenate(blocks, axis=1),
+                 (g, w1, w2, w3, alpha), backward)
 
 
 def regression_loss(y_hat: Tensor, y: np.ndarray, omega: float, delta: float):
@@ -357,15 +342,13 @@ def regression_loss(y_hat: Tensor, y: np.ndarray, omega: float, delta: float):
     a = np.abs(r)
     q = np.clip(a, 0.0, delta)
     hub = (q * a - q * q * 0.5).mean()
-    out = Tensor(_guard("regression_loss", np.asarray(mse * omega + hub * (1.0 - omega))),
-                 (y_hat,), "regression_loss")
 
-    def backward():
+    def backward(g):
         # d huber/dr = clip(r, -delta, delta), on both sides of delta
         dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
-        y_hat.grad += out.grad * dr / r.size
+        y_hat.grad += g * dr / r.size
 
-    out._backward = backward
+    out = _node("regression_loss", mse * omega + hub * (1.0 - omega), (y_hat,), backward)
     return out, float(mse), float(hub)
 
 
@@ -375,20 +358,17 @@ def kl_term(mu: Tensor, log_sigma: Tensor) -> Tensor:
     _conform("kl_term", mu.data.ndim == 2 and log_sigma.data.shape == mu.data.shape,
              mu, log_sigma)
     scale = 0.5 / mu.data.shape[0]
+
+    def backward(g):
+        g = g * scale
+        mu.grad += g * 2.0 * mu.data
+        log_sigma.grad += g * 2.0 * (var - 1.0)
+
     with np.errstate(all="ignore"):
         ls2 = log_sigma.data * 2.0
         var = np.exp(ls2)
         per_elem = mu.data * mu.data + var - ls2 - 1.0
-        out = Tensor(_guard("kl_term", np.asarray(per_elem.sum() * scale)),
-                     (mu, log_sigma), "kl_term")
-
-    def backward():
-        g = out.grad * scale
-        mu.grad += g * 2.0 * mu.data
-        log_sigma.grad += g * 2.0 * (var - 1.0)
-
-    out._backward = backward
-    return out
+        return _node("kl_term", per_elem.sum() * scale, (mu, log_sigma), backward)
 
 
 class Rng:

@@ -26,6 +26,7 @@ from .model import ModelConfig, ScalarModel
 from .tensor import Rng
 
 CHECKPOINT_VERSION = 1
+SCALER_KEYS = ("x_mean", "x_std", "y_mean", "y_std")
 
 
 class Adam:
@@ -52,16 +53,15 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def step(self, clip_norm: float = None):
+    def step(self, clip_norm: float):
         grads = [p.grad for p in self.params.values()]
         if any(g is None for g in grads):
             missing = [k for k, p in self.params.items() if p.grad is None]
             raise NumericError(f"missing gradients for {missing[:3]}")
         g = np.concatenate([gr.reshape(-1) for gr in grads])
-        if clip_norm is not None:
-            total = math.sqrt(float(g @ g))
-            if total > clip_norm:
-                g *= clip_norm / total
+        total = math.sqrt(float(g @ g))
+        if total > clip_norm:
+            g *= clip_norm / total
         self.t += 1
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
@@ -99,12 +99,13 @@ class Checkpoint:
             raise ConfigError(
                 f"unsupported checkpoint format_version {raw['format_version']}"
             )
+        if not (isinstance(raw["config"], dict) and isinstance(raw["params"], dict)):
+            raise ConfigError(f"{path}: checkpoint config and params must be JSON objects")
         return cls(**raw)
 
     def build_model(self) -> ScalarModel:
         cfg = ModelConfig.from_dict(self.config)
-        p = len(self.scaler["x_mean"])
-        model = ScalarModel(cfg, p)
+        model = ScalarModel(cfg, len(self.get_scaler().x_mean))
         named = model.named_parameters()
         extra = set(self.params) - set(named)
         if extra:
@@ -112,7 +113,7 @@ class Checkpoint:
         for k, t in named.items():
             if k not in self.params:
                 raise ConfigError(f"checkpoint is missing parameter {k!r}")
-            arr = np.asarray(self.params[k], dtype=np.float64)
+            arr = _finite_array(self.params[k], f"parameter {k!r}")
             if arr.shape != t.data.shape:
                 raise ConfigError(
                     f"checkpoint parameter {k!r} has shape {arr.shape}, "
@@ -122,24 +123,39 @@ class Checkpoint:
         return model
 
     def get_scaler(self) -> Scaler:
+        """The standardization record, checked: finite numbers, x_mean and
+        x_std of one length p, and positive stds."""
         s = self.scaler
-        return Scaler(
-            x_mean=np.asarray(s["x_mean"]),
-            x_std=np.asarray(s["x_std"]),
-            y_mean=float(s["y_mean"]),
-            y_std=float(s["y_std"]),
-        )
+        if not isinstance(s, dict) or s.keys() != set(SCALER_KEYS):
+            raise ConfigError(f"checkpoint scaler must be an object with keys "
+                              f"{SCALER_KEYS}")
+        x_mean, x_std, y_mean, y_std = (
+            _finite_array(s[k], f"scaler {k}") for k in SCALER_KEYS)
+        if x_mean.ndim != 1 or x_std.shape != x_mean.shape or y_mean.ndim or y_std.ndim:
+            raise ConfigError("checkpoint scaler needs x_mean and x_std of one length "
+                              "and scalar y_mean and y_std")
+        if not ((x_std > 0).all() and y_std > 0):
+            raise ConfigError("checkpoint scaler stds must be positive")
+        return Scaler(x_mean=x_mean, x_std=x_std, y_mean=float(y_mean), y_std=float(y_std))
 
 
-def _snapshot(model: ScalarModel) -> dict:
-    return {k: t.data.copy() for k, t in model.named_parameters().items()}
+def _finite_array(value, what: str) -> np.ndarray:
+    """`value` as a float64 array, or a ConfigError unless it is a finite
+    number or a regular nest of lists of them."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ConfigError(f"checkpoint {what} must hold finite numbers")
+    return arr
 
 
 def _checkpoint_from(model, ds, best_val, epoch) -> Checkpoint:
     return Checkpoint(
         format_version=CHECKPOINT_VERSION,
         config=model.cfg.to_dict(),
-        params={k: v.tolist() for k, v in _snapshot(model).items()},
+        params={k: t.data.tolist() for k, t in model.named_parameters().items()},
         scaler={
             "x_mean": ds.scaler.x_mean.tolist(),
             "x_std": ds.scaler.x_std.tolist(),
@@ -185,7 +201,7 @@ def train(ds: Dataset, cfg: ModelConfig):
 
     opt = Adam(model.named_parameters(), cfg.learning_rate)
     history = []
-    best_val, best_params, best_epoch = math.inf, _snapshot(model), 0
+    best_val, best_flat, best_epoch = math.inf, opt.flat.copy(), 0
     bad_epochs = 0
     for epoch in range(cfg.max_epochs):
         batch_losses = []
@@ -216,15 +232,14 @@ def train(ds: Dataset, cfg: ModelConfig):
             }
         )
         if val_loss < best_val:
-            best_val, best_params, best_epoch = val_loss, _snapshot(model), epoch
+            best_val, best_flat, best_epoch = val_loss, opt.flat.copy(), epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > cfg.patience:
                 break
 
-    for k, t in model.named_parameters().items():
-        t.data = best_params[k]
+    opt.flat[:] = best_flat
     return _checkpoint_from(model, ds, best_val, best_epoch), history
 
 
@@ -297,6 +312,19 @@ def ablation_data_fraction(ds_raw: Dataset, cfg: ModelConfig, fractions):
     return rows
 
 
+class _FixedDraws:
+    """Stands in for an Rng in a forward: every draw replays one fixed array."""
+
+    def __init__(self, mask: np.ndarray, eps: np.ndarray):
+        self.mask, self.eps = mask, eps
+
+    def bernoulli(self, q, shape) -> np.ndarray:
+        return self.mask
+
+    def normal(self, shape) -> np.ndarray:
+        return self.eps
+
+
 def gradcheck(seed: int = 0) -> dict:
     """Compare analytic gradients of the composite loss on a tiny model
     against central finite differences, with frozen dropout mask and frozen
@@ -316,13 +344,10 @@ def gradcheck(seed: int = 0) -> dict:
     data_rng = Rng(seed + 100)
     x = data_rng.normal((3, 6))
     y = data_rng.normal(3)
-    noise = {
-        "mask": data_rng.bernoulli(0.8, (3, 6)),
-        "eps": data_rng.normal((3, model.d)),
-    }
+    noise = _FixedDraws(data_rng.bernoulli(0.8, (3, 6)), data_rng.normal((3, model.d)))
 
     def loss_value():
-        y_hat, trace = model.forward(x, "train", noise=noise)
+        y_hat, trace = model.forward(x, "train", noise)
         total, _ = composite_loss(
             y, y_hat, trace.mu, trace.log_sigma, 50, 100, cfg.loss
         )

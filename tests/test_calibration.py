@@ -27,27 +27,27 @@ class TestSelfCalibrate:
         params.phi_c.l2.w.data[:] = 0.0
         params.phi_c.l2.b.data[:] = np.array([-40.0, 0.0])
         z = Tensor(np.random.default_rng(1).normal(size=(6, 5)))
-        s_train, _, _ = self_calibrate(z, params, "train", Rng(2))
-        s_eval, _, _ = self_calibrate(z, params, "eval")
+        s_train, _, _ = self_calibrate(z, params, Rng(2))
+        s_eval, _, _ = self_calibrate(z, params, None)
         assert np.array_equal(s_train.data, s_eval.data)
 
     def test_zero_transform_is_identity(self):
         params = CalibrationParams.init(Rng(3), p=4)
         zeroed(params.phi_t)
         z = np.random.default_rng(4).normal(size=(5, 4))
-        s, _, _ = self_calibrate(Tensor(z), params, "eval")
+        s, _, _ = self_calibrate(Tensor(z), params, None)
         assert np.array_equal(s.data, z)
 
     def test_train_mask_mean_converges_to_eval(self):
         params = CalibrationParams.init(Rng(5), p=4)
         z = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
-        s_eval, delta, _ = self_calibrate(z, params, "eval")
+        s_eval, delta, _ = self_calibrate(z, params, None)
         rng = Rng(7)
         n_draws = 10_000
         acc = np.zeros((3, 4))
         acc2 = np.zeros((3, 4))
         for _ in range(n_draws):
-            s, _, _ = self_calibrate(z, params, "train", rng)
+            s, _, _ = self_calibrate(z, params, rng)
             acc += s.data
             acc2 += s.data**2
         mean = acc / n_draws
@@ -57,7 +57,7 @@ class TestSelfCalibrate:
     def test_delta_gamma_ranges(self):
         params = CalibrationParams.init(Rng(8), p=6)
         z = Tensor(np.random.default_rng(9).normal(size=(10_000, 6)) * 5)
-        _, delta, gamma = self_calibrate(z, params, "eval")
+        _, delta, gamma = self_calibrate(z, params, None)
         assert delta.shape == gamma.shape == (10_000, 1)
         assert (delta >= 0).all() and (delta <= 0.4).all()
         assert (gamma >= 0.5).all() and (gamma <= 1.0).all()
@@ -66,7 +66,7 @@ class TestSelfCalibrate:
         # the mask is rng.bernoulli(1 - delta, z.shape), drawn once per call
         params = CalibrationParams.init(Rng(12), p=4)
         z = Tensor(np.random.default_rng(13).normal(size=(5, 4)))
-        s, delta, gamma = self_calibrate(z, params, "train", Rng(3))
+        s, delta, gamma = self_calibrate(z, params, Rng(3))
         mask = Rng(3).bernoulli(1.0 - delta, (5, 4))
         t = params.phi_t(z).data
         expected = z.data + gamma * (t * mask) / (1.0 - delta)
@@ -75,8 +75,8 @@ class TestSelfCalibrate:
     def test_train_deterministic_given_seed(self):
         params = CalibrationParams.init(Rng(10), p=4)
         z = Tensor(np.random.default_rng(11).normal(size=(5, 4)))
-        a, _, _ = self_calibrate(z, params, "train", Rng(1))
-        b, _, _ = self_calibrate(z, params, "train", Rng(1))
+        a, _, _ = self_calibrate(z, params, Rng(1))
+        b, _, _ = self_calibrate(z, params, Rng(1))
         assert np.array_equal(a.data, b.data)
 
 
@@ -85,7 +85,7 @@ class TestVariational:
         params = VariationalParams.init(Rng(0), p=6, d=2)
         zeroed(params.phi_d)
         s = np.random.default_rng(1).normal(size=(4, 6))
-        v, mu, log_sigma, _ = variational_encode_decode(Tensor(s), params, "eval")
+        v, mu, log_sigma, _ = variational_encode_decode(Tensor(s), params, None)
         assert np.array_equal(v.data, s)
 
     def test_small_sigma_train_close_to_eval(self):
@@ -99,11 +99,11 @@ class TestVariational:
         params.phi_d.l1.w.data = np.eye(2, 8)
         params.phi_d.l2.w.data = np.vstack([lin, np.zeros((6, 6))])
         s = Tensor(np.random.default_rng(4).normal(size=(5, 6)))
-        v_eval, _, _, _ = variational_encode_decode(s, params, "eval")
+        v_eval, _, _, _ = variational_encode_decode(s, params, None)
         rng = Rng(5)
         worst = 0.0
         for _ in range(1000):
-            v, _, _, _ = variational_encode_decode(s, params, "train", rng)
+            v, _, _, _ = variational_encode_decode(s, params, rng)
             worst = max(worst, np.abs(v.data - v_eval.data).max())
         assert worst < 0.01
 
@@ -115,15 +115,15 @@ class TestVariational:
         params.phi_sigma.w.data[:] = 0.0
         params.phi_sigma.b.data[:] = 0.0
         s = Tensor(np.zeros((100_000, 2)))
-        _, mu, log_sigma, z = variational_encode_decode(s, params, "train", Rng(7))
+        _, mu, log_sigma, z = variational_encode_decode(s, params, Rng(7))
         var = float(z.data.var())
         assert 0.98 < var < 1.02
 
     def test_eval_deterministic(self):
         params = VariationalParams.init(Rng(8), p=5, d=2)
         s = Tensor(np.random.default_rng(9).normal(size=(4, 5)))
-        v1, *_ = variational_encode_decode(s, params, "eval")
-        v2, *_ = variational_encode_decode(s, params, "eval")
+        v1, *_ = variational_encode_decode(s, params, None)
+        v2, *_ = variational_encode_decode(s, params, None)
         assert np.array_equal(v1.data, v2.data)
 
     def test_whole_module_identity_when_zeroed(self):
@@ -132,8 +132,8 @@ class TestVariational:
         zeroed(cal.phi_t)
         zeroed(var.phi_d)
         z = np.random.default_rng(12).normal(size=(6, 4))
-        s, _, _ = self_calibrate(Tensor(z), cal, "eval")
-        v, *_ = variational_encode_decode(s, var, "eval")
+        s, _, _ = self_calibrate(Tensor(z), cal, None)
+        v, *_ = variational_encode_decode(s, var, None)
         assert np.array_equal(v.data, z)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ def _bad_config(**entry):
     return argv
 
 
+def _bad_checkpoint(edit):
+    """`eval` with a freshly trained checkpoint whose JSON `edit` has changed."""
+    def argv(tmp, common, config):
+        path = _trained_checkpoint(tmp, common, config)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        edit(raw)
+        return ["eval", *common, "--ckpt", _write(path, json.dumps(raw))]
+    return argv
+
+
 def _bad_groups(text):
     """`baseline` with a malformed groups file."""
     return lambda tmp, common, config: [
@@ -246,6 +257,17 @@ BAD_INPUTS = {
             {"format_version": 1, "config": {}, "params": {},
              "scaler": {"x_mean": [0.0] * 8, "x_std": [1.0] * 8, "y_mean": 0.0,
                         "y_std": 1.0}, "best_val_loss": 0.0, "epoch": 0}))],
+    "checkpoint_param_string": _bad_checkpoint(
+        lambda raw: raw["params"].update({"head.w1": "abc"})),
+    "checkpoint_param_ragged": _bad_checkpoint(
+        lambda raw: raw["params"].update({"head.w1": [[1.0, 2.0], [3.0]]})),
+    "checkpoint_params_number": _bad_checkpoint(lambda raw: raw.update(params=5)),
+    "checkpoint_config_number": _bad_checkpoint(lambda raw: raw.update(config=5)),
+    "checkpoint_scaler_list": _bad_checkpoint(lambda raw: raw.update(scaler=[1.0, 2.0])),
+    "checkpoint_scaler_empty": _bad_checkpoint(lambda raw: raw.update(scaler={})),
+    "checkpoint_y_std_string": _bad_checkpoint(lambda raw: raw["scaler"].update(y_std="a")),
+    "checkpoint_x_std_zero": _bad_checkpoint(
+        lambda raw: raw["scaler"].update(x_std=[0.0] * 8)),
     "config_json_list": lambda tmp, common, config: [
         "train", *common, "--config", _write(tmp / "l.json", "[]"), "--out", tmp / "m.json"],
     "ablate_non_numeric_fraction": lambda tmp, common, config: [
@@ -280,3 +302,17 @@ def test_bad_input_exits_2_without_traceback(case, workspace, capsys):
     capsys.readouterr()
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_numeric_failure_is_one_line_without_warnings(workspace, capsys):
+    # an overflowing step fails in the first batch; numpy's overflow and
+    # invalid-value warnings stay silent, so stderr holds only the message
+    tmp, data_path, groups_path, config_path = workspace
+    common = ["--data", data_path, "--target", "y", "--groups", groups_path]
+    argv = _bad_config(learning_rate=1e300)(tmp, common, config_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1

@@ -77,10 +77,17 @@ ALPHA = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
 Y12 = np.linspace(-3.0, 3.0, 12)  # residuals reach both sides of delta
 
 
+class FixedMask:
+    """Stands in for an Rng whose every Bernoulli draw is MASK."""
+
+    def bernoulli(self, q, shape):
+        return MASK
+
+
 def cal(z=Z, logits=LOGITS, t=T, train=True):
     """calibrate with one operand varied; train mode freezes the mask."""
     wrap = [x if isinstance(x, Tensor) else Tensor(x) for x in (z, logits, t)]
-    return calibrate(*wrap, (lambda delta: MASK) if train else None)[0]
+    return calibrate(*wrap, FixedMask() if train else None)[0]
 
 
 def tiers(g=Z, w1=TIER_W[0], alpha=ALPHA):
@@ -325,3 +332,43 @@ class TestVocabulary:
                                       "sigmoid", "abs", "exp", "sum", "mean"])
     def test_deleted_generic_ops_stay_deleted(self, name):
         assert not hasattr(Tensor, name)
+
+
+GRAPH_LINKS = {"_prev", "_backward", "op"}
+
+
+def _link_writers(scope, tree):
+    """Qualified names of the functions under `tree` that assign a graph link
+    (`_prev`, `_backward` or `op`) of any object, nested closures included."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{scope}{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                for sub in ast.walk(node):
+                    targets = (sub.targets if isinstance(sub, ast.Assign) else
+                               [sub.target] if isinstance(sub, (ast.AugAssign, ast.AnnAssign))
+                               else [])
+                    for target in targets:
+                        for t in ast.walk(target):
+                            if isinstance(t, ast.Attribute) and t.attr in GRAPH_LINKS:
+                                found.add(name)
+            found |= _link_writers(f"{name}.", node)
+    return found
+
+
+class TestNodeConstructor:
+    def test_only_node_builds_graph_links(self):
+        """Every op makes its node through `_node`: no other function in
+        tensor.py assigns `_prev`, `_backward` or `op`, except the leaf
+        defaults of `Tensor.__init__`."""
+        tree = ast.parse((Path(scalarnet.__file__).parent / "tensor.py").read_text(
+            encoding="utf-8"))
+        assert _link_writers("", tree) == {"_node", "Tensor.__init__"}
+
+    def test_node_guards_and_links(self):
+        t = Tensor(np.ones((2, 3)))
+        out = t.cols(0, 2)
+        assert out._prev == (t,) and out.op == "cols"
+        with pytest.raises(NumericError, match="'cols'"):
+            Tensor([[1.0, np.inf]]).cols(1, 2)

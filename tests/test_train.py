@@ -170,6 +170,27 @@ class TestParameterNames:
             train(standardize(tiny_dataset()), quick_cfg())
 
 
+class TestForwardNoise:
+    """`forward`'s rng is the only source of noise, and only in train mode."""
+
+    def test_mode_and_rng_are_checked(self):
+        model = ScalarModel(quick_cfg(), 8)
+        x = np.zeros((2, 8))
+        with pytest.raises(ConfigError, match="unknown mode"):
+            model.forward(x, "sample", Rng(0))
+        with pytest.raises(ConfigError, match="needs an rng"):
+            model.forward(x, "train")
+
+    def test_eval_ignores_rng(self):
+        model = ScalarModel(quick_cfg(), 8)
+        x = Rng(1).normal((4, 8))
+        rng = Rng(2)
+        a, _ = model.forward(x, "eval", rng)
+        b, _ = model.forward(x, "eval")
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(rng.uniform(3), Rng(2).uniform(3))  # nothing drawn
+
+
 class TestGraphSize:
     def test_acceptance_loss_graph_is_one_node_per_layer(self):
         from scalarnet.losses import composite_loss
@@ -210,6 +231,20 @@ class TestTraining:
         ds = standardize(tiny_dataset())
         ck, history = train(ds, quick_cfg(max_epochs=40, patience=3))
         assert ck.best_val_loss == min(h["val_loss"] for h in history)
+
+    def test_checkpoint_holds_best_epoch_parameters(self):
+        from scalarnet.losses import composite_loss
+
+        ds = standardize(tiny_dataset())
+        cfg = quick_cfg(max_epochs=40, patience=3)
+        ck, history = train(ds, cfg)
+        assert ck.epoch < len(history) - 1  # later, worse epochs were undone
+        n_val = max(1, int(round(ds.n * cfg.val_fraction)))
+        val = np.random.default_rng(cfg.seed + 3).permutation(ds.n)[:n_val]
+        y_hat, trace = ck.build_model().forward(ds.x[val], "eval")
+        total, _ = composite_loss(ds.y[val], y_hat, trace.mu, trace.log_sigma,
+                                  ck.epoch, cfg.max_epochs, cfg.loss)
+        assert float(total.data) == ck.best_val_loss
 
     def test_eval_deterministic_and_permutation_invariant(self):
         ds_raw = tiny_dataset()
