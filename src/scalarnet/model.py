@@ -5,6 +5,7 @@ configuration record that owns every free hyperparameter.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .head import HeadParams, default_components, head_forward
 from .layers import named_tensors
 from .losses import LossConfig
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, no_grad
 
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossConfig": dict}
 
@@ -153,8 +154,9 @@ class ScalarModel:
         """Run the pipeline on a (batch, p) array.
 
         Train mode draws the dropout mask and then the latent noise from
-        `rng`, the only source of noise; eval mode is deterministic and
-        ignores `rng`. Returns (y_hat, ForwardTrace).
+        `rng`, the only source of noise; eval mode is deterministic, ignores
+        `rng` and builds no graph. The input is a constant leaf in both
+        modes. Returns (y_hat, ForwardTrace).
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"unknown mode {mode!r}")
@@ -162,16 +164,18 @@ class ScalarModel:
             raise ConfigError("train-mode forward needs an rng")
         if mode == "eval":
             rng = None
-        xt = Tensor(np.asarray(x, dtype=np.float64))
-        z, group_traces = grouped_attention_forward(xt, self.cfg.spec, self.group_params)
-        s, delta, gamma = self_calibrate(z, self.cal_params, rng)
-        mu = log_sigma = None
-        if self.cfg.use_variational:
-            v, mu, log_sigma, _ = variational_encode_decode(s, self.var_params, rng)
-        else:
-            v = s
-        global_trace = kernel_attention_forward(v, self.global_params)
-        y_hat, alpha = head_forward(global_trace.z, self.head_params)
+        with no_grad():
+            xt = Tensor(np.asarray(x, dtype=np.float64))
+        with no_grad() if mode == "eval" else contextlib.nullcontext():
+            z, group_traces = grouped_attention_forward(xt, self.cfg.spec, self.group_params)
+            s, delta, gamma = self_calibrate(z, self.cal_params, rng)
+            mu = log_sigma = None
+            if self.cfg.use_variational:
+                v, mu, log_sigma, _ = variational_encode_decode(s, self.var_params, rng)
+            else:
+                v = s
+            global_trace = kernel_attention_forward(v, self.global_params)
+            y_hat, alpha = head_forward(global_trace.z, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,
             delta=delta.reshape(-1),

@@ -15,10 +15,19 @@ or a fused op checks the shapes it documents.
 the backward closure; a closure receives the node's gradient `g` and adds its
 parents' shares. Graphs are rebuilt every forward pass; backward() runs a
 deterministic reverse topological accumulation seeded with 1.
+
+A tensor's `requires_grad` says whether backward gives it a gradient. A leaf
+needs one, unless it was made inside a `no_grad()` block: such a leaf is a
+constant, as the model input is. A node needs one when grad mode is on and
+some parent needs one; `_node` records only those parents, and a node with
+none is a constant with no `_prev` and no closure. Closures skip the terms of
+constant operands. Under `no_grad()` no op records anything, so an eval
+forward keeps no graph and frees its intermediates as it goes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -28,6 +37,20 @@ from .errors import NumericError, ShapeError
 EPS = 1e-12  # floor on a kernel's norm in kernel_attend
 DELTA_RANGE = (0.0, 0.4)  # calibrated dropout rate
 GAMMA_RANGE = (0.5, 1.0)  # calibrated residual scale
+
+_grad_enabled = True  # off inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph in this block: every node and every leaf made in it is
+    a constant (`requires_grad` False). Grad mode is one flag per process."""
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
 
 
 def _guard(op: str, out: np.ndarray) -> np.ndarray:
@@ -47,23 +70,28 @@ def _conform(op: str, ok: bool, *operands) -> None:
 
 
 def _node(op: str, value: np.ndarray, parents: tuple, backward) -> "Tensor":
-    """The non-leaf node of `op`: the guarded `value`, its `parents` and the
-    closure `backward(g)` that adds the parents' gradients given this node's."""
+    """The non-leaf node of `op`: the guarded `value`, and, if grad mode is on
+    and some of `parents` need a gradient, those parents and the closure
+    `backward(g)` that adds their gradients given this node's."""
     out = Tensor(_guard(op, value))
-    out._prev = parents
-    out._backward = backward
     out.op = op
+    prev = tuple(t for t in parents if t.requires_grad) if out.requires_grad else ()
+    if prev:
+        out._prev, out._backward = prev, backward
+    else:
+        out.requires_grad = False
     return out
 
 
 class Tensor:
     """A node in the computation graph holding a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "_prev", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "op")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.requires_grad = _grad_enabled
         self._prev = ()
         self._backward = None
         self.op = "leaf"
@@ -76,8 +104,10 @@ class Tensor:
 
         def backward(g):
             ga, gb = bwd(self.data, other.data, g)
-            self.grad += ga
-            other.grad += gb
+            if self.requires_grad:
+                self.grad += ga
+            if other.requires_grad:
+                other.grad += gb
 
         with np.errstate(all="ignore"):
             return _node(op, fwd(self.data, other.data), (self, other), backward)
@@ -139,11 +169,14 @@ class Tensor:
         return self._unary("softmax", fwd, bwd)
 
     def backward(self):
-        """Reverse-mode accumulation from this scalar node; seed gradient 1."""
+        """Reverse-mode accumulation from this scalar node; seed gradient 1.
+        Only the nodes that need a gradient get one."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
+        if not self.requires_grad:
+            raise NumericError("backward from a constant: nothing needs a gradient")
         topo = self._toposort()
         for t in topo:
             t.grad = np.zeros_like(t.data)
@@ -179,7 +212,8 @@ def concat(tensors) -> Tensor:
 
     def backward(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            t.grad += g[:, a:b]
+            if t.requires_grad:
+                t.grad += g[:, a:b]
 
     return _node("concat", np.concatenate([t.data for t in tensors], axis=1),
                  tuple(tensors), backward)
@@ -197,9 +231,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_affine("affine", x, w, b)
 
     def backward(g):
-        x.grad += g @ w.data.T
-        w.grad += x.data.T @ g
-        b.grad += g.sum(axis=0)
+        if x.requires_grad:
+            x.grad += g @ w.data.T
+        if w.requires_grad:
+            w.grad += x.data.T @ g
+        if b.requires_grad:
+            b.grad += g.sum(axis=0)
 
     return _node("affine", x.data @ w.data + b.data, (x, w, b), backward)
 
@@ -211,12 +248,17 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     h = np.tanh(_guard("mlp2", x.data @ w1.data + b1.data))
 
     def backward(g):
-        w2.grad += h.T @ g
-        b2.grad += g.sum(axis=0)
+        if w2.requires_grad:
+            w2.grad += h.T @ g
+        if b2.requires_grad:
+            b2.grad += g.sum(axis=0)
         gh = (g @ w2.data.T) * (1.0 - h * h)
-        w1.grad += x.data.T @ gh
-        b1.grad += gh.sum(axis=0)
-        x.grad += gh @ w1.data.T
+        if w1.requires_grad:
+            w1.grad += x.data.T @ gh
+        if b1.requires_grad:
+            b1.grad += gh.sum(axis=0)
+        if x.requires_grad:
+            x.grad += gh @ w1.data.T
 
     return _node("mlp2", h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
 
@@ -241,11 +283,14 @@ def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
 
     def backward(g):
         gx = g[:, None, :]
-        w.grad += (gx * xk).sum(axis=2)
-        x.grad += g * (wk * k_hat).sum(axis=1)
-        gk = wk * (gx * x.data[:, None, :])
-        proj = (gk - k_hat * (k_hat * gk).sum(axis=2, keepdims=True)) / m
-        raw.grad += np.where(norm > EPS, proj, gk / EPS).reshape(b, k * p)
+        if w.requires_grad:
+            w.grad += (gx * xk).sum(axis=2)
+        if x.requires_grad:
+            x.grad += g * (wk * k_hat).sum(axis=1)
+        if raw.requires_grad:
+            gk = wk * (gx * x.data[:, None, :])
+            proj = (gk - k_hat * (k_hat * gk).sum(axis=2, keepdims=True)) / m
+            raw.grad += np.where(norm > EPS, proj, gk / EPS).reshape(b, k * p)
 
     return _node("kernel_attend", (wk * xk).sum(axis=1), (x, raw, w), backward), k_hat
 
@@ -279,8 +324,12 @@ def calibrate(z: Tensor, logits: Tensor, t: Tensor, rng):
         s = z.data + gamma * (t.data * m) / keep
 
     def backward(g):
-        z.grad += g
-        t.grad += g * m * (gamma / keep)
+        if z.requires_grad:
+            z.grad += g
+        if t.requires_grad:
+            t.grad += g * m * (gamma / keep)
+        if not logits.requires_grad:
+            return
         g_gamma = (g * t.data * m).sum(axis=1, keepdims=True) / keep
         slope = c * (1.0 - c)
         logits.grad[:, 1:2] += g_gamma * (g_hi - g_lo) * slope[:, 1:2]
@@ -298,8 +347,10 @@ def reparameterize(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
              mu, log_sigma, eps)
 
     def backward(g):
-        mu.grad += g
-        log_sigma.grad += g * eps * sd * 0.5
+        if mu.requires_grad:
+            mu.grad += g
+        if log_sigma.requires_grad:
+            log_sigma.grad += g * eps * sd * 0.5
 
     with np.errstate(all="ignore"):
         sd = np.exp(log_sigma.data * 0.5)
@@ -320,10 +371,13 @@ def tiered_projection(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, alpha: Tens
     def backward(g_out):
         for i, (w, pr) in enumerate(zip(ws, proj)):
             gi = g_out[:, offsets[i] : offsets[i + 1]]
-            alpha.grad[:, i] += (gi * pr).sum(axis=1)
+            if alpha.requires_grad:
+                alpha.grad[:, i] += (gi * pr).sum(axis=1)
             gp = gi * alpha.data[:, i : i + 1]
-            w.grad += g.data.T @ gp
-            g.grad += gp @ w.data.T
+            if w.requires_grad:
+                w.grad += g.data.T @ gp
+            if g.requires_grad:
+                g.grad += gp @ w.data.T
 
     return _node("tiered_projection", np.concatenate(blocks, axis=1),
                  (g, w1, w2, w3, alpha), backward)
@@ -361,8 +415,10 @@ def kl_term(mu: Tensor, log_sigma: Tensor) -> Tensor:
 
     def backward(g):
         g = g * scale
-        mu.grad += g * 2.0 * mu.data
-        log_sigma.grad += g * 2.0 * (var - 1.0)
+        if mu.requires_grad:
+            mu.grad += g * 2.0 * mu.data
+        if log_sigma.requires_grad:
+            log_sigma.grad += g * 2.0 * (var - 1.0)
 
     with np.errstate(all="ignore"):
         ls2 = log_sigma.data * 2.0

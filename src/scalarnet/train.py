@@ -22,11 +22,17 @@ from .data import (
 from .errors import ConfigError, NumericError
 from .head import feature_importance
 from .losses import LossConfig, binwise_rmse, composite_loss, metrics
-from .model import ModelConfig, ScalarModel
+from .model import ModelConfig, ScalarModel, _check_fields
 from .tensor import Rng
 
 CHECKPOINT_VERSION = 1
 SCALER_KEYS = ("x_mean", "x_std", "y_mean", "y_std")
+EVAL_ROWS = 4096  # most rows in one eval-mode forward of predict and importance
+# Eval chunks start on multiples of EVAL_ALIGN rows. OpenBLAS (0.3.31) rounds
+# some rows of a one-column product, such as phi_y's last layer, differently
+# when a call starts at an unaligned row; aligned chunks give the bits of one
+# full-batch forward on the 12-feature config at 1 BLAS thread.
+EVAL_ALIGN = 64
 
 
 class Adam:
@@ -101,11 +107,18 @@ class Checkpoint:
             )
         if not (isinstance(raw["config"], dict) and isinstance(raw["params"], dict)):
             raise ConfigError(f"{path}: checkpoint config and params must be JSON objects")
+        _check_fields(cls, raw, "checkpoint")  # a finite best_val_loss, an int epoch
+        if raw["epoch"] < 0:
+            raise ConfigError(f"{path}: checkpoint epoch must be >= 0, got {raw['epoch']}")
         return cls(**raw)
 
-    def build_model(self) -> ScalarModel:
+    def build_model(self, scaler: Scaler = None) -> ScalarModel:
+        """The model with this checkpoint's parameters, for the width of
+        `scaler`, a checked `get_scaler()` (made here when None)."""
         cfg = ModelConfig.from_dict(self.config)
-        model = ScalarModel(cfg, len(self.get_scaler().x_mean))
+        if scaler is None:
+            scaler = self.get_scaler()
+        model = ScalarModel(cfg, len(scaler.x_mean))
         named = model.named_parameters()
         extra = set(self.params) - set(named)
         if extra:
@@ -243,23 +256,39 @@ def train(ds: Dataset, cfg: ModelConfig):
     return _checkpoint_from(model, ds, best_val, best_epoch), history
 
 
-def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset):
-    """Eval-mode forward of the checkpoint's model on raw, unstandardized
-    data; returns (standardized y_hat Tensor, ForwardTrace)."""
+def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
+    """Eval-mode forwards of the checkpoint's model on raw, unstandardized
+    data, over ceil(n / EVAL_ROWS) near-equal row chunks (sizes differ by at
+    most EVAL_ALIGN rows). `keep(y_hat, trace)` picks row-major arrays from
+    each chunk's forward; returns (the checked scaler, those arrays filled
+    for all n rows).
+    """
     scaler = ckpt.get_scaler()
     if ds_raw.p != len(scaler.x_mean):
         raise ConfigError(
             f"data has {ds_raw.p} features, checkpoint expects {len(scaler.x_mean)}"
         )
-    model = ckpt.build_model()
-    x_std = (ds_raw.x - scaler.x_mean) / scaler.x_std
-    return model.forward(x_std, "eval")
+    model = ckpt.build_model(scaler)
+    n = ds_raw.n
+    chunks = max(1, -(-n // EVAL_ROWS))
+    # the near-equal cuts i·n/chunks, each rounded up to a multiple of EVAL_ALIGN
+    bounds = [min(n, -(-(i * n // chunks) // EVAL_ALIGN) * EVAL_ALIGN)
+              for i in range(chunks + 1)]
+    out = None
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        x_std = (ds_raw.x[a:b] - scaler.x_mean) / scaler.x_std
+        parts = keep(*model.forward(x_std, "eval"))
+        if out is None:
+            out = [np.empty((n, *part.shape[1:])) for part in parts]
+        for full, part in zip(out, parts):
+            full[a:b] = part
+    return scaler, out
 
 
 def predict(ckpt: Checkpoint, ds_raw: Dataset) -> np.ndarray:
     """Deterministic eval-mode predictions on the original target scale."""
-    y_hat, _ = _forward_eval(ckpt, ds_raw)
-    return destandardize_predictions(y_hat.data, ckpt.get_scaler())
+    scaler, (y_hat,) = _forward_eval(ckpt, ds_raw, lambda y_hat, trace: (y_hat.data,))
+    return destandardize_predictions(y_hat, scaler)
 
 
 def evaluate(ckpt: Checkpoint, ds_raw: Dataset, n_bins: int = 5) -> dict:
@@ -278,8 +307,9 @@ def evaluate(ckpt: Checkpoint, ds_raw: Dataset, n_bins: int = 5) -> dict:
 
 def importance_scores(ckpt: Checkpoint, ds_raw: Dataset):
     """Global-tier feature importance over the whole evaluation set."""
-    _, trace = _forward_eval(ckpt, ds_raw)
-    return feature_importance(trace.global_trace.k_hat, trace.global_trace.w)
+    _, (k_hat, w) = _forward_eval(
+        ckpt, ds_raw, lambda y_hat, trace: (trace.global_trace.k_hat, trace.global_trace.w))
+    return feature_importance(k_hat, w)
 
 
 def ablation_data_fraction(ds_raw: Dataset, cfg: ModelConfig, fractions):

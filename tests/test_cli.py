@@ -268,6 +268,12 @@ BAD_INPUTS = {
     "checkpoint_y_std_string": _bad_checkpoint(lambda raw: raw["scaler"].update(y_std="a")),
     "checkpoint_x_std_zero": _bad_checkpoint(
         lambda raw: raw["scaler"].update(x_std=[0.0] * 8)),
+    "checkpoint_best_val_loss_string": _bad_checkpoint(
+        lambda raw: raw.update(best_val_loss="x")),
+    "checkpoint_best_val_loss_bool": _bad_checkpoint(
+        lambda raw: raw.update(best_val_loss=True)),
+    "checkpoint_epoch_negative": _bad_checkpoint(lambda raw: raw.update(epoch=-1)),
+    "checkpoint_epoch_float": _bad_checkpoint(lambda raw: raw.update(epoch=2.0)),
     "config_json_list": lambda tmp, common, config: [
         "train", *common, "--config", _write(tmp / "l.json", "[]"), "--out", tmp / "m.json"],
     "ablate_non_numeric_fraction": lambda tmp, common, config: [

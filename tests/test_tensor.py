@@ -18,6 +18,7 @@ from scalarnet.tensor import (
     kernel_attend,
     kl_term,
     mlp2,
+    no_grad,
     regression_loss,
     reparameterize,
     tiered_projection,
@@ -337,9 +338,9 @@ class TestVocabulary:
 GRAPH_LINKS = {"_prev", "_backward", "op"}
 
 
-def _link_writers(scope, tree):
-    """Qualified names of the functions under `tree` that assign a graph link
-    (`_prev`, `_backward` or `op`) of any object, nested closures included."""
+def _link_writers(scope, tree, attrs):
+    """Qualified names of the functions under `tree` that assign one of the
+    attributes `attrs` of any object, nested closures included."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -351,20 +352,41 @@ def _link_writers(scope, tree):
                                else [])
                     for target in targets:
                         for t in ast.walk(target):
-                            if isinstance(t, ast.Attribute) and t.attr in GRAPH_LINKS:
+                            if isinstance(t, ast.Attribute) and t.attr in attrs:
                                 found.add(name)
-            found |= _link_writers(f"{name}.", node)
+            found |= _link_writers(f"{name}.", node, attrs)
     return found
+
+
+# multi-operand ops and their operands: (build, arrays); every operand may be
+# made constant
+OPERANDS = {
+    "add": (lambda a, b: a + b, [Z, T]),
+    "mul": (lambda a, b: a * b, [Z, T]),
+    "concat": (lambda a, b: concat([a, b]), [Z, T]),
+    "affine": (affine, [Z, W_A, np.array([0.3, -0.2])]),
+    "mlp2": (mlp2, [Z, W_A, np.array([0.1, -0.4]), W_B, np.array([0.2, 0.0, -0.1])]),
+    "kernel_attend": (lambda x, raw, w: kernel_attend(x, raw, w)[0],
+                      [Z, np.linspace(-2, 1.5, 24).reshape(3, 8),
+                       np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])]),
+    "calibrate_train": (lambda z, lg, t: calibrate(z, lg, t, FixedMask())[0], [Z, LOGITS, T]),
+    "calibrate_eval": (lambda z, lg, t: calibrate(z, lg, t, None)[0], [Z, LOGITS, T]),
+    "reparameterize": (lambda mu, ls: reparameterize(mu, ls, EPS_NOISE), [Z, T]),
+    "tiered_projection": (tiered_projection, [Z, *TIER_W, ALPHA]),
+    "kl_term": (kl_term, [Z, T]),
+}
 
 
 class TestNodeConstructor:
     def test_only_node_builds_graph_links(self):
         """Every op makes its node through `_node`: no other function in
         tensor.py assigns `_prev`, `_backward` or `op`, except the leaf
-        defaults of `Tensor.__init__`."""
+        defaults of `Tensor.__init__`, and only those two decide
+        `requires_grad`."""
         tree = ast.parse((Path(scalarnet.__file__).parent / "tensor.py").read_text(
             encoding="utf-8"))
-        assert _link_writers("", tree) == {"_node", "Tensor.__init__"}
+        assert _link_writers("", tree, GRAPH_LINKS) == {"_node", "Tensor.__init__"}
+        assert _link_writers("", tree, {"requires_grad"}) == {"_node", "Tensor.__init__"}
 
     def test_node_guards_and_links(self):
         t = Tensor(np.ones((2, 3)))
@@ -372,3 +394,41 @@ class TestNodeConstructor:
         assert out._prev == (t,) and out.op == "cols"
         with pytest.raises(NumericError, match="'cols'"):
             Tensor([[1.0, np.inf]]).cols(1, 2)
+
+    def test_node_of_constants_is_a_constant(self):
+        with no_grad():
+            a, b = Tensor(Z), Tensor(T)
+        assert not (a.requires_grad or b.requires_grad)
+        out = affine(a + b, Tensor(W_A), Tensor(np.zeros(2)))
+        assert out.requires_grad and len(out._prev) == 2  # w and b, not the constant
+        c = (a + b).tanh()
+        assert not c.requires_grad and c._prev == () and c._backward is None
+        with pytest.raises(NumericError, match="constant"):
+            c.reshape(1, 12).cols(0, 1).backward()
+
+    def test_no_grad_records_nothing_and_restores_grad_mode(self):
+        w = Tensor(W_A)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                out = affine(Tensor(Z), w, Tensor(np.zeros(2))).tanh()
+                Tensor(Z) + Tensor(T[:2])
+        assert not out.requires_grad and out._prev == () and out._backward is None
+        assert Tensor(Z).requires_grad  # grad mode is back on after the error
+        assert affine(Tensor(Z), w, Tensor(np.zeros(2)))._prev
+
+    @pytest.mark.parametrize("name", sorted(OPERANDS))
+    def test_constant_operand_gets_no_gradient_and_changes_no_other(self, name):
+        build, arrays = OPERANDS[name]
+        ref = [Tensor(a) for a in arrays]
+        total(build(*ref)).backward()
+        for i in range(len(arrays)):
+            with no_grad():
+                const = Tensor(arrays[i])
+            operands = [const if j == i else Tensor(a) for j, a in enumerate(arrays)]
+            out = build(*operands)
+            assert all(t is not const for t in out._prev)
+            total(out).backward()
+            assert const.grad is None
+            for j, (t, r) in enumerate(zip(operands, ref)):
+                if j != i:
+                    assert np.array_equal(t.grad, r.grad), (i, j)

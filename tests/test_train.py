@@ -1,19 +1,26 @@
+import contextlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from scalarnet import model as model_module
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.data import standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
-from scalarnet.losses import LossConfig
+from scalarnet.head import feature_importance
+from scalarnet.losses import LossConfig, composite_loss
 from scalarnet.model import ModelConfig, ScalarModel
 from scalarnet.tensor import Rng, Tensor
 from scalarnet.train import (
+    EVAL_ALIGN,
+    EVAL_ROWS,
     Adam,
     Checkpoint,
     evaluate,
     gradcheck,
+    importance_scores,
     predict,
     train,
 )
@@ -319,3 +326,131 @@ class TestModelConfig:
         for name in ("learning_rate", "grad_clip_norm"):
             with pytest.raises(ConfigError):
                 ModelConfig(groups=GROUPS, **{name: float("nan")})
+
+
+ACCEPTANCE_GROUPS = [[0, 6], [6, 12]]
+
+
+@pytest.fixture(scope="module")
+def acceptance_ckpt():
+    """A briefly trained checkpoint of the acceptance config (12 features in
+    two groups of 6, k = 4)."""
+    ds = synth_nonlinear(256, FeatureGroupSpec(ACCEPTANCE_GROUPS), 0.1, seed=3)
+    cfg = ModelConfig(groups=ACCEPTANCE_GROUPS, max_epochs=3, learning_rate=3e-3, seed=0)
+    return train(standardize(ds), cfg)[0]
+
+
+def eval_rows(n, seed=5):
+    return synth_nonlinear(n, FeatureGroupSpec(ACCEPTANCE_GROUPS), 0.1, seed=seed)
+
+
+class TestChunkedEval:
+    """predict and importance_scores run in row chunks of at most EVAL_ROWS
+    without a graph, and give the bits of one full-batch forward."""
+
+    @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 2 * 4096 + 7])
+    def test_bit_equal_to_one_full_batch_forward_with_grad_on(
+            self, acceptance_ckpt, n, monkeypatch):
+        ds_raw = eval_rows(n)
+        scaler = acceptance_ckpt.get_scaler()
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "no_grad", contextlib.nullcontext)
+            y_hat, trace = acceptance_ckpt.build_model().forward(
+                (ds_raw.x - scaler.x_mean) / scaler.x_std, "eval")
+        assert y_hat._prev  # the reference built its graph
+        expected = y_hat.data * scaler.y_std + scaler.y_mean
+        assert np.array_equal(predict(acceptance_ckpt, ds_raw), expected)
+        if n > 1:
+            raw, normalized = importance_scores(acceptance_ckpt, ds_raw)
+            ref_raw, ref_normalized = feature_importance(trace.global_trace.k_hat,
+                                                         trace.global_trace.w)
+            assert np.array_equal(raw, ref_raw)
+            assert np.array_equal(normalized, ref_normalized)
+
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 8192, 8193, 3 * 4096 + 1, 20_000])
+    def test_chunks_are_near_equal_and_cover_every_row(self, acceptance_ckpt, n,
+                                                       monkeypatch):
+        sizes = []
+        forward = ScalarModel.forward
+
+        def spy(model, x, mode="train", rng=None):
+            sizes.append(len(x))
+            return forward(model, x, mode, rng)
+
+        monkeypatch.setattr(ScalarModel, "forward", spy)
+        assert predict(acceptance_ckpt, eval_rows(n)).shape == (n,)
+        chunks = -(-n // EVAL_ROWS)
+        assert len(sizes) == chunks and sum(sizes) == n
+        assert max(sizes) <= EVAL_ROWS and min(sizes) > n // chunks - EVAL_ALIGN
+        assert all(s % EVAL_ALIGN == 0 for s in sizes[:-1])  # aligned starts
+
+    def test_wide_config_matches_full_batch_to_rounding(self):
+        """On 48 features OpenBLAS picks other gemm kernels for a chunk's row
+        count than for the full batch, so chunks agree to rounding only."""
+        groups = [[6 * g, 6 * g + 6] for g in range(8)]
+        spec = FeatureGroupSpec(groups)
+        ckpt, _ = train(standardize(synth_nonlinear(128, spec, 0.1, seed=3)),
+                        ModelConfig(groups=groups, max_epochs=1, seed=0))
+        ds_raw = synth_nonlinear(EVAL_ROWS + 1, spec, 0.1, seed=5)
+        scaler = ckpt.get_scaler()
+        y_hat, _ = ckpt.build_model().forward((ds_raw.x - scaler.x_mean) / scaler.x_std,
+                                              "eval")
+        np.testing.assert_allclose(predict(ckpt, ds_raw),
+                                   y_hat.data * scaler.y_std + scaler.y_mean,
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_memory_per_row_is_bounded(self, acceptance_ckpt):
+        """Traced peak below 2 KB per row on 20k rows; a kept graph costs
+        ~5.8 KB per row."""
+        ds_raw = eval_rows(20_000)
+        for score in (predict, importance_scores):
+            tracemalloc.start()
+            try:
+                score(acceptance_ckpt, ds_raw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / ds_raw.n < 2048, (score.__name__, peak / ds_raw.n)
+
+
+class TestGraphScope:
+    def test_eval_forward_builds_no_graph(self):
+        cfg = quick_cfg()
+        model = ScalarModel(cfg, 8)
+        y_hat, trace = model.forward(Rng(1).normal((5, 8)), "eval")
+        for t in (y_hat, trace.mu, trace.log_sigma, trace.global_trace.z):
+            assert t._prev == () and t._backward is None and not t.requires_grad
+        total, _ = composite_loss(np.zeros(5), y_hat, trace.mu, trace.log_sigma,
+                                  0, 10, cfg.loss)  # the validation loss in train()
+        assert total._prev == () and not total.requires_grad
+
+    def test_input_is_constant_and_parameter_gradients_unchanged(self, monkeypatch):
+        """Against the graph in which the input needs a gradient too, as every
+        leaf did before constants existed: the same parameter gradients, bit
+        for bit, and none for the input."""
+        cfg = ModelConfig(groups=ACCEPTANCE_GROUPS, k=4, seed=0)
+        x, y = Rng(1).normal((32, 12)), Rng(2).normal(32)
+        inputs = []
+        grouped = model_module.grouped_attention_forward
+
+        def capture(xt, spec, params):
+            inputs.append(xt)
+            return grouped(xt, spec, params)
+
+        monkeypatch.setattr(model_module, "grouped_attention_forward", capture)
+
+        def parameter_grads():
+            model = ScalarModel(cfg, 12)
+            y_hat, trace = model.forward(x, "train", Rng(3))
+            total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
+            total.backward()
+            return {k: t.grad for k, t in model.named_parameters().items()}
+
+        grads = parameter_grads()
+        assert not inputs[-1].requires_grad and inputs[-1].grad is None
+        monkeypatch.setattr(model_module, "no_grad", contextlib.nullcontext)
+        ref = parameter_grads()
+        assert inputs[-1].grad is not None
+        assert grads.keys() == ref.keys()
+        for k in grads:
+            assert np.array_equal(grads[k], ref[k]), k
