@@ -26,7 +26,7 @@ from .losses import (
     metrics,
 )
 from .model import ModelConfig, ScalarModel
-from .tensor import Rng, Tensor, concat
+from .tensor import Rng, Tensor
 from .train import (
     Checkpoint,
     ablation_data_fraction,
@@ -66,7 +66,6 @@ __all__ = [
     "ScalarModel",
     "Rng",
     "Tensor",
-    "concat",
     "Checkpoint",
     "ablation_data_fraction",
     "evaluate",

@@ -1,7 +1,7 @@
 """Adaptive kernel attention: per-sample kernels, softmax kernel weights,
 weighted kernel-modulated features, and a zero-initialized projection with a
 residual connection. Used per feature group and again (separate parameters)
-as the global tier.
+as the global tier; each tier is one `kernel_attention` node.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import Affine, Mlp2, hidden_width
-from .tensor import Rng, Tensor, concat, kernel_attend
+from .tensor import Rng, Tensor, kernel_attention
 
 
 def is_int(value) -> bool:
@@ -90,42 +90,43 @@ class KernelAttentionParams:
             phi_p=Affine.init(rng, p_in, p_in, zero=True),
         )
 
+    def tensors(self) -> tuple:
+        """The ten parameters in `kernel_attention`'s order."""
+        k, w, p = self.phi_k, self.phi_w, self.phi_p
+        return (k.l1.w, k.l1.b, k.l2.w, k.l2.b, w.l1.w, w.l1.b, w.l2.w, w.l2.b, p.w, p.b)
+
 
 @dataclass
 class AttentionTrace:
     """Intermediates kept for the KL-free diagnostics and feature importance.
 
-    k_hat and w are plain arrays outside the graph; z stays in the graph.
+    k_hat and w are plain arrays outside the graph; z stays in the graph. A
+    feature group's trace has no z: its block is columns of the grouped output.
     """
 
     k_hat: np.ndarray  # (batch, k, p_in), unit rows up to the eps guard
     w: np.ndarray  # (batch, k), simplex rows
-    z: Tensor  # (batch, p_in)
+    z: "Tensor | None"  # (batch, p_in)
 
 
 def kernel_attention_forward(x: Tensor, params: KernelAttentionParams) -> AttentionTrace:
-    b, p_in = x.data.shape
+    p_in = x.data.shape[1]
     if p_in != params.p_in:
         raise ShapeError(
             f"input has {p_in} columns but attention params expect {params.p_in}"
         )
-    raw = params.phi_k(x)  # (b, k*p_in)
-    w = params.phi_w(x).softmax()  # (b, k)
-    attended, k_hat = kernel_attend(x, raw, w)
-    z = params.phi_p(attended) + x
-    return AttentionTrace(k_hat=k_hat, w=w.data.copy(), z=z)
+    z, (k_hat,), (w,) = kernel_attention(x, [(0, p_in)], [params.tensors()])
+    return AttentionTrace(k_hat=k_hat, w=w, z=z)
 
 
 def grouped_attention_forward(x: Tensor, spec: FeatureGroupSpec, per_group_params):
-    """Run kernel attention on each column group and concatenate in spec order."""
+    """Run kernel attention on each column group, every group in one node;
+    returns the (b, p) output, each group's block in its own columns, and the
+    per-group traces."""
     if len(per_group_params) != spec.n_groups:
         raise ConfigError(
             f"got {len(per_group_params)} parameter sets for {spec.n_groups} groups"
         )
     spec.validate_width(x.data.shape[1])
-    traces = [
-        kernel_attention_forward(x.cols(s, e), params)
-        for (s, e), params in zip(spec.groups, per_group_params)
-    ]
-    z = traces[0].z if len(traces) == 1 else concat([t.z for t in traces])
-    return z, traces
+    z, k_hats, ws = kernel_attention(x, spec.groups, [gp.tensors() for gp in per_group_params])
+    return z, [AttentionTrace(k_hat=k_hat, w=w, z=None) for k_hat, w in zip(k_hats, ws)]

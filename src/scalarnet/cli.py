@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -96,6 +97,10 @@ def cmd_baseline(args):
 
 
 def cmd_synth(args):
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
     spec = data.load_groups(args.groups)
     ds = data.synth_nonlinear(args.n, spec, args.noise, args.seed)
     data.write_csv(ds, args.out)
@@ -192,6 +197,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # NumericError reports a numeric failure in one line; numpy's
         # overflow and invalid-value warnings would only repeat it
         with np.errstate(all="ignore"):

@@ -89,6 +89,8 @@ class ModelConfig:
         for name in ("k", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d is not None and self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if not (self.learning_rate > 0 and self.grad_clip_norm > 0):  # NaN fails too

@@ -2,13 +2,14 @@
 
 The op vocabulary is what the model topology needs; each layer and stage is
 one graph node. Generic ops: same-shape `+` and `*`, `*` by a Python float (a
-constant of the node, never a leaf), `cols`, `concat`, `reshape`, `tanh`,
-`clamp` and row `softmax`. Fused ops with a hand-written backward: `affine`,
-`mlp2` (two-layer tanh net), `kernel_attend` (normalized kernels mixed by
-per-row weights), `calibrate` (self-calibrated residual), `reparameterize`,
-`tiered_projection` (the head's α-scaled projections), `regression_loss`
-(MSE/Huber blend) and `kl_term`. Nothing broadcasts: operands match in shape,
-or a fused op checks the shapes it documents.
+constant of the node, never a leaf), `reshape`, `tanh`, `clamp` and row
+`softmax`. Fused ops with a hand-written backward: `affine`, `mlp2`
+(two-layer tanh net), `kernel_attention` (a whole attention tier: every
+column group's kernels, kernel weights, mixing, projection and residual, the
+groups of one width stacked), `calibrate` (self-calibrated residual),
+`reparameterize`, `tiered_projection` (the head's α-scaled projections),
+`regression_loss` (MSE/Huber blend) and `kl_term`. Nothing broadcasts:
+operands match in shape, or a fused op checks the shapes it documents.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
 `_node`, the one place that guards the output, records the parents and binds
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-EPS = 1e-12  # floor on a kernel's norm in kernel_attend
+EPS = 1e-12  # floor on a kernel's norm in kernel_attention
 DELTA_RANGE = (0.0, 0.4)  # calibrated dropout rate
 GAMMA_RANGE = (0.5, 1.0)  # calibrated residual scale
 
@@ -67,6 +68,17 @@ def _conform(op: str, ok: bool, *operands) -> None:
         shapes = ", ".join(str(np.shape(a.data if isinstance(a, Tensor) else a))
                            for a in operands)
         raise ShapeError(f"op '{op}': shapes {shapes} do not conform")
+
+
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient wrt a of y = _softmax_rows(a), given the gradient g wrt y."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def _node(op: str, value: np.ndarray, parents: tuple, backward) -> "Tensor":
@@ -130,16 +142,6 @@ class Tensor:
         c = float(other)
         return self._unary("mul", lambda a: a * c, lambda a, y, g: g * c)
 
-    def cols(self, start: int, stop: int) -> "Tensor":
-        """Slice columns [start, stop) of a 2-D tensor."""
-        if self.data.ndim != 2:
-            raise ShapeError("cols expects a 2-D tensor")
-
-        def backward(g):
-            self.grad[:, start:stop] += g
-
-        return _node("cols", self.data[:, start:stop], (self,), backward)
-
     def reshape(self, *shape) -> "Tensor":
         def backward(g):
             self.grad += g.reshape(self.data.shape)
@@ -157,16 +159,7 @@ class Tensor:
         """Row-wise softmax of a 2-D tensor."""
         if self.data.ndim != 2 or self.data.shape[1] == 0:
             raise ShapeError("softmax expects a 2-D tensor with nonempty rows")
-
-        def fwd(a):
-            shifted = a - a.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            return e / e.sum(axis=1, keepdims=True)
-
-        def bwd(a, y, g):
-            return y * (g - (g * y).sum(axis=1, keepdims=True))
-
-        return self._unary("softmax", fwd, bwd)
+        return self._unary("softmax", _softmax_rows, lambda a, y, g: _softmax_rows_grad(y, g))
 
     def backward(self):
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
@@ -199,24 +192,6 @@ class Tensor:
                 visited.add(id(child))
                 stack.append((child, iter(child._prev)))
         return order
-
-
-def concat(tensors) -> Tensor:
-    """Concatenate 2-D tensors along the last axis."""
-    if any(t.data.ndim != 2 for t in tensors):
-        raise ShapeError("concat supports 2-D tensors along axis 1")
-    rows = {t.data.shape[0] for t in tensors}
-    if len(rows) != 1:
-        raise ShapeError(f"concat: mismatched row counts {sorted(rows)}")
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-
-    def backward(g):
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.grad += g[:, a:b]
-
-    return _node("concat", np.concatenate([t.data for t in tensors], axis=1),
-                 tuple(tensors), backward)
 
 
 def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
@@ -263,36 +238,111 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _node("mlp2", h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
 
 
-def kernel_attend(x: Tensor, raw: Tensor, w: Tensor):
-    """Adaptive kernel mixing: Σ_j w[:, j] · x · k̂_j.
+def _attention_buckets(x: Tensor, groups, param_sets) -> list:
+    """Check that `groups` (start, stop) partition x's columns [0, p) in order
+    and that each group of width w has the ten parameters of
+    `kernel_attention` in these shapes: phi_k (w, h), (h,), (h, k*w), (k*w,);
+    phi_w (w, h'), (h',), (h', k), (k,); phi_p (w, w), (w,), for k >= 1.
+    Returns the group indices bucketed by parameter shapes, in order."""
+    ends = [0] + [e for _, e in groups]
+    ok = (x.data.ndim == 2 and len(param_sets) == len(groups) > 0
+          and [s for s, _ in groups] == ends[:-1] and ends[-1] == x.data.shape[-1])
+    _conform("kernel_attention", ok, x)
+    buckets = {}
+    for i, ((s, e), ps) in enumerate(zip(groups, param_sets)):
+        w, shapes = e - s, tuple(t.data.shape for t in ps)
+        h, h2, k = (shapes[j][0] if len(shapes) == 10 and len(shapes[j]) == 1 else 0
+                    for j in (1, 5, 7))
+        ok = w >= 1 and k >= 1 and shapes == ((w, h), (h,), (h, k * w), (k * w,), (w, h2),
+                                              (h2,), (h2, k), (k,), (w, w), (w,))
+        _conform("kernel_attention", ok, x, *ps)
+        buckets.setdefault(shapes, []).append(i)
+    return list(buckets.values())
 
-    `raw` (b, k*p) holds k kernels per row; each is L2-normalized by
-    max(norm, EPS) into k̂ (b, k, p). `w` (b, k) weights the kernels.
-    Returns (the (b, p) mixture Tensor, k̂ as an ndarray).
+
+def _stack(arrays) -> np.ndarray:
+    """Equal-shape arrays stacked on a new first axis; one array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def kernel_attention(x: Tensor, groups, param_sets):
+    """Adaptive kernel attention on each column group of x (b, p), as one node.
+
+    `groups` are the (start, stop) column intervals partitioning [0, p) in
+    order; `param_sets[i]` holds group i's ten parameters, in the order that
+    `_attention_buckets` documents. On a group's columns xg (b, w):
+    raw = phi_k(xg) holds k kernels per row, each L2-normalized by max(norm,
+    EPS) into k̂ (b, k, w); the kernel weights w (b, k) are the row softmax of
+    phi_w(xg); the group's output columns are phi_p(Σ_j w[:, j] · xg · k̂_j) +
+    xg. phi_k and phi_w are two-layer tanh nets, phi_p is affine.
+
+    Groups whose parameters have the same shapes run stacked, as (G, b, w)
+    arrays through batched matmul; each group's arithmetic is the same as
+    running it alone. Returns (the (b, p) Tensor, per-group k̂ and w as
+    views of the stacked ndarrays).
     """
-    b, p = x.data.shape
-    k = w.data.shape[-1]
-    _conform("kernel_attend", w.data.shape == (b, k) and raw.data.shape == (b, k * p),
-             x, raw, w)
-    kr = raw.data.reshape(b, k, p)
-    norm = np.linalg.norm(kr, axis=2, keepdims=True)
-    m = np.maximum(norm, EPS)
-    k_hat = kr / m
-    wk = w.data[:, :, None]
-    xk = x.data[:, None, :] * k_hat
+    xd = x.data
+    out = np.empty_like(xd)
+    k_hats, weights = [None] * len(groups), [None] * len(groups)
+    stacks = []
+    for members in _attention_buckets(x, groups, param_sets):
+        cols = [groups[i] for i in members]
+        xs = _stack([xd[:, s:e] for s, e in cols])  # (G, b, w)
+        prm = [_stack([param_sets[i][j].data for i in members]) for j in range(10)]
+        w1k, b1k, w2k, b2k, w1w, b1w, w2w, b2w, wp, bp = prm
+        # backward needs neither the logits nor the raw kernels: neither is kept
+        hw = np.tanh(_guard("kernel_attention", xs @ w1w + b1w[:, None]))
+        wsm = _softmax_rows(_guard("kernel_attention", hw @ w2w + b2w[:, None]))  # (G, b, k)
+        hk = np.tanh(_guard("kernel_attention", xs @ w1k + b1k[:, None]))
+        raw = _guard("kernel_attention", hk @ w2k + b2k[:, None]).reshape(wsm.shape + (-1,))
+        norm = np.sqrt(np.add.reduce(raw * raw, axis=3, keepdims=True))  # np.linalg.norm
+        m = np.maximum(norm, EPS)
+        k_hat = raw / m  # (G, b, k, w)
+        del raw
+        if not _grad_enabled:  # no backward: free the hidden layers before xk
+            hk = hw = None
+        wk = wsm[..., None]
+        xk = xs[:, :, None, :] * k_hat
+        att = (wk * xk).sum(axis=2)
+        z = att @ wp + bp[:, None] + xs
+        for j, (i, (s, e)) in enumerate(zip(members, cols)):
+            out[:, s:e] = z[j]
+            k_hats[i], weights[i] = k_hat[j], wsm[j]
+        stacks.append((members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, wk, xk, att))
 
     def backward(g):
-        gx = g[:, None, :]
-        if w.requires_grad:
-            w.grad += (gx * xk).sum(axis=2)
-        if x.requires_grad:
-            x.grad += g * (wk * k_hat).sum(axis=1)
-        if raw.requires_grad:
-            gk = wk * (gx * x.data[:, None, :])
-            proj = (gk - k_hat * (k_hat * gk).sum(axis=2, keepdims=True)) / m
-            raw.grad += np.where(norm > EPS, proj, gk / EPS).reshape(b, k * p)
+        for members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, wk, xk, att in stacks:
+            w1k, w2k, w1w, w2w, wp = (prm[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
+            gz = _stack([g[:, s:e] for s, e in cols])
+            gatt = gz @ wp
+            gq = gatt[:, :, None, :]
+            gw = (gq * xk).sum(axis=3)
+            gk = wk * (gq * xs[:, :, None, :])
+            proj = (gk - k_hat * (k_hat * gk).sum(axis=3, keepdims=True)) / m
+            graw = np.where(norm > EPS, proj, gk / EPS).reshape(hk.shape[:2] + (-1,))
+            glogits = _softmax_rows_grad(wsm, gw)
+            ghw = (glogits @ w2w) * (1.0 - hw * hw)
+            ghk = (graw @ w2k) * (1.0 - hk * hk)
+            xs_t = xs.transpose(0, 2, 1)
+            grads = (xs_t @ ghk, ghk.sum(axis=1), hk.transpose(0, 2, 1) @ graw,
+                     graw.sum(axis=1), xs_t @ ghw, ghw.sum(axis=1),
+                     hw.transpose(0, 2, 1) @ glogits, glogits.sum(axis=1),
+                     att.transpose(0, 2, 1) @ gz, gz.sum(axis=1))
+            for j, i in enumerate(members):
+                for t, gt in zip(param_sets[i], grads):
+                    if t.requires_grad:
+                        t.grad += gt[j]
+            if x.requires_grad:
+                # the residual, kernel mixing, phi_w and phi_k terms, in the
+                # order a graph of one node per layer would add them
+                gx = gz + gatt * (wk * k_hat).sum(axis=2)
+                gx = gx + ghw @ w1w
+                gx = gx + ghk @ w1k
+                for j, (s, e) in enumerate(cols):
+                    x.grad[:, s:e] += gx[j]
 
-    return _node("kernel_attend", (wk * xk).sum(axis=1), (x, raw, w), backward), k_hat
+    parents = (x, *(t for ps in param_sets for t in ps))
+    return _node("kernel_attention", out, parents, backward), k_hats, weights
 
 
 def calibrate(z: Tensor, logits: Tensor, t: Tensor, rng):

@@ -9,7 +9,9 @@ from scalarnet.attention import (
 )
 from scalarnet.errors import ConfigError
 from scalarnet.layers import named_tensors
-from scalarnet.tensor import Rng, Tensor, regression_loss
+from scalarnet.losses import composite_loss
+from scalarnet.model import ModelConfig, ScalarModel
+from scalarnet.tensor import Rng, Tensor, affine, no_grad, regression_loss
 
 
 def loop_oracle(x, params):
@@ -172,3 +174,70 @@ class TestGroupedAttention:
         plist = [KernelAttentionParams.init(Rng(0), 2, 2) for _ in range(2)]
         with pytest.raises(ConfigError):
             grouped_attention_forward(Tensor(np.zeros((2, 5))), spec, plist)
+
+
+def weighted_sum(z, c):
+    """sum(z * c) as a scalar node; z's gradient is exactly c."""
+    n = c.size
+    return affine(z.reshape(1, n), Tensor(c.reshape(n, 1)), Tensor(np.zeros(1)))
+
+
+def random_group_params(widths, k, seed):
+    rng = Rng(seed)
+    plist = [KernelAttentionParams.init(rng, w, k) for w in widths]
+    for prm in plist:  # a nonzero projection, so every parameter gets a gradient
+        prm.phi_p.w.data = rng.normal(prm.phi_p.w.data.shape) * 0.5
+    return plist
+
+
+class TestFusedGroups:
+    """All groups run in one kernel_attention node, stacked by width; each
+    group's output and gradients are those of running it alone."""
+
+    @pytest.mark.parametrize("widths,rows", [
+        ((6,) * 2, 5), ((6,) * 8, 9), ((6,) * 16, 3), ((1, 6, 6, 3, 1), 1)])
+    def test_stacked_groups_equal_each_group_alone(self, widths, rows):
+        bounds = np.cumsum((0,) + widths)
+        spec = FeatureGroupSpec(list(zip(bounds[:-1], bounds[1:])))
+        plist = random_group_params(widths, 3, seed=len(widths))
+        data = np.random.default_rng(rows)
+        x, c = data.normal(size=(2, rows, bounds[-1]))
+        with no_grad():
+            xt = Tensor(x)
+        z, traces = grouped_attention_forward(xt, spec, plist)
+        weighted_sum(z, c).backward()
+        fused = [{n: t.grad.copy() for n, t in named_tensors(prm, "a").items()}
+                 for prm in plist]
+        for g, ((s, e), prm) in enumerate(zip(spec.groups, plist)):
+            with no_grad():
+                xg = Tensor(x[:, s:e])
+            alone = kernel_attention_forward(xg, prm)
+            assert np.array_equal(z.data[:, s:e], alone.z.data)
+            assert np.array_equal(traces[g].k_hat, alone.k_hat)
+            assert np.array_equal(traces[g].w, alone.w)
+            weighted_sum(alone.z, c[:, s:e]).backward()
+            for name, t in named_tensors(prm, "a").items():
+                assert np.array_equal(fused[g][name], t.grad), (g, name)
+
+    def test_loss_graph_size_does_not_grow_with_groups(self):
+        """The train-mode loss graph has one node per attention tier, so its
+        size is the same for 2, 8 and 16 groups of 6 features."""
+        sizes = []
+        for n_groups in (2, 8, 16):
+            p = 6 * n_groups
+            cfg = ModelConfig(groups=[[6 * g, 6 * g + 6] for g in range(n_groups)], seed=0)
+            x = Rng(1).normal((8, p))
+            y_hat, trace = ScalarModel(cfg, p).forward(x, "train", Rng(2))
+            loss, _ = composite_loss(np.zeros(8), y_hat, trace.mu, trace.log_sigma,
+                                     0, cfg.max_epochs, cfg.loss)
+            ops, seen, stack = [], {id(loss)}, [loss]
+            while stack:
+                node = stack.pop()
+                ops.append(node.op)
+                for parent in node._prev:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            assert ops.count("kernel_attention") == 2
+            sizes.append(sum(op != "leaf" for op in ops))
+        assert sizes[0] == sizes[1] == sizes[2]

@@ -245,6 +245,12 @@ def _bad_groups(text):
         "baseline", *common[:4], "--groups", _write(tmp / "g.json", text), "--method", "pls"]
 
 
+def _synth(*extra):
+    """`synth` of 10 rows with the workspace's groups, then `extra` options."""
+    return lambda tmp, common, config: [
+        "synth", "--n", "10", "--groups", common[5], "--out", tmp / "s.csv", *extra]
+
+
 BAD_INPUTS = {
     "baseline_zero_components": lambda tmp, common, config: [
         "baseline", *common, "--method", "pls", "--components", "0"],
@@ -294,6 +300,16 @@ BAD_INPUTS = {
     "loss_warmup_fraction_negative": _bad_config(loss={"warmup_fraction": -1.0}),
     "baseline_ridge_lambda_nan": lambda tmp, common, config: [
         "baseline", *common, "--method", "ridge", "--lambda", "nan"],
+    "train_negative_seed": lambda tmp, common, config: [
+        "train", *common, "--config", config, "--out", tmp / "m.json", "--seed", "-1"],
+    "config_negative_seed": _bad_config(seed=-5),
+    "baseline_negative_seed": lambda tmp, common, config: [
+        "baseline", *common, "--method", "pls", "--seed", "-2"],
+    "gradcheck_negative_seed": lambda tmp, common, config: ["gradcheck", "--seed", "-1"],
+    "synth_negative_seed": _synth("--seed", "-3"),
+    "synth_negative_rows": _synth("--n", "-5"),
+    "synth_zero_rows": _synth("--n", "0"),
+    "synth_nan_noise": _synth("--noise", "nan"),
     "groups_not_pairs": _bad_groups("[1, 2]"),
     "groups_non_integer_end": _bad_groups('[[0, "x"]]'),
     "groups_object": _bad_groups('{"a": 1}'),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalarnet
+from scalarnet import tensor
 from scalarnet.errors import NumericError, ShapeError
 from scalarnet.tensor import (
     EPS,
@@ -14,8 +15,7 @@ from scalarnet.tensor import (
     Tensor,
     affine,
     calibrate,
-    concat,
-    kernel_attend,
+    kernel_attention,
     kl_term,
     mlp2,
     no_grad,
@@ -28,12 +28,32 @@ W_A = np.linspace(-1, 1, 8).reshape(4, 2)
 W_B = np.linspace(0.5, -0.5, 6).reshape(2, 3)
 
 
+def attention_set(w, k, h=3, seed=0):
+    """Ten kernel_attention parameter arrays, phi_p nonzero, for a group of
+    width w with k kernels and hidden width h."""
+    r = np.random.default_rng(seed)
+    shapes = [(w, h), (h,), (h, k * w), (k * w,), (w, h), (h,), (h, k), (k,), (w, w), (w,)]
+    return [r.normal(size=shape) * 0.5 for shape in shapes]
+
+
 def normalize_rows(t):
-    """L2 row normalization through kernel_attend: one kernel, unit weight
-    and unit input."""
-    rows = t.data.shape[0]
-    out, _ = kernel_attend(Tensor(np.ones(t.data.shape)), t, Tensor(np.ones((rows, 1))))
-    return out
+    """L2 normalization of the r rows of t (r, c) through kernel_attention:
+    one unit input row whose r kernels are t's rows (phi_k's output is its
+    bias), uniform kernel weights and an identity projection. Returns (the
+    (1, c) node, mean_j k̂_j + 1; k̂ as an (r, c) array)."""
+    r, c = t.data.shape
+    phi_k = [np.zeros(shape) for shape in [(c, 1), (1,), (1, r * c)]]
+    phi_w = [np.zeros(shape) for shape in [(c, 1), (1,), (1, r), (r,)]]
+    params = [*map(Tensor, phi_k), t.reshape(-1),
+              *map(Tensor, phi_w + [np.eye(c), np.zeros(c)])]
+    out, (k_hat,), _ = kernel_attention(Tensor(np.ones((1, c))), [(0, c)], [params])
+    return out, k_hat[0]
+
+
+def pick(t, start, stop):
+    """Columns [start, stop) of a 2-D t as one affine node (a 0/1 matrix)."""
+    select = np.eye(t.data.shape[1])[:, start:stop]
+    return affine(t, Tensor(select), Tensor(np.zeros(stop - start)))
 
 
 def total(t):
@@ -76,6 +96,7 @@ EPS_NOISE = np.linspace(-1.2, 1.4, 12).reshape(3, 4)
 TIER_W = [np.linspace(-1, 1, 4 * c).reshape(4, c) for c in (3, 2, 1)]
 ALPHA = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
 Y12 = np.linspace(-3.0, 3.0, 12)  # residuals reach both sides of delta
+MIXED = [(0, 5), (5, 9), (9, 12), (12, 13)]  # groups of widths 5, 4, 3, 1
 
 
 class FixedMask:
@@ -102,8 +123,8 @@ class TestForwardExamples:
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_l2_normalize_345(self):
-        out = normalize_rows(Tensor([[3.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-15)
+        _, k_hat = normalize_rows(Tensor([[3.0, 4.0]]))
+        np.testing.assert_allclose(k_hat, [[0.6, 0.8]], atol=1e-15)
 
     def test_matmul_identity(self):
         # g @ w_i inside tiered_projection, with g = I and unit tier weights
@@ -122,22 +143,20 @@ class TestGradients:
             # the deleted generic ops keep their cases, each re-pointed at the
             # fused op that now holds that arithmetic
             ("sub", lambda t: regression_loss(t.reshape(-1), Y12, 1.0, 1.0)[0]),
-            ("div", lambda t: cal(logits=t.cols(1, 3))),  # the 1/(1 - delta)
+            ("div", lambda t: cal(logits=pick(t, 1, 3))),  # the 1/(1 - delta)
             ("rowvec_add", lambda t: affine(Tensor(np.ones((2, 5))),
                                             Tensor(np.ones((5, 12))), t.reshape(-1))),
-            ("colvec_mul", lambda t: tiers(alpha=t.cols(0, 3))),
+            ("colvec_mul", lambda t: tiers(alpha=pick(t, 0, 3))),
             ("matmul", lambda t: tiers(g=t)),
             ("exp", lambda t: reparameterize(Tensor(Z), t, EPS_NOISE)),
             ("tanh", lambda t: t.tanh()),
-            ("sigmoid", lambda t: cal(logits=t.cols(2, 4), train=False)),
+            ("sigmoid", lambda t: cal(logits=pick(t, 2, 4), train=False)),
             ("softmax", lambda t: t.softmax()),
-            ("l2_normalize", lambda t: normalize_rows(t)),
+            ("l2_normalize", lambda t: normalize_rows(t)[0]),
             ("abs", lambda t: regression_loss(t.reshape(-1), Y12, 0.0, 0.7)[0]),
             ("clamp", lambda t: t.clamp(-0.5, 0.5)),
             ("mean", lambda t: kl_term(t, Tensor(T))),
-            ("cols", lambda t: t.cols(1, 3)),
             ("reshape", lambda t: t.reshape(4, 3)),
-            ("concat", lambda t: concat([t, t * 2.0])),
             ("affine", lambda t: affine(t, Tensor(W_A), Tensor(np.array([0.3, -0.2])))),
             (
                 "mlp2",
@@ -145,20 +164,24 @@ class TestGradients:
                                Tensor(W_B), Tensor(np.array([0.2, 0.0, -0.1]))),
             ),
             (
-                "kernel_attend",  # k=2 kernels over p=4 features; d/dx
-                lambda t: kernel_attend(
-                    t,
-                    Tensor(np.linspace(-2, 1.5, 24).reshape(3, 8)),
-                    Tensor(np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])),
-                )[0],
+                "kernel_attention_dx",  # one group, k=2 kernels over p=4 features
+                lambda t: kernel_attention(
+                    t, [(0, 4)], [[Tensor(a) for a in attention_set(4, 2)]])[0],
             ),
             (
-                "kernel_attend_w",  # k=4 kernels over p=2 features; d/dw
-                lambda t: kernel_attend(
-                    Tensor(np.array([[1.0, -0.5], [0.2, 2.0], [-1.5, 0.7]])),
-                    Tensor(np.linspace(-2, 1.5, 24).reshape(3, 8)),
-                    t,
-                )[0],
+                "kernel_attention_mixed_widths",  # widths 5, 4, 3, 1 with k=1; d/dx
+                lambda t: kernel_attention(
+                    affine(t, Tensor(np.linspace(-1, 1, 52).reshape(4, 13)),
+                           Tensor(np.zeros(13))),
+                    MIXED, [[Tensor(a) for a in attention_set(e - s, 1, seed=s)]
+                            for s, e in MIXED])[0],
+            ),
+            (
+                "kernel_attention_dphi_k",  # two stacked 3-wide groups; t is group 0's w1
+                lambda t: kernel_attention(
+                    Tensor(np.linspace(-1.5, 1.4, 18).reshape(3, 6)), [(0, 3), (3, 6)],
+                    [[t, *map(Tensor, attention_set(3, 2, h=4)[1:])],
+                     [Tensor(a) for a in attention_set(3, 2, h=4, seed=1)]])[0],
             ),
             ("calibrate_train_dz", lambda t: cal(z=t)),
             ("calibrate_train_dt", lambda t: cal(t=t)),
@@ -189,7 +212,7 @@ class TestGradients:
         m = 4
         for i in range(m):
             x = Tensor(np.zeros((1, m)))
-            x.softmax().cols(i, i + 1).backward()
+            pick(x.softmax(), i, i + 1).backward()
             assert x.grad[0, i] == pytest.approx((1 / m) * (1 - 1 / m), abs=1e-12)
 
     def test_backward_deterministic(self):
@@ -217,18 +240,19 @@ class TestInvariantsProperties:
     def test_l2_normalize_unit(self, row):
         arr = np.array([row])
         if np.linalg.norm(arr) > 1e-12:
-            out = normalize_rows(Tensor(arr)).data
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+            _, k_hat = normalize_rows(Tensor(arr))
+            assert abs(np.linalg.norm(k_hat) - 1.0) < 1e-10
 
     def test_l2_normalize_zero_row_passes_guard(self):
-        out = normalize_rows(Tensor(np.zeros((1, 3))))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
+        out, k_hat = normalize_rows(Tensor(np.zeros((1, 3))))
+        np.testing.assert_array_equal(k_hat, np.zeros((1, 3)))
+        np.testing.assert_array_equal(out.data, np.ones((1, 3)))
 
     def test_tiny_kernel_gradient_passes_through_scaled(self):
         # below the EPS norm the normalization divides by EPS, so the
         # gradient is the upstream gradient over EPS, with no projection
         raw = Tensor(np.array([[3e-13, 4e-13, 0.0]]))
-        total(normalize_rows(raw)).backward()
+        total(normalize_rows(raw)[0]).backward()
         np.testing.assert_array_equal(raw.grad, np.full((1, 3), 1.0 / EPS))
 
 
@@ -272,8 +296,11 @@ class TestErrors:
         with pytest.raises(ShapeError, match="mlp2"):
             mlp2(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
                  Tensor(np.zeros((5, 1))), Tensor(np.zeros(1)))
-        with pytest.raises(ShapeError, match="kernel_attend"):
-            kernel_attend(x, Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 2))))
+        two_wide = [Tensor(a) for a in attention_set(2, 2)]
+        with pytest.raises(ShapeError, match="kernel_attention"):  # width 3, params of 2
+            kernel_attention(x, [(0, 3)], [two_wide])
+        with pytest.raises(ShapeError, match="kernel_attention"):  # groups miss column 2
+            kernel_attention(x, [(0, 2)], [two_wide])
         with pytest.raises(ShapeError, match="calibrate"):
             calibrate(x, Tensor(np.zeros((2, 3))), x, None)
         with pytest.raises(ShapeError, match="reparameterize"):
@@ -330,9 +357,13 @@ class TestVocabulary:
         assert sorted(public - used) == []
 
     @pytest.mark.parametrize("name", ["__sub__", "__rsub__", "__truediv__", "__matmul__",
-                                      "sigmoid", "abs", "exp", "sum", "mean"])
+                                      "sigmoid", "abs", "exp", "sum", "mean", "cols"])
     def test_deleted_generic_ops_stay_deleted(self, name):
         assert not hasattr(Tensor, name)
+
+    @pytest.mark.parametrize("name", ["concat", "kernel_attend"])
+    def test_deleted_module_ops_stay_deleted(self, name):
+        assert not hasattr(tensor, name)
 
 
 GRAPH_LINKS = {"_prev", "_backward", "op"}
@@ -363,12 +394,11 @@ def _link_writers(scope, tree, attrs):
 OPERANDS = {
     "add": (lambda a, b: a + b, [Z, T]),
     "mul": (lambda a, b: a * b, [Z, T]),
-    "concat": (lambda a, b: concat([a, b]), [Z, T]),
     "affine": (affine, [Z, W_A, np.array([0.3, -0.2])]),
     "mlp2": (mlp2, [Z, W_A, np.array([0.1, -0.4]), W_B, np.array([0.2, 0.0, -0.1])]),
-    "kernel_attend": (lambda x, raw, w: kernel_attend(x, raw, w)[0],
-                      [Z, np.linspace(-2, 1.5, 24).reshape(3, 8),
-                       np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])]),
+    "kernel_attention": (  # two stacked groups of width 2
+        lambda x, *ps: kernel_attention(x, [(0, 2), (2, 4)], [ps[:10], ps[10:]])[0],
+        [Z, *attention_set(2, 2, seed=1), *attention_set(2, 2, seed=2)]),
     "calibrate_train": (lambda z, lg, t: calibrate(z, lg, t, FixedMask())[0], [Z, LOGITS, T]),
     "calibrate_eval": (lambda z, lg, t: calibrate(z, lg, t, None)[0], [Z, LOGITS, T]),
     "reparameterize": (lambda mu, ls: reparameterize(mu, ls, EPS_NOISE), [Z, T]),
@@ -390,10 +420,10 @@ class TestNodeConstructor:
 
     def test_node_guards_and_links(self):
         t = Tensor(np.ones((2, 3)))
-        out = t.cols(0, 2)
-        assert out._prev == (t,) and out.op == "cols"
-        with pytest.raises(NumericError, match="'cols'"):
-            Tensor([[1.0, np.inf]]).cols(1, 2)
+        out = t.reshape(3, 2)
+        assert out._prev == (t,) and out.op == "reshape"
+        with pytest.raises(NumericError, match="'reshape'"):
+            Tensor([[1.0, np.inf]]).reshape(2)
 
     def test_node_of_constants_is_a_constant(self):
         with no_grad():
@@ -404,7 +434,7 @@ class TestNodeConstructor:
         c = (a + b).tanh()
         assert not c.requires_grad and c._prev == () and c._backward is None
         with pytest.raises(NumericError, match="constant"):
-            c.reshape(1, 12).cols(0, 1).backward()
+            regression_loss(c.reshape(-1), np.zeros(12), 1.0, 1.0)[0].backward()
 
     def test_no_grad_records_nothing_and_restores_grad_mode(self):
         w = Tensor(W_A)
