@@ -203,7 +203,10 @@ def main(argv=None) -> int:
         # overflow and invalid-value warnings would only repeat it
         with np.errstate(all="ignore"):
             args.func(args)
-    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # an unreadable or unwritable path (a missing file, a directory) and a
+    # file that is not UTF-8 text are usage errors too
+    except (ConfigError, DataError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

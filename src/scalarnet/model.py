@@ -123,7 +123,14 @@ class ForwardTrace:
 
 
 class ScalarModel:
-    """Holds all learnable parameters and runs the end-to-end forward pass."""
+    """Holds all learnable parameters and runs the end-to-end forward pass.
+
+    The model owns two flat float64 buffers laid out in `named_parameters()`
+    order: `flat` holds every parameter and `grad_flat` their gradients, and
+    each parameter's `.data` and `.grad` are reshaped views of them. Writing
+    into a view (`t.data[...] = a`) updates the buffer; assigning `.data`
+    detaches that parameter from it.
+    """
 
     def __init__(self, cfg: ModelConfig, p: int):
         cfg.spec.validate_width(p)
@@ -139,9 +146,18 @@ class ScalarModel:
         self.var_params = VariationalParams.init(rng, p, self.d)
         self.global_params = KernelAttentionParams.init(rng, p, cfg.k)
         self.head_params = HeadParams.init(rng, p, comps)
+        named = self.named_parameters().values()
+        self.flat = np.concatenate([t.data.reshape(-1) for t in named])
+        self.grad_flat = np.zeros(self.flat.size)
+        offset = 0
+        for t in named:
+            shape, end = t.data.shape, offset + t.data.size
+            t.data = self.flat[offset:end].reshape(shape)
+            t.grad = self.grad_flat[offset:end].reshape(shape)
+            offset = end
 
     def named_parameters(self) -> dict:
-        """Checkpoint name -> parameter, in optimizer order."""
+        """Checkpoint name -> parameter, in the order of `flat`."""
         out = {}
         for g, gp in enumerate(self.group_params):
             out.update(named_tensors(gp, f"group{g}"))

@@ -17,6 +17,13 @@ the backward closure; a closure receives the node's gradient `g` and adds its
 parents' shares. Graphs are rebuilt every forward pass; backward() runs a
 deterministic reverse topological accumulation seeded with 1.
 
+Each backward gives every tensor it reaches exactly that backward's gradient,
+and returns the leaves it reached. A reached leaf that already holds a
+gradient array of its shape has it zero-filled in place, so a gradient that
+views a flat buffer stays a view; every other reached tensor gets a new zero
+array. A leaf the backward does not reach keeps whatever gradient it held, so
+a caller that needs every parameter's gradient checks the returned leaves.
+
 A tensor's `requires_grad` says whether backward gives it a gradient. A leaf
 needs one, unless it was made inside a `no_grad()` block: such a leaf is a
 constant, as the model input is. A node needs one when grad mode is on and
@@ -161,9 +168,10 @@ class Tensor:
             raise ShapeError("softmax expects a 2-D tensor with nonempty rows")
         return self._unary("softmax", _softmax_rows, lambda a, y, g: _softmax_rows_grad(y, g))
 
-    def backward(self):
+    def backward(self) -> list:
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
-        Only the nodes that need a gradient get one."""
+        Only the nodes that need a gradient get one, and each holds exactly
+        this backward's gradient. Returns the leaves it reached."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -171,12 +179,21 @@ class Tensor:
         if not self.requires_grad:
             raise NumericError("backward from a constant: nothing needs a gradient")
         topo = self._toposort()
+        leaves = []
         for t in topo:
-            t.grad = np.zeros_like(t.data)
-        self.grad = np.ones_like(self.data)
+            if t._prev:
+                t.grad = np.zeros(t.data.shape)
+                continue
+            leaves.append(t)
+            if t.grad is not None and t.grad.shape == t.data.shape:
+                t.grad.fill(0.0)  # reused in place: it may view a flat buffer
+            else:
+                t.grad = np.zeros(t.data.shape)
+        self.grad = np.ones(self.data.shape)
         for t in reversed(topo):
             if t._backward is not None:
                 t._backward(t.grad)
+        return leaves
 
     def _toposort(self):
         order, visited = [], set()

@@ -36,38 +36,38 @@ EVAL_ALIGN = 64
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named parameter dict.
+    """Adaptive-moment gradient descent with global-norm gradient clipping
+    over a model's flat buffers.
 
-    The optimizer owns one flat float64 buffer holding every parameter; each
-    parameter's `.data` becomes a reshaped view of it, so a step is a few
-    whole-buffer array operations. Assigning a parameter's `.data` after
-    construction detaches that parameter from the optimizer.
+    The model owns the parameters (`model.flat`) and their gradients
+    (`model.grad_flat`); Adam keeps its moments `m` and `v`, the step count
+    `t` and `lr`, and updates `model.flat` in place with a few whole-buffer
+    array operations, reading the gradients where backward left them.
+    `params` names the model's parameters, to report a missing gradient.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict, lr: float):
-        self.params = params
+    def __init__(self, model: ScalarModel, lr: float):
+        self.params = model.named_parameters()
+        self.flat, self.grad_flat = model.flat, model.grad_flat
         self.lr = lr
         self.t = 0
-        self.flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
-        offset = 0
-        for p in params.values():
-            n = p.data.size
-            p.data = self.flat[offset : offset + n].reshape(p.data.shape)
-            offset += n
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        self.m = np.zeros(self.flat.size)
+        self.v = np.zeros(self.flat.size)
 
-    def step(self, clip_norm: float):
-        grads = [p.grad for p in self.params.values()]
-        if any(g is None for g in grads):
-            missing = [k for k, p in self.params.items() if p.grad is None]
+    def step(self, clip_norm: float, reached):
+        """Update from the gradients of the backward that reached the leaves
+        `reached` (what `Tensor.backward` returns); a parameter it did not
+        reach holds no gradient of that backward, and raises NumericError."""
+        seen = set(map(id, reached))
+        missing = [k for k, p in self.params.items() if id(p) not in seen]
+        if missing:
             raise NumericError(f"missing gradients for {missing[:3]}")
-        g = np.concatenate([gr.reshape(-1) for gr in grads])
+        g = self.grad_flat
         total = math.sqrt(float(g @ g))
         if total > clip_norm:
-            g *= clip_norm / total
+            g = g * (clip_norm / total)
         self.t += 1
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
@@ -132,7 +132,7 @@ class Checkpoint:
                     f"checkpoint parameter {k!r} has shape {arr.shape}, "
                     f"expected {t.data.shape}"
                 )
-            t.data = arr
+            t.data[...] = arr
         return model
 
     def get_scaler(self) -> Scaler:
@@ -188,8 +188,8 @@ def train_step(model: ScalarModel, opt: Adam, x, y, epoch: int, rng: Rng) -> flo
     total, _ = composite_loss(
         y, y_hat, trace.mu, trace.log_sigma, epoch, cfg.max_epochs, cfg.loss
     )
-    total.backward()
-    opt.step(cfg.grad_clip_norm)
+    reached = total.backward()
+    opt.step(cfg.grad_clip_norm, reached)
     return float(total.data)
 
 
@@ -212,9 +212,9 @@ def train(ds: Dataset, cfg: ModelConfig):
     x_tr, y_tr = ds.x[tr_idx], ds.y[tr_idx]
     x_val, y_val = ds.x[val_idx], ds.y[val_idx]
 
-    opt = Adam(model.named_parameters(), cfg.learning_rate)
+    opt = Adam(model, cfg.learning_rate)
     history = []
-    best_val, best_flat, best_epoch = math.inf, opt.flat.copy(), 0
+    best_val, best_flat, best_epoch = math.inf, model.flat.copy(), 0
     bad_epochs = 0
     for epoch in range(cfg.max_epochs):
         batch_losses = []
@@ -245,14 +245,14 @@ def train(ds: Dataset, cfg: ModelConfig):
             }
         )
         if val_loss < best_val:
-            best_val, best_flat, best_epoch = val_loss, opt.flat.copy(), epoch
+            best_val, best_flat, best_epoch = val_loss, model.flat.copy(), epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > cfg.patience:
                 break
 
-    opt.flat[:] = best_flat
+    model.flat[:] = best_flat
     return _checkpoint_from(model, ds, best_val, best_epoch), history
 
 

@@ -257,7 +257,7 @@ def test_06_capacity():
         loss=LossConfig(beta0=0.0),
     )
     model = ScalarModel(cfg, 8)
-    opt = Adam(model.named_parameters(), cfg.learning_rate)
+    opt = Adam(model, cfg.learning_rate)
     noise = Rng(cfg.seed + 1)
     order = np.random.default_rng(cfg.seed + 2)
     for epoch in range(cfg.max_epochs):

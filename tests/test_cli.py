@@ -208,6 +208,11 @@ def _write(path, text):
     return path
 
 
+def _write_bytes(path, blob):
+    path.write_bytes(blob)
+    return path
+
+
 def _constant_column_data(tmp):
     """A 200x6 CSV whose third feature is constant, so X has rank 5."""
     rng = np.random.default_rng(0)
@@ -313,6 +318,21 @@ BAD_INPUTS = {
     "groups_not_pairs": _bad_groups("[1, 2]"),
     "groups_non_integer_end": _bad_groups('[[0, "x"]]'),
     "groups_object": _bad_groups('{"a": 1}'),
+    "train_out_directory": lambda tmp, common, config: [
+        "train", *common, "--config", config, "--out", tmp],
+    "train_config_directory": lambda tmp, common, config: [
+        "train", *common, "--config", tmp, "--out", tmp / "m.json"],
+    "importance_out_directory": lambda tmp, common, config: [
+        "importance", *common, "--ckpt", _trained_checkpoint(tmp, common, config),
+        "--out", tmp],
+    "checkpoint_not_utf8": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _write_bytes(tmp / "c.json", b"\xff\xfe{}")],
+    "eval_data_not_utf8": lambda tmp, common, config: [
+        "eval", "--data", _write_bytes(tmp / "d.csv", b"f0,y\n\xff,1\n"), *common[2:],
+        "--ckpt", _trained_checkpoint(tmp, common, config)],
+    "baseline_data_not_utf8": lambda tmp, common, config: [
+        "baseline", "--data", _write_bytes(tmp / "d.csv", b"\xe9,y\n1,2\n"), *common[2:],
+        "--method", "ridge"],
 }
 
 

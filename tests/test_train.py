@@ -12,7 +12,7 @@ from scalarnet.errors import ConfigError, NumericError
 from scalarnet.head import feature_importance
 from scalarnet.losses import LossConfig, composite_loss
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng, Tensor
+from scalarnet.tensor import Rng, Tensor, kl_term
 from scalarnet.train import (
     EVAL_ALIGN,
     EVAL_ROWS,
@@ -23,6 +23,7 @@ from scalarnet.train import (
     importance_scores,
     predict,
     train,
+    train_step,
 )
 
 GROUPS = [[0, 4], [4, 8]]
@@ -106,13 +107,13 @@ class TestAdam:
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v = {k: np.zeros_like(a) for k, a in ref.items()}
         lr, b1, b2, eps, clip = 3e-3, 0.9, 0.999, 1e-8, 5.0
-        opt = Adam(named, lr)
+        opt = Adam(model, lr)
         rng = np.random.default_rng(0)
         clipped = 0
         for t in range(1, 6):
             grads = {k: rng.normal(size=a.shape) * 3.0 for k, a in ref.items()}
             for k, p in named.items():
-                p.grad = grads[k]
+                p.grad[...] = grads[k]  # written through the views of grad_flat
             # per-tensor reference: the update rule written one tensor at a time
             total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if total > clip:
@@ -124,17 +125,78 @@ class TestAdam:
                 ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (
                     np.sqrt(v[k] / (1.0 - b2**t)) + eps
                 )
-            opt.step(clip)
+            opt.step(clip, list(named.values()))
         assert clipped == 5
         for k, p in named.items():
             np.testing.assert_allclose(p.data, ref[k], rtol=1e-12, atol=0.0)
-            assert np.shares_memory(p.data, opt.flat), k
+            assert np.shares_memory(p.data, model.flat), k
 
     def test_missing_gradient_raises(self):
-        named = ScalarModel(quick_cfg(), 8).named_parameters()
-        opt = Adam(named, 1e-3)
+        opt = Adam(ScalarModel(quick_cfg(), 8), 1e-3)
         with pytest.raises(NumericError, match="missing gradients"):
-            opt.step(5.0)
+            opt.step(5.0, [])
+
+
+def batch_loss(model, x, y, rng):
+    """The train-mode composite loss of one batch at epoch 0 of 10."""
+    y_hat, trace = model.forward(x, "train", rng)
+    total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10,
+                              model.cfg.loss)
+    return total
+
+
+class TestFlatBuffers:
+    """The model owns one flat parameter buffer and one flat gradient buffer;
+    every parameter's data and gradient view them."""
+
+    @staticmethod
+    def assert_views(model):
+        named = model.named_parameters()
+        assert sum(t.data.size for t in named.values()) == model.flat.size
+        for k, t in named.items():
+            assert np.shares_memory(t.data, model.flat), k
+            assert np.shares_memory(t.grad, model.grad_flat), k
+
+    def test_views_survive_training_steps(self):
+        model = ScalarModel(quick_cfg(), 8)
+        opt = Adam(model, 3e-3)
+        data, noise = Rng(1), Rng(2)
+        for _ in range(2):
+            train_step(model, opt, data.normal((16, 8)), data.normal(16), 0, noise)
+        self.assert_views(model)
+
+    def test_each_backward_gives_only_its_own_gradient(self):
+        data = Rng(1)
+        xa, ya = data.normal((16, 8)), data.normal(16)
+        xb, yb = data.normal((9, 8)), data.normal(9)
+        model = ScalarModel(quick_cfg(), 8)
+        batch_loss(model, xa, ya, Rng(2)).backward()
+        batch_loss(model, xb, yb, Rng(3)).backward()
+        fresh = ScalarModel(quick_cfg(), 8)
+        batch_loss(fresh, xb, yb, Rng(3)).backward()
+        assert np.array_equal(model.grad_flat, fresh.grad_flat)
+        named = model.named_parameters()
+        for k, t in fresh.named_parameters().items():
+            assert np.array_equal(named[k].grad, t.grad), k
+
+    def test_parameter_the_latest_backward_missed_raises(self):
+        """A stale gradient from an earlier backward does not count: the KL
+        term alone never reaches the decoder, the global tier or the head."""
+        model = ScalarModel(quick_cfg(), 8)
+        opt = Adam(model, 3e-3)
+        data, noise = Rng(1), Rng(2)
+        x, y = data.normal((16, 8)), data.normal(16)
+        train_step(model, opt, x, y, 0, noise)  # reaches every parameter
+        _, trace = model.forward(x, "train", noise)
+        reached = kl_term(trace.mu, trace.log_sigma).backward()
+        with pytest.raises(NumericError, match=r"missing gradients for \['var\.phi_d\.l1\.w'"):
+            opt.step(5.0, reached)
+
+    def test_checkpoint_model_views_its_flat_buffer(self, acceptance_ckpt):
+        model = acceptance_ckpt.build_model()
+        self.assert_views(model)
+        expected = [np.ravel(acceptance_ckpt.params[k]) for k in model.named_parameters()]
+        assert np.array_equal(model.flat, np.concatenate(expected))
 
 
 MLP = ["l1.w", "l1.b", "l2.w", "l2.b"]
