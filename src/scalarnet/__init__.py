@@ -11,7 +11,6 @@ from .attention import (
 from .calibration import (
     CalibrationParams,
     VariationalParams,
-    kl_term,
     self_calibrate,
     variational_encode_decode,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "kernel_attention_forward",
     "CalibrationParams",
     "VariationalParams",
-    "kl_term",
     "self_calibrate",
     "variational_encode_decode",
     "Dataset",

@@ -92,8 +92,7 @@ class KernelAttentionParams:
 
     def tensors(self) -> tuple:
         """The ten parameters in `kernel_attention`'s order."""
-        k, w, p = self.phi_k, self.phi_w, self.phi_p
-        return (k.l1.w, k.l1.b, k.l2.w, k.l2.b, w.l1.w, w.l1.b, w.l2.w, w.l2.b, p.w, p.b)
+        return (*self.phi_k.tensors(), *self.phi_w.tensors(), *self.phi_p.tensors())
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Self-calibration (input-conditioned dropout rate and scaling on a
 transformed-feature residual branch) followed by the variational
-encode-sample-decode block and its KL regularizer.
+encode-sample-decode block, whose KL regularizer is part of the `loss` op.
 """
 
 from __future__ import annotations
@@ -9,9 +9,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width
-from .tensor import Rng, calibrate, kl_term, reparameterize  # kl_term re-exported
-
-LOG_SIGMA_CLAMP = 10.0
+from .tensor import Rng, calibration, decode, encode
 
 
 @dataclass
@@ -55,24 +53,17 @@ def default_latent_dim(p: int) -> int:
 
 
 def self_calibrate(z, params, rng):
-    """Apply the calibrated residual branch.
-
-    Returns (s, delta, gamma): s is the (b, p) graph Tensor; delta and gamma
-    are (b, 1) ndarrays outside the graph. With an `rng` (train mode) the
-    transformed features are multiplied by an inverted-dropout Bernoulli mask
-    drawn per element, after delta is known; with `rng` None (eval mode) the
-    mask is replaced by its expectation, which cancels the 1/(1-delta) factor.
-    """
-    return calibrate(z, params.phi_c(z), params.phi_t(z), rng)
+    """The calibrated residual branch on z (b, p), the `calibration` op:
+    returns (s, delta, gamma), delta and gamma (b, 1) ndarrays. With `rng`
+    None (eval mode) the dropout mask is replaced by its expectation."""
+    return calibration(z, params.phi_c.tensors(), params.phi_t.tensors(), rng)
 
 
 def variational_encode_decode(s, params, rng):
     """Encode to (mu, log sigma), sample by reparameterization with noise
     from `rng` (train mode) or take the posterior mean (`rng` None, eval
-    mode), decode with a residual back to feature space."""
-    h = params.phi_e(s).tanh()
-    mu = params.phi_mu(h)
-    log_sigma = params.phi_sigma(h).clamp(-LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
-    z = mu if rng is None else reparameterize(mu, log_sigma, rng.normal(mu.data.shape))
-    v = s + params.phi_d(z)
-    return v, mu, log_sigma, z
+    mode), decode with a residual back to feature space. Returns (v, the
+    `encode` node, whose data[0] is mu and data[1] log sigma)."""
+    latent = encode(s, params.phi_e.tensors(), params.phi_mu.tensors(),
+                    params.phi_sigma.tensors())
+    return decode(latent, s, params.phi_d.tensors(), rng), latent

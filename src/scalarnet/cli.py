@@ -28,7 +28,7 @@ from .train import (
 
 
 def _load_config(path, groups, seed=None) -> ModelConfig:
-    with open(path, encoding="utf-8") as fh:
+    with data.open_text(path, ConfigError) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config is not a JSON object")
@@ -41,6 +41,7 @@ def _load_config(path, groups, seed=None) -> ModelConfig:
 def cmd_train(args):
     ds = data.load_csv(args.data, args.target, args.groups)
     cfg = _load_config(args.config, [list(g) for g in ds.spec.groups], args.seed)
+    open(args.out, "a", encoding="utf-8").close()  # an unwritable --out fails before training
     ckpt, history = train(data.standardize(ds), cfg)
     ckpt.save(args.out)
     last = history[-1]
@@ -65,6 +66,7 @@ def cmd_eval(args):
 def cmd_importance(args):
     ckpt = Checkpoint.load(args.ckpt)
     ds = data.load_csv(args.data, args.target, args.groups)
+    open(args.out, "a", encoding="utf-8").close()  # an unwritable --out fails before scoring
     _, normalized = importance_scores(ckpt, ds)
     order = sorted(range(ds.p), key=lambda j: -normalized[j])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -203,10 +205,9 @@ def main(argv=None) -> int:
         # overflow and invalid-value warnings would only repeat it
         with np.errstate(all="ignore"):
             args.func(args)
-    # an unreadable or unwritable path (a missing file, a directory) and a
-    # file that is not UTF-8 text are usage errors too
-    except (ConfigError, DataError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    # an unreadable or unwritable path (a missing file, a directory) is a
+    # usage error too; a file that is not UTF-8 text raises one naming it
+    except (ConfigError, DataError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -7,6 +7,7 @@ is JSON listing half-open [start, end) column intervals.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import warnings
@@ -51,8 +52,18 @@ class SplitPlan:
     test: np.ndarray
 
 
+@contextlib.contextmanager
+def open_text(path, error):
+    """`path` opened as UTF-8 text; bytes that are not UTF-8 raise `error` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_groups(path) -> FeatureGroupSpec:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         raw = json.load(fh)
     return FeatureGroupSpec(raw)
 
@@ -61,7 +72,7 @@ def load_csv(path, target_column: str, groups_path=None) -> Dataset:
     """Read a numeric CSV with a header row; the target column is removed
     from X. Without a groups file a single group [0, p) is assumed."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, DataError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

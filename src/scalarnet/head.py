@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .layers import Mlp2, glorot, hidden_width
-from .tensor import Rng, Tensor, tiered_projection
+from .tensor import Rng, Tensor, head
 
 
 def default_components(p: int):
@@ -57,12 +57,10 @@ def head_forward(g: Tensor, params: HeadParams):
     """Predict one scalar per row of the global-attention output g (b, p).
 
     Returns (y_hat, alpha): y_hat is the (b,) graph Tensor and alpha the
-    (b, 3) tier weights, an ndarray copy outside the graph.
+    (b, 3) tier weights, an ndarray outside the graph.
     """
-    alpha = params.phi_alpha(g).softmax()  # (b, 3)
-    blocks = tiered_projection(g, params.w1, params.w2, params.w3, alpha)
-    y = params.phi_y(blocks)  # (b, 1)
-    return y.reshape(-1), alpha.data.copy()
+    return head(g, params.w1, params.w2, params.w3, params.phi_alpha.tensors(),
+                params.phi_y.tensors())
 
 
 def feature_importance(k_hat: np.ndarray, w: np.ndarray):

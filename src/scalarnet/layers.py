@@ -42,6 +42,9 @@ class Affine:
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.w, self.b)
 
+    def tensors(self) -> tuple:
+        return self.w, self.b
+
 
 @dataclass
 class Mlp2:
@@ -55,7 +58,11 @@ class Mlp2:
         return cls(Affine.init(rng, fan_in, hidden), Affine.init(rng, hidden, fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return mlp2(x, self.l1.w, self.l1.b, self.l2.w, self.l2.b)
+        return mlp2(x, *self.tensors())
+
+    def tensors(self) -> tuple:
+        """(w1, b1, w2, b2), the parameters of the `mlp2` op and the stage ops."""
+        return self.l1.w, self.l1.b, self.l2.w, self.l2.b
 
 
 def hidden_width(p_in: int) -> int:

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import kl_term
 from .errors import ConfigError, DataError
-from .tensor import regression_loss
+from .tensor import loss
 
 
 @dataclass
@@ -39,11 +38,12 @@ def kl_weight(epoch: int, total_epochs: int, warmup_fraction: float = 0.1) -> fl
     return min(1.0, (epoch / total_epochs) / warmup_fraction)
 
 
-def composite_loss(y, y_hat, mu, log_sigma, epoch, total_epochs, cfg: LossConfig):
-    """Weighted MSE + Huber plus warmup-scaled KL.
+def composite_loss(y, y_hat, latent, epoch, total_epochs, cfg: LossConfig):
+    """Weighted MSE + Huber plus warmup-scaled KL, as one `loss` node.
 
-    y is a plain array; y_hat (and mu/log_sigma when present) are graph
-    tensors. Returns (total loss Tensor, parts dict of floats).
+    y is a plain array; y_hat and the `encode` node `latent` (None without
+    the variational block) are graph tensors. Returns (total loss Tensor,
+    parts dict of floats).
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y_hat.data.ndim != 1 or y_hat.data.shape[0] != y.shape[0]:
@@ -52,14 +52,10 @@ def composite_loss(y, y_hat, mu, log_sigma, epoch, total_epochs, cfg: LossConfig
         )
     if not 0 <= epoch <= total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {total_epochs}]")
-    total, mse, hub = regression_loss(y_hat, y, cfg.omega_mse, cfg.huber_delta)
     w_kl = kl_weight(epoch, total_epochs, cfg.warmup_fraction)
-    parts = {"mse": mse, "huber": hub, "kl": 0.0, "kl_weight": w_kl}
-    if mu is not None and cfg.beta0 > 0.0:
-        kl = kl_term(mu, log_sigma)
-        total = total + kl * (w_kl * cfg.beta0)
-        parts["kl"] = float(kl.data)
-    return total, parts
+    total, mse, hub, kl = loss(y_hat, y, latent if cfg.beta0 > 0.0 else None,
+                               cfg.omega_mse, cfg.huber_delta, w_kl * cfg.beta0)
+    return total, {"mse": mse, "huber": hub, "kl": kl, "kl_weight": w_kl}
 
 
 def _targets_and_predictions(y, y_hat):

@@ -116,8 +116,7 @@ class ForwardTrace:
     group_traces: list  # per-group AttentionTrace
     delta: np.ndarray  # (batch,)
     gamma: np.ndarray  # (batch,)
-    mu: "Tensor | None"
-    log_sigma: "Tensor | None"
+    latent: "Tensor | None"  # the (2, batch, d) encode node: mu and log sigma
     global_trace: AttentionTrace
     alpha: np.ndarray  # (batch, 3)
 
@@ -187,19 +186,16 @@ class ScalarModel:
         with no_grad() if mode == "eval" else contextlib.nullcontext():
             z, group_traces = grouped_attention_forward(xt, self.cfg.spec, self.group_params)
             s, delta, gamma = self_calibrate(z, self.cal_params, rng)
-            mu = log_sigma = None
+            v, latent = s, None
             if self.cfg.use_variational:
-                v, mu, log_sigma, _ = variational_encode_decode(s, self.var_params, rng)
-            else:
-                v = s
+                v, latent = variational_encode_decode(s, self.var_params, rng)
             global_trace = kernel_attention_forward(v, self.global_params)
             y_hat, alpha = head_forward(global_trace.z, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,
             delta=delta.reshape(-1),
             gamma=gamma.reshape(-1),
-            mu=mu,
-            log_sigma=log_sigma,
+            latent=latent,
             global_trace=global_trace,
             alpha=alpha,
         )

@@ -1,15 +1,15 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
-The op vocabulary is what the model topology needs; each layer and stage is
-one graph node. Generic ops: same-shape `+` and `*`, `*` by a Python float (a
-constant of the node, never a leaf), `reshape`, `tanh`, `clamp` and row
-`softmax`. Fused ops with a hand-written backward: `affine`, `mlp2`
-(two-layer tanh net), `kernel_attention` (a whole attention tier: every
-column group's kernels, kernel weights, mixing, projection and residual, the
-groups of one width stacked), `calibrate` (self-calibrated residual),
-`reparameterize`, `tiered_projection` (the head's α-scaled projections),
-`regression_loss` (MSE/Huber blend) and `kl_term`. Nothing broadcasts:
-operands match in shape, or a fused op checks the shapes it documents.
+Each of the paper's stages is one graph node, and there are no generic
+arithmetic ops. The eight ops, each with a hand-written backward:
+`kernel_attention` (a whole attention tier: every column group's kernels,
+kernel weights, mixing, projection and residual, the groups of one width
+stacked), `calibration`, `encode` (μ and log σ in one (2, b, d) node),
+`decode` (the reparameterized draw, decoder and residual), `head` and `loss`
+(MSE/Huber blend plus scaled KL), and the single layers `affine` and `mlp2`
+(two-layer tanh net). Every two-layer tanh net runs through `_mlp2` and
+`_mlp2_grad`. Nothing broadcasts: each op checks the shapes it documents,
+and a non-finite value inside an op raises a NumericError naming it.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
 `_node`, the one place that guards the output, records the parents and binds
@@ -45,6 +45,7 @@ from .errors import NumericError, ShapeError
 EPS = 1e-12  # floor on a kernel's norm in kernel_attention
 DELTA_RANGE = (0.0, 0.4)  # calibrated dropout rate
 GAMMA_RANGE = (0.5, 1.0)  # calibrated residual scale
+LOG_SIGMA_CLAMP = 10.0  # bound on the encoder's log σ
 
 _grad_enabled = True  # off inside no_grad()
 
@@ -118,56 +119,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
-    def _binary(self, other: "Tensor", op, fwd, bwd):
-        _conform(op, other.data.shape == self.data.shape, self, other)
-
-        def backward(g):
-            ga, gb = bwd(self.data, other.data, g)
-            if self.requires_grad:
-                self.grad += ga
-            if other.requires_grad:
-                other.grad += gb
-
-        with np.errstate(all="ignore"):
-            return _node(op, fwd(self.data, other.data), (self, other), backward)
-
-    def _unary(self, op, fwd, bwd):
-        def backward(g):
-            self.grad += bwd(self.data, out.data, g)
-
-        with np.errstate(all="ignore"):
-            out = _node(op, fwd(self.data), (self,), backward)
-        return out
-
-    def __add__(self, other: "Tensor"):
-        return self._binary(other, "add", np.add, lambda a, b, g: (g, g))
-
-    def __mul__(self, other):
-        """Same-shape product, or scaling by a Python float."""
-        if isinstance(other, Tensor):
-            return self._binary(other, "mul", np.multiply, lambda a, b, g: (g * b, g * a))
-        c = float(other)
-        return self._unary("mul", lambda a: a * c, lambda a, y, g: g * c)
-
-    def reshape(self, *shape) -> "Tensor":
-        def backward(g):
-            self.grad += g.reshape(self.data.shape)
-
-        return _node("reshape", self.data.reshape(*shape), (self,), backward)
-
-    def tanh(self):
-        return self._unary("tanh", np.tanh, lambda a, y, g: g * (1.0 - y * y))
-
-    def clamp(self, lo: float, hi: float):
-        return self._unary("clamp", lambda a: np.clip(a, lo, hi),
-                           lambda a, y, g: g * ((a >= lo) & (a <= hi)))
-
-    def softmax(self):
-        """Row-wise softmax of a 2-D tensor."""
-        if self.data.ndim != 2 or self.data.shape[1] == 0:
-            raise ShapeError("softmax expects a 2-D tensor with nonempty rows")
-        return self._unary("softmax", _softmax_rows, lambda a, y, g: _softmax_rows_grad(y, g))
-
     def backward(self) -> list:
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
         Only the nodes that need a gradient get one, and each holds exactly
@@ -211,48 +162,69 @@ class Tensor:
         return order
 
 
-def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
-    """Shapes of x @ w + b: (n, fan_in), (fan_in, fan_out), (fan_out,)."""
-    xs, ws = x.data.shape, w.data.shape
-    ok = len(xs) == len(ws) == 2 and xs[1] == ws[0] and b.data.shape == ws[1:]
-    _conform(op, ok, x, w, b)
+def _layers_ok(x_shape, params, fan_out=None) -> bool:
+    """Whether affine layers (w1, b1, w2, b2, ...), w (fan_in, fan_out) and b
+    (fan_out,), chain from x_shape (n, fan_in) to `fan_out` outputs if given."""
+    for w, b in zip(params[::2], params[1::2]):
+        ws = w.data.shape
+        if not (len(x_shape) == len(ws) == 2 and x_shape[1] == ws[0] and b.data.shape == ws[1:]):
+            return False
+        x_shape = ws
+    return fan_out in (None, x_shape[1])
+
+
+def _mlp2(op: str, x: np.ndarray, net):
+    """(hidden, output) arrays of tanh(x @ w1 + b1) @ w2 + b2 for the
+    parameters net = (w1, b1, w2, b2); a non-finite value raises naming `op`."""
+    w1, b1, w2, b2 = (t.data for t in net)
+    h = np.tanh(_guard(op, x @ w1 + b1))
+    return h, _guard(op, h @ w2 + b2)
+
+
+def _affine_grad(x: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> None:
+    """Add the gradients of w and b in x @ w + b, given g, the output's."""
+    if w.requires_grad:
+        w.grad += x.T @ g
+    if b.requires_grad:
+        b.grad += g.sum(axis=0)
+
+
+def _mlp2_grad(x: np.ndarray, h: np.ndarray, g: np.ndarray, net, gh=None) -> np.ndarray:
+    """Add the parameter gradients of `_mlp2(op, x, net)` given g, the
+    gradient wrt its output, and gh, one already on the hidden layer h (added
+    after g's term). Returns the gradient wrt the hidden pre-activation."""
+    w1, b1, w2, b2 = net
+    _affine_grad(h, g, w2, b2)
+    gh = g @ w2.data.T if gh is None else g @ w2.data.T + gh
+    ga = gh * (1.0 - h * h)
+    _affine_grad(x, ga, w1, b1)
+    return ga
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a 2-D x, (fan_in, fan_out) w and (fan_out,) b."""
-    _check_affine("affine", x, w, b)
+    _conform("affine", _layers_ok(x.data.shape, (w, b)), x, w, b)
 
     def backward(g):
         if x.requires_grad:
             x.grad += g @ w.data.T
-        if w.requires_grad:
-            w.grad += x.data.T @ g
-        if b.requires_grad:
-            b.grad += g.sum(axis=0)
+        _affine_grad(x.data, g, w, b)
 
     return _node("affine", x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """tanh(x @ w1 + b1) @ w2 + b2; the hidden activation is kept for backward."""
-    _check_affine("mlp2", x, w1, b1)
-    _check_affine("mlp2", w1, w2, b2)
-    h = np.tanh(_guard("mlp2", x.data @ w1.data + b1.data))
+    net = (w1, b1, w2, b2)
+    _conform("mlp2", _layers_ok(x.data.shape, net), x, *net)
+    h, out = _mlp2("mlp2", x.data, net)
 
     def backward(g):
-        if w2.requires_grad:
-            w2.grad += h.T @ g
-        if b2.requires_grad:
-            b2.grad += g.sum(axis=0)
-        gh = (g @ w2.data.T) * (1.0 - h * h)
-        if w1.requires_grad:
-            w1.grad += x.data.T @ gh
-        if b1.requires_grad:
-            b1.grad += gh.sum(axis=0)
+        ga = _mlp2_grad(x.data, h, g, net)
         if x.requires_grad:
-            x.grad += gh @ w1.data.T
+            x.grad += ga @ w1.data.T
 
-    return _node("mlp2", h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+    return _node("mlp2", out, (x, *net), backward)
 
 
 def _attention_buckets(x: Tensor, groups, param_sets) -> list:
@@ -362,136 +334,170 @@ def kernel_attention(x: Tensor, groups, param_sets):
     return _node("kernel_attention", out, parents, backward), k_hats, weights
 
 
-def calibrate(z: Tensor, logits: Tensor, t: Tensor, rng):
-    """Self-calibrated residual on z (b, p) with transformed features t (b, p).
-
-    A stable sigmoid of `logits` (b, 2) maps into the dropout rate δ ∈
-    DELTA_RANGE and the scale γ ∈ GAMMA_RANGE, each (b, 1). Train mode gives
-    s = z + γ·(t·m)/(1−δ) with the constant mask m = rng.bernoulli(1−δ,
-    z.shape); eval mode (`rng` None) gives s = z + γ·t. Returns (s Tensor, δ,
-    γ as ndarrays).
-    """
+def calibration(z: Tensor, phi_c, phi_t, rng):
+    """The self-calibrated residual of z (b, p), one node. A sigmoid of the
+    logits phi_c(z) maps into the dropout rate δ ∈ DELTA_RANGE and the scale
+    γ ∈ GAMMA_RANGE, each (b, 1). Train mode gives s = z + γ·(phi_t(z)·m)/(1−δ)
+    with the constant mask m = rng.bernoulli(1−δ, z.shape); eval mode (`rng`
+    None) gives s = z + γ·phi_t(z). phi_c (p → 2) and phi_t (p → p) are
+    two-layer tanh nets (w1, b1, w2, b2). Returns (s, δ, γ as ndarrays)."""
     b, p = z.data.shape
-    _conform("calibrate", logits.data.shape == (b, 2) and t.data.shape == (b, p),
-             z, logits, t)
-    a = logits.data
-    c = np.empty_like(a)
-    pos = a >= 0
-    c[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    c[~pos] = e / (1.0 + e)
+    _conform("calibration", _layers_ok((b, p), phi_c, 2) and _layers_ok((b, p), phi_t, p),
+             z, *phi_c, *phi_t)
+    hc, a = _mlp2("calibration", z.data, phi_c)
+    ht, t = _mlp2("calibration", z.data, phi_t)
+    c = np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))  # a stable sigmoid
     (d_lo, d_hi), (g_lo, g_hi) = DELTA_RANGE, GAMMA_RANGE
     delta = c[:, 0:1] * (d_hi - d_lo) + d_lo
     gamma = c[:, 1:2] * (g_hi - g_lo) + g_lo
     if rng is None:
         m, keep = 1.0, 1.0
-        s = z.data + gamma * t.data
+        s = z.data + gamma * t
     else:
         m, keep = rng.bernoulli(1.0 - delta, z.data.shape), 1.0 - delta
-        s = z.data + gamma * (t.data * m) / keep
+        s = z.data + gamma * (t * m) / keep
 
     def backward(g):
-        if z.requires_grad:
-            z.grad += g
-        if t.requires_grad:
-            t.grad += g * m * (gamma / keep)
-        if not logits.requires_grad:
-            return
-        g_gamma = (g * t.data * m).sum(axis=1, keepdims=True) / keep
+        ga_t = _mlp2_grad(z.data, ht, g * m * (gamma / keep), phi_t)
+        g_gamma = (g * t * m).sum(axis=1, keepdims=True) / keep
         slope = c * (1.0 - c)
-        logits.grad[:, 1:2] += g_gamma * (g_hi - g_lo) * slope[:, 1:2]
+        glogits = np.zeros_like(a)
+        glogits[:, 1:2] = g_gamma * (g_hi - g_lo) * slope[:, 1:2]
         if rng is not None:
-            g_delta = g_gamma * gamma / keep
-            logits.grad[:, 0:1] += g_delta * (d_hi - d_lo) * slope[:, 0:1]
+            glogits[:, 0:1] = g_gamma * gamma / keep * (d_hi - d_lo) * slope[:, 0:1]
+        ga_c = _mlp2_grad(z.data, hc, glogits, phi_c)
+        if z.requires_grad:  # the residual's term, then phi_t's, then phi_c's
+            z.grad += g + ga_t @ phi_t[0].data.T + ga_c @ phi_c[0].data.T
 
-    return _node("calibrate", s, (z, logits, t), backward), delta, gamma
+    return _node("calibration", s, (z, *phi_c, *phi_t), backward), delta, gamma
 
 
-def reparameterize(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
-    """mu + eps·exp(log_sigma/2): a draw from N(mu, sigma²) for the constant
-    standard-normal noise `eps`, differentiable in mu and log sigma."""
-    _conform("reparameterize", mu.data.shape == log_sigma.data.shape == eps.shape,
-             mu, log_sigma, eps)
+def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
+    """The variational encoder of s (b, p), one (2, b, d) node holding μ and
+    log σ: h = tanh(phi_e(s)), μ = phi_mu(h) and log σ = phi_sigma(h) clamped
+    to ±LOG_SIGMA_CLAMP. phi_e, phi_mu and phi_sigma are affine (w, b)."""
+    net = (*phi_e, *phi_sigma)
+    ok = _layers_ok(s.data.shape, net) and _layers_ok(s.data.shape, (*phi_e, *phi_mu),
+                                                       len(phi_sigma[1].data))
+    _conform("encode", ok, s, *phi_e, *phi_mu, *phi_sigma)
+    h, raw = _mlp2("encode", s.data, net)
+    out = np.empty((2,) + raw.shape)
+    out[0] = _guard("encode", h @ phi_mu[0].data + phi_mu[1].data)
+    out[1] = np.clip(raw, -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
 
     def backward(g):
-        if mu.requires_grad:
-            mu.grad += g
-        if log_sigma.requires_grad:
-            log_sigma.grad += g * eps * sd * 0.5
+        _affine_grad(h, g[0], *phi_mu)
+        # h's terms: log σ's, then μ's
+        g_raw = g[1] * ((raw >= -LOG_SIGMA_CLAMP) & (raw <= LOG_SIGMA_CLAMP))
+        ga = _mlp2_grad(s.data, h, g_raw, net, g[0] @ phi_mu[0].data.T)
+        if s.requires_grad:
+            s.grad += ga @ phi_e[0].data.T
 
-    with np.errstate(all="ignore"):
-        sd = np.exp(log_sigma.data * 0.5)
-        return _node("reparameterize", mu.data + eps * sd, (mu, log_sigma), backward)
+    return _node("encode", out, (s, *phi_e, *phi_mu, *phi_sigma), backward)
 
 
-def tiered_projection(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, alpha: Tensor):
-    """concat_i(alpha[:, i] · g @ w_i) for g (b, p), w_i (p, c_i) and tier
-    weights alpha (b, 3); returns the (b, c1+c2+c3) Tensor."""
+def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
+    """v = s + phi_d(r) for s (b, p), the `encode` node `latent` and the
+    two-layer tanh net phi_d (d → p), one node. Train mode draws r = μ +
+    ε·exp(log σ/2) with ε = rng.normal(μ.shape), a constant; eval mode (`rng`
+    None) takes the posterior mean r = μ."""
+    lat = latent.data
+    ok = lat.ndim == 3 and len(lat) == 2 and s.data.ndim == 2 and lat.shape[1] == len(s.data)
+    _conform("decode", ok and _layers_ok(lat.shape[1:], phi_d, s.data.shape[1]),
+             latent, s, *phi_d)
+    r, log_sigma = lat  # r is the posterior mean μ in eval mode
+    if rng is not None:
+        eps = rng.normal(r.shape)
+        with np.errstate(all="ignore"):
+            sd = np.exp(log_sigma * 0.5)
+            r = _guard("decode", r + eps * sd)
+    h, out = _mlp2("decode", r, phi_d)
+
+    def backward(g):
+        if s.requires_grad:
+            s.grad += g
+        ga = _mlp2_grad(r, h, g, phi_d)
+        if latent.requires_grad:
+            gr = ga @ phi_d[0].data.T
+            latent.grad[0] += gr
+            if rng is not None:
+                latent.grad[1] += gr * eps * sd * 0.5
+
+    return _node("decode", s.data + out, (latent, s, *phi_d), backward)
+
+
+def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
+    """The hierarchical head on g (b, p), one node: the tier weights α =
+    softmax(phi_alpha(g)) (b, 3) scale the projections g @ w_i (w_i (p, c_i)),
+    and the two-layer tanh net phi_y maps their concatenation to one output
+    per row. Returns (the (b,) node, α as an ndarray)."""
     ws = (w1, w2, w3)
     b, p = g.data.shape
-    ok = alpha.data.shape == (b, 3) and all(w.data.shape[:-1] == (p,) for w in ws)
-    _conform("tiered_projection", ok, g, *ws, alpha)
+    ok = all(w.data.shape[:-1] == (p,) for w in ws) and _layers_ok((b, p), phi_alpha, 3)
+    ok = ok and _layers_ok((b, sum(w.data.shape[1] for w in ws)), phi_y, 1)
+    _conform("head", ok, g, *ws, *phi_alpha, *phi_y)
+    ha, logits = _mlp2("head", g.data, phi_alpha)
+    alpha = _softmax_rows(logits)
     proj = [g.data @ w.data for w in ws]
-    blocks = [alpha.data[:, i : i + 1] * pr for i, pr in enumerate(proj)]
+    blocks = _guard("head", np.concatenate(
+        [alpha[:, i : i + 1] * pr for i, pr in enumerate(proj)], axis=1))
     offsets = np.cumsum([0] + [pr.shape[1] for pr in proj])
+    hy, y = _mlp2("head", blocks, phi_y)
 
     def backward(g_out):
+        gb = _mlp2_grad(blocks, hy, g_out.reshape(-1, 1), phi_y) @ phi_y[0].data.T
+        galpha, gg = np.empty_like(alpha), 0.0
         for i, (w, pr) in enumerate(zip(ws, proj)):
-            gi = g_out[:, offsets[i] : offsets[i + 1]]
-            if alpha.requires_grad:
-                alpha.grad[:, i] += (gi * pr).sum(axis=1)
-            gp = gi * alpha.data[:, i : i + 1]
+            gi = gb[:, offsets[i] : offsets[i + 1]]
+            galpha[:, i] = (gi * pr).sum(axis=1)
+            gp = gi * alpha[:, i : i + 1]
             if w.requires_grad:
                 w.grad += g.data.T @ gp
-            if g.requires_grad:
-                g.grad += gp @ w.data.T
+            if g.requires_grad:  # g's terms: tiers 1, 2, 3, then phi_alpha's
+                gg = gg + gp @ w.data.T
+        ga = _mlp2_grad(g.data, ha, _softmax_rows_grad(alpha, galpha), phi_alpha)
+        if g.requires_grad:
+            g.grad += gg + ga @ phi_alpha[0].data.T
 
-    return _node("tiered_projection", np.concatenate(blocks, axis=1),
-                 (g, w1, w2, w3, alpha), backward)
+    return _node("head", y.reshape(-1), (g, *ws, *phi_alpha, *phi_y), backward), alpha
 
 
-def regression_loss(y_hat: Tensor, y: np.ndarray, omega: float, delta: float):
+def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
+         kl_scale: float):
     """omega·mean(r²) + (1−omega)·mean(huber(r)) for r = y_hat − y, where
-    huber(r) is r²/2 inside |r| <= delta and delta·(|r| − delta/2) outside.
-
-    Returns (the scalar loss Tensor, the MSE and the mean Huber as floats).
-    """
-    _conform("regression_loss", y_hat.data.ndim == 1 and y.shape == y_hat.data.shape,
-             y_hat, y)
+    huber(r) is r²/2 inside |r| <= delta and delta·(|r| − delta/2) outside,
+    plus kl_scale·KL when `latent` (an `encode` node) is given: the batch-mean
+    KL divergence of N(μ, σ²I) from N(0, I). One node. Returns (the scalar
+    node, the MSE, the mean Huber and the KL as floats)."""
+    ok = y_hat.data.ndim == 1 and y.shape == y_hat.data.shape
+    _conform("loss", ok and (latent is None or latent.data.ndim == 3 and len(latent.data) == 2),
+             y_hat, y, latent)
     r = y_hat.data - y
     mse = (r * r).mean()
     a = np.abs(r)
     q = np.clip(a, 0.0, delta)
     hub = (q * a - q * q * 0.5).mean()
+    value, kl, parents = mse * omega + hub * (1.0 - omega), 0.0, (y_hat,)
+    if latent is not None:
+        mu, log_sigma = latent.data
+        scale, parents = 0.5 / mu.shape[0], (y_hat, latent)
+        with np.errstate(all="ignore"):
+            ls2 = log_sigma * 2.0
+            var = np.exp(ls2)
+            kl = (mu * mu + var - ls2 - 1.0).sum() * scale
+            value = value + kl * kl_scale
 
     def backward(g):
-        # d huber/dr = clip(r, -delta, delta), on both sides of delta
-        dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
-        y_hat.grad += g * dr / r.size
+        if y_hat.requires_grad:
+            # d huber/dr = clip(r, -delta, delta), on both sides of delta
+            dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
+            y_hat.grad += g * dr / r.size
+        if latent is not None and latent.requires_grad:
+            gk = g * kl_scale * scale
+            latent.grad[0] += gk * 2.0 * mu
+            latent.grad[1] += gk * 2.0 * (var - 1.0)
 
-    out = _node("regression_loss", mse * omega + hub * (1.0 - omega), (y_hat,), backward)
-    return out, float(mse), float(hub)
-
-
-def kl_term(mu: Tensor, log_sigma: Tensor) -> Tensor:
-    """Batch-mean KL divergence of N(mu, sigma^2 I) from N(0, I); nonnegative,
-    zero iff mu = 0 and log sigma = 0."""
-    _conform("kl_term", mu.data.ndim == 2 and log_sigma.data.shape == mu.data.shape,
-             mu, log_sigma)
-    scale = 0.5 / mu.data.shape[0]
-
-    def backward(g):
-        g = g * scale
-        if mu.requires_grad:
-            mu.grad += g * 2.0 * mu.data
-        if log_sigma.requires_grad:
-            log_sigma.grad += g * 2.0 * (var - 1.0)
-
-    with np.errstate(all="ignore"):
-        ls2 = log_sigma.data * 2.0
-        var = np.exp(ls2)
-        per_elem = mu.data * mu.data + var - ls2 - 1.0
-        return _node("kl_term", per_elem.sum() * scale, (mu, log_sigma), backward)
+    return _node("loss", value, parents, backward), float(mse), float(hub), float(kl)
 
 
 class Rng:

@@ -15,6 +15,7 @@ from .data import (
     Dataset,
     Scaler,
     destandardize_predictions,
+    open_text,
     split,
     standardize,
     take,
@@ -93,7 +94,7 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, ConfigError) as fh:
             raw = json.load(fh)
         names = {f.name for f in fields(cls)}
         if not isinstance(raw, dict) or raw.keys() != names:
@@ -185,9 +186,7 @@ def train_step(model: ScalarModel, opt: Adam, x, y, epoch: int, rng: Rng) -> flo
     clipped Adam step, configured by `model.cfg`. Returns the batch loss."""
     cfg = model.cfg
     y_hat, trace = model.forward(x, "train", rng)
-    total, _ = composite_loss(
-        y, y_hat, trace.mu, trace.log_sigma, epoch, cfg.max_epochs, cfg.loss
-    )
+    total, _ = composite_loss(y, y_hat, trace.latent, epoch, cfg.max_epochs, cfg.loss)
     reached = total.backward()
     opt.step(cfg.grad_clip_norm, reached)
     return float(total.data)
@@ -231,9 +230,7 @@ def train(ds: Dataset, cfg: ModelConfig):
 
         y_hat_val, trace_val = model.forward(x_val, "eval")
         val_total, val_parts = composite_loss(
-            y_val, y_hat_val, trace_val.mu, trace_val.log_sigma,
-            epoch, cfg.max_epochs, cfg.loss,
-        )
+            y_val, y_hat_val, trace_val.latent, epoch, cfg.max_epochs, cfg.loss)
         val_loss = float(val_total.data)
         history.append(
             {
@@ -378,9 +375,7 @@ def gradcheck(seed: int = 0) -> dict:
 
     def loss_value():
         y_hat, trace = model.forward(x, "train", noise)
-        total, _ = composite_loss(
-            y, y_hat, trace.mu, trace.log_sigma, 50, 100, cfg.loss
-        )
+        total, _ = composite_loss(y, y_hat, trace.latent, 50, 100, cfg.loss)
         return total
 
     total = loss_value()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from scalarnet.errors import ConfigError
 from scalarnet.layers import named_tensors
 from scalarnet.losses import composite_loss
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng, Tensor, affine, no_grad, regression_loss
+from scalarnet.tensor import Rng, Tensor, affine, no_grad
 
 
 def loop_oracle(x, params):
@@ -117,8 +119,8 @@ class TestKernelAttention:
         params.phi_p.w.data = np.random.default_rng(12).normal(size=(4, 4))
         x = np.random.default_rng(11).normal(size=(5, 4))
         trace = kernel_attention_forward(Tensor(x), params)
-        z = trace.z.reshape(-1)
-        regression_loss(z, np.zeros(20), 1.0, 1.0)[0].backward()  # mean(z^2)
+        data = np.random.default_rng(13)
+        weighted_sum(trace.z, data.normal(size=5), data.normal(size=4)).backward()
         for name, t in named_tensors(params, "a").items():
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
 
@@ -176,10 +178,12 @@ class TestGroupedAttention:
             grouped_attention_forward(Tensor(np.zeros((2, 5))), spec, plist)
 
 
-def weighted_sum(z, c):
-    """sum(z * c) as a scalar node; z's gradient is exactly c."""
-    n = c.size
-    return affine(z.reshape(1, n), Tensor(c.reshape(n, 1)), Tensor(np.zeros(1)))
+def weighted_sum(z, u, w):
+    """uᵀ z w as one scalar node: z is affine's weights under the row u, and
+    the column w sums the result; z's gradient is exactly the outer product
+    u wᵀ, each element one rounded product."""
+    row = affine(Tensor(u[None, :]), z, Tensor(np.zeros(len(w))))
+    return affine(row, Tensor(w[:, None]), Tensor(np.zeros(1)))
 
 
 def random_group_params(widths, k, seed):
@@ -202,10 +206,11 @@ class TestFusedGroups:
         plist = random_group_params(widths, 3, seed=len(widths))
         data = np.random.default_rng(rows)
         x, c = data.normal(size=(2, rows, bounds[-1]))
+        u, w = c[:, 0], c[0]  # the upstream gradient is u wᵀ
         with no_grad():
             xt = Tensor(x)
         z, traces = grouped_attention_forward(xt, spec, plist)
-        weighted_sum(z, c).backward()
+        weighted_sum(z, u, w).backward()
         fused = [{n: t.grad.copy() for n, t in named_tensors(prm, "a").items()}
                  for prm in plist]
         for g, ((s, e), prm) in enumerate(zip(spec.groups, plist)):
@@ -215,29 +220,28 @@ class TestFusedGroups:
             assert np.array_equal(z.data[:, s:e], alone.z.data)
             assert np.array_equal(traces[g].k_hat, alone.k_hat)
             assert np.array_equal(traces[g].w, alone.w)
-            weighted_sum(alone.z, c[:, s:e]).backward()
+            weighted_sum(alone.z, u, w[s:e]).backward()
             for name, t in named_tensors(prm, "a").items():
                 assert np.array_equal(fused[g][name], t.grad), (g, name)
 
     def test_loss_graph_size_does_not_grow_with_groups(self):
-        """The train-mode loss graph has one node per attention tier, so its
-        size is the same for 2, 8 and 16 groups of 6 features."""
-        sizes = []
+        """The train-mode loss graph has one node per attention tier and per
+        other stage, so it is the same 7 nodes for 2, 8 and 16 groups of 6
+        features."""
         for n_groups in (2, 8, 16):
             p = 6 * n_groups
             cfg = ModelConfig(groups=[[6 * g, 6 * g + 6] for g in range(n_groups)], seed=0)
             x = Rng(1).normal((8, p))
             y_hat, trace = ScalarModel(cfg, p).forward(x, "train", Rng(2))
-            loss, _ = composite_loss(np.zeros(8), y_hat, trace.mu, trace.log_sigma,
-                                     0, cfg.max_epochs, cfg.loss)
-            ops, seen, stack = [], {id(loss)}, [loss]
+            loss, _ = composite_loss(np.zeros(8), y_hat, trace.latent, 0, cfg.max_epochs,
+                                     cfg.loss)
+            ops, seen, stack = Counter(), {id(loss)}, [loss]
             while stack:
                 node = stack.pop()
-                ops.append(node.op)
+                ops[node.op] += node.op != "leaf"
                 for parent in node._prev:
                     if id(parent) not in seen:
                         seen.add(id(parent))
                         stack.append(parent)
-            assert ops.count("kernel_attention") == 2
-            sizes.append(sum(op != "leaf" for op in ops))
-        assert sizes[0] == sizes[1] == sizes[2]
+            assert +ops == {"kernel_attention": 2, "calibration": 1, "encode": 1,
+                            "decode": 1, "head": 1, "loss": 1}, (n_groups, ops)

@@ -6,17 +6,24 @@ from hypothesis import strategies as st
 from scalarnet.calibration import (
     CalibrationParams,
     VariationalParams,
-    kl_term,
     self_calibrate,
     variational_encode_decode,
 )
 from scalarnet.layers import named_tensors
-from scalarnet.tensor import Rng, Tensor
+from scalarnet.tensor import Rng, Tensor, loss
 
 
 def zeroed(net):
     for t in named_tensors(net, "x").values():
         t.data = np.zeros_like(t.data)
+
+
+def kl_term(mu, log_sigma):
+    """The batch-mean KL term of N(mu, sigma²) alone: the `loss` node of a
+    perfect prediction with kl_scale 1, and its (2, b, d) latent leaf."""
+    latent = Tensor(np.stack([np.asarray(mu, dtype=float), np.asarray(log_sigma, dtype=float)]))
+    b = latent.data.shape[1]
+    return loss(Tensor(np.zeros(b)), np.zeros(b), latent, 1.0, 1.0, 1.0)[0], latent
 
 
 class TestSelfCalibrate:
@@ -85,7 +92,7 @@ class TestVariational:
         params = VariationalParams.init(Rng(0), p=6, d=2)
         zeroed(params.phi_d)
         s = np.random.default_rng(1).normal(size=(4, 6))
-        v, mu, log_sigma, _ = variational_encode_decode(Tensor(s), params, None)
+        v, _ = variational_encode_decode(Tensor(s), params, None)
         assert np.array_equal(v.data, s)
 
     def test_small_sigma_train_close_to_eval(self):
@@ -99,11 +106,11 @@ class TestVariational:
         params.phi_d.l1.w.data = np.eye(2, 8)
         params.phi_d.l2.w.data = np.vstack([lin, np.zeros((6, 6))])
         s = Tensor(np.random.default_rng(4).normal(size=(5, 6)))
-        v_eval, _, _, _ = variational_encode_decode(s, params, None)
+        v_eval, _ = variational_encode_decode(s, params, None)
         rng = Rng(5)
         worst = 0.0
         for _ in range(1000):
-            v, _, _, _ = variational_encode_decode(s, params, rng)
+            v, _ = variational_encode_decode(s, params, rng)
             worst = max(worst, np.abs(v.data - v_eval.data).max())
         assert worst < 0.01
 
@@ -114,9 +121,13 @@ class TestVariational:
         params.phi_mu.b.data[:] = 0.0
         params.phi_sigma.w.data[:] = 0.0
         params.phi_sigma.b.data[:] = 0.0
+        # a decoder that is the identity on the draw to ~1e-6: v_0 = 1e3·tanh(1e-3·z)
+        zeroed(params.phi_d)
+        params.phi_d.l1.w.data[0, 0] = 1e-3
+        params.phi_d.l2.w.data[0, 0] = 1e3
         s = Tensor(np.zeros((100_000, 2)))
-        _, mu, log_sigma, z = variational_encode_decode(s, params, Rng(7))
-        var = float(z.data.var())
+        v, _ = variational_encode_decode(s, params, Rng(7))
+        var = float(v.data[:, 0].var())
         assert 0.98 < var < 1.02
 
     def test_eval_deterministic(self):
@@ -139,16 +150,16 @@ class TestVariational:
 
 class TestKlTerm:
     def test_zero_at_prior(self):
-        kl = kl_term(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))))
+        kl, _ = kl_term(np.zeros((3, 2)), np.zeros((3, 2)))
         assert float(kl.data) == 0.0
 
     def test_half_mu_squared(self):
-        kl = kl_term(Tensor([[1.0]]), Tensor([[0.0]]))
+        kl, _ = kl_term([[1.0]], [[0.0]])
         assert float(kl.data) == pytest.approx(0.5, abs=1e-15)
 
     def test_sigma_four(self):
         # sigma^2 = 4: 0.5 * (4 - log 4 - 1)
-        kl = kl_term(Tensor([[0.0]]), Tensor([[np.log(4.0) / 2]]))
+        kl, _ = kl_term([[0.0]], [[np.log(4.0) / 2]])
         assert float(kl.data) == pytest.approx(0.5 * (4 - np.log(4.0) - 1), abs=1e-12)
 
     @given(
@@ -158,13 +169,13 @@ class TestKlTerm:
     @settings(max_examples=100, deadline=None)
     def test_nonnegative(self, mus, logs):
         m = min(len(mus), len(logs))
-        kl = kl_term(Tensor([mus[:m]]), Tensor([logs[:m]]))
+        kl, _ = kl_term([mus[:m]], [logs[:m]])
         assert float(kl.data) >= 0.0
 
     def test_zero_iff_prior(self):
-        kl = kl_term(Tensor([[0.1, 0.0]]), Tensor([[0.0, 0.0]]))
+        kl, _ = kl_term([[0.1, 0.0]], [[0.0, 0.0]])
         assert float(kl.data) > 0.0
-        kl = kl_term(Tensor([[0.0, 0.0]]), Tensor([[0.05, 0.0]]))
+        kl, _ = kl_term([[0.0, 0.0]], [[0.05, 0.0]])
         assert float(kl.data) > 0.0
 
     def test_gradient_matches_finite_differences(self):
@@ -173,12 +184,13 @@ class TestKlTerm:
         ls0 = rng.normal(size=(3, 2)) * 0.5
 
         def value(mu, ls):
-            return float(kl_term(Tensor(mu), Tensor(ls)).data)
+            return float(kl_term(mu, ls)[0].data)
 
-        mu, ls = Tensor(mu0.copy()), Tensor(ls0.copy())
-        kl_term(mu, ls).backward()
+        kl, latent = kl_term(mu0, ls0)
+        kl.backward()
         h = 1e-6
-        for t, base, other, first in ((mu, mu0, ls0, True), (ls, ls0, mu0, False)):
+        for g, base, other, first in ((latent.grad[0], mu0, ls0, True),
+                                      (latent.grad[1], ls0, mu0, False)):
             num = np.zeros_like(base)
             for idx in np.ndindex(base.shape):
                 up, dn = base.copy(), base.copy()
@@ -188,4 +200,4 @@ class TestKlTerm:
                     num[idx] = (value(up, other) - value(dn, other)) / (2 * h)
                 else:
                     num[idx] = (value(other, up) - value(other, dn)) / (2 * h)
-            np.testing.assert_allclose(t.grad, num, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(g, num, rtol=1e-8, atol=1e-8)

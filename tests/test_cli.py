@@ -1,13 +1,18 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from scalarnet import cli
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.cli import main
-from scalarnet.data import Dataset, synth_nonlinear, write_csv
+from scalarnet.data import Dataset, load_csv, standardize, synth_nonlinear, write_csv
+from scalarnet.errors import NumericError
+from scalarnet.model import ModelConfig
+from scalarnet.train import train
 
 
 @pytest.fixture
@@ -333,17 +338,37 @@ BAD_INPUTS = {
     "baseline_data_not_utf8": lambda tmp, common, config: [
         "baseline", "--data", _write_bytes(tmp / "d.csv", b"\xe9,y\n1,2\n"), *common[2:],
         "--method", "ridge"],
+    "config_not_utf8": lambda tmp, common, config: [
+        "train", *common, "--config", _write_bytes(tmp / "c.json", b'{"k": "\xff"}'),
+        "--out", tmp / "m.json"],
+    "groups_not_utf8": lambda tmp, common, config: [
+        "baseline", *common[:4], "--groups", _write_bytes(tmp / "g.json", b"[[0,\xff]]"),
+        "--method", "ridge"],
 }
+# the file each *_not_utf8 case writes, which its error must name
+NOT_UTF8 = {"checkpoint_not_utf8": "c.json", "config_not_utf8": "c.json",
+            "eval_data_not_utf8": "d.csv", "baseline_data_not_utf8": "d.csv",
+            "groups_not_utf8": "g.json"}
+
+
+def _work_started(*args, **kwargs):
+    raise AssertionError("the work started before the output was checked")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_without_traceback(case, workspace, capsys):
+def test_bad_input_exits_2_without_traceback(case, workspace, capsys, monkeypatch):
     tmp, data_path, groups_path, config_path = workspace
     common = ["--data", data_path, "--target", "y", "--groups", groups_path]
     argv = BAD_INPUTS[case](tmp, common, config_path)
+    if case.endswith("_out_directory"):  # --out is checked before training or scoring
+        monkeypatch.setattr(cli, "train", _work_started)
+        monkeypatch.setattr(cli, "importance_scores", _work_started)
     capsys.readouterr()
     assert run(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if case in NOT_UTF8:
+        assert str(tmp / NOT_UTF8[case]) in err
 
 
 def test_numeric_failure_is_one_line_without_warnings(workspace, capsys):
@@ -358,3 +383,19 @@ def test_numeric_failure_is_one_line_without_warnings(workspace, capsys):
         assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_stage_overflow_names_stage_epoch_and_batch(workspace, capsys):
+    """A step size of 1e300 overflows the second batch inside the calibration
+    stage; train() and the CLI name the stage, the epoch and the batch."""
+    tmp, data_path, groups_path, config_path = workspace
+    message = r"epoch 0, batch 1: non-finite output in op 'calibration'"
+    ds = standardize(load_csv(data_path, "y", groups_path))
+    cfg = ModelConfig(groups=[[0, 4], [4, 8]], max_epochs=5, batch_size=16, learning_rate=1e300)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=message):
+        train(ds, cfg)
+    common = ["--data", data_path, "--target", "y", "--groups", groups_path]
+    argv = _bad_config(learning_rate=1e300)(tmp, common, config_path)
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert re.search(message, capsys.readouterr().err)

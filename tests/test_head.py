@@ -6,7 +6,7 @@ import pytest
 from scalarnet.errors import ConfigError, DataError
 from scalarnet.head import HeadParams, default_components, feature_importance, head_forward
 from scalarnet.layers import named_tensors
-from scalarnet.tensor import Rng, Tensor, regression_loss
+from scalarnet.tensor import Rng, Tensor, loss
 
 
 def loop_oracle(g, params):
@@ -79,7 +79,7 @@ class TestHeadForward:
         params = HeadParams.init(Rng(8), 6, default_components(6))
         g = np.random.default_rng(9).normal(size=(5, 6))
         y, _ = head_forward(Tensor(g), params)
-        regression_loss(y, np.zeros(5), 1.0, 1.0)[0].backward()  # mean(y^2)
+        loss(y, np.zeros(5), None, 1.0, 1.0, 0.0)[0].backward()  # mean(y^2)
         for name, t in named_tensors(params, "h").items():
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
 

@@ -20,7 +20,7 @@ from scalarnet.tensor import Tensor
 def huber(r, delta):
     """Huber term of `composite_loss` alone (omega_mse = 0, no KL) on one residual."""
     cfg = LossConfig(omega_mse=0.0, huber_delta=delta, beta0=0.0)
-    total, parts = composite_loss(np.zeros(1), Tensor(np.array([r])), None, None, 0, 1, cfg)
+    total, parts = composite_loss(np.zeros(1), Tensor(np.array([r])), None, 0, 1, cfg)
     assert float(total.data) == parts["huber"]
     return parts["huber"]
 
@@ -59,7 +59,7 @@ class TestCompositeLoss:
         cfg = LossConfig(omega_mse=1.0, beta0=0.0)
         y = np.array([1.0, 2.0, 3.0])
         y_hat = Tensor(np.array([1.5, 2.0, 2.0]))
-        total, parts = composite_loss(y, y_hat, None, None, 0, 100, cfg)
+        total, parts = composite_loss(y, y_hat, None, 0, 100, cfg)
         expected = float(((y_hat.data - y) ** 2).mean())
         assert float(total.data) == pytest.approx(expected, abs=1e-15)
         assert parts["kl"] == 0.0
@@ -68,9 +68,8 @@ class TestCompositeLoss:
         cfg = LossConfig(omega_mse=1.0, beta0=2.0)
         y = np.zeros(2)
         y_hat = Tensor(np.zeros(2))
-        mu = Tensor(np.array([[1.0], [1.0]]))
-        ls = Tensor(np.zeros((2, 1)))
-        total, parts = composite_loss(y, y_hat, mu, ls, 5, 100, cfg)
+        latent = Tensor(np.stack([np.array([[1.0], [1.0]]), np.zeros((2, 1))]))  # mu, log sigma
+        total, parts = composite_loss(y, y_hat, latent, 5, 100, cfg)
         # kl = 0.5 per sample, weight 0.5, beta0 2.0
         assert float(total.data) == pytest.approx(0.5 * 2.0 * 0.5, abs=1e-15)
         assert parts["kl_weight"] == 0.5
@@ -78,7 +77,7 @@ class TestCompositeLoss:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             composite_loss(
-                np.zeros(3), Tensor(np.zeros(2)), None, None, 0, 10, LossConfig()
+                np.zeros(3), Tensor(np.zeros(2)), None, 0, 10, LossConfig()
             )
 
 

@@ -1,4 +1,5 @@
 import ast
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,14 @@ from scalarnet.tensor import (
     Rng,
     Tensor,
     affine,
-    calibrate,
+    calibration,
+    decode,
+    encode,
+    head,
     kernel_attention,
-    kl_term,
+    loss,
     mlp2,
     no_grad,
-    regression_loss,
-    reparameterize,
-    tiered_projection,
 )
 
 W_A = np.linspace(-1, 1, 8).reshape(4, 2)
@@ -36,18 +37,34 @@ def attention_set(w, k, h=3, seed=0):
     return [r.normal(size=shape) * 0.5 for shape in shapes]
 
 
+def unit_row_attention(m, k, phi_k2, phi_k2_bias, phi_w_bias):
+    """kernel_attention on one unit input row (1, m) with constant hidden
+    layers and an identity projection, so its output is Σ_j w_j·k̂_j + 1: the
+    k kernels (one hidden unit, tanh(20) = 1) are the rows of phi_k2 plus
+    phi_k2_bias, and the kernel weights are softmax(phi_w_bias). Returns (the
+    (1, m) node, k̂ (k, m), w (k,))."""
+    wrap = [x if isinstance(x, Tensor) else Tensor(x) for x in (phi_k2, phi_k2_bias, phi_w_bias)]
+    params = [Tensor(np.zeros((m, 1))), Tensor(np.array([20.0])), wrap[0], wrap[1],
+              Tensor(np.zeros((m, 1))), Tensor(np.zeros(1)), Tensor(np.zeros((1, k))), wrap[2],
+              Tensor(np.eye(m)), Tensor(np.zeros(m))]
+    out, (k_hat,), (w,) = kernel_attention(Tensor(np.ones((1, m))), [(0, m)], [params])
+    return out, k_hat[0], w[0]
+
+
 def normalize_rows(t):
-    """L2 normalization of the r rows of t (r, c) through kernel_attention:
-    one unit input row whose r kernels are t's rows (phi_k's output is its
-    bias), uniform kernel weights and an identity projection. Returns (the
-    (1, c) node, mean_j k̂_j + 1; k̂ as an (r, c) array)."""
-    r, c = t.data.shape
-    phi_k = [np.zeros(shape) for shape in [(c, 1), (1,), (1, r * c)]]
-    phi_w = [np.zeros(shape) for shape in [(c, 1), (1,), (1, r), (r,)]]
-    params = [*map(Tensor, phi_k), t.reshape(-1),
-              *map(Tensor, phi_w + [np.eye(c), np.zeros(c)])]
-    out, (k_hat,), _ = kernel_attention(Tensor(np.ones((1, c))), [(0, c)], [params])
-    return out, k_hat[0]
+    """L2 normalization of the one-row t (1, c) as kernel_attention's single
+    kernel with a unit weight. Returns (the (1, c) node k̂ + 1, k̂ (1, c))."""
+    c = t.data.shape[1]
+    out, k_hat, _ = unit_row_attention(c, 1, t, np.zeros(c), np.zeros(1))
+    return out, k_hat
+
+
+def softmax_row(t):
+    """The kernel weights softmax(t) of a (m,) t, through kernel_attention with
+    the unit kernels e_j. Returns (the (1, m) node softmax(t) + 1, the weights)."""
+    m = t.data.shape[0]
+    out, _, w = unit_row_attention(m, m, np.zeros((1, m * m)), np.eye(m).ravel(), t)
+    return out, w
 
 
 def pick(t, start, stop):
@@ -57,9 +74,16 @@ def pick(t, start, stop):
 
 
 def total(t):
-    """Sum of every element of t as one scalar node: t as a row times ones."""
-    n = t.data.size
-    return affine(t.reshape(1, n), Tensor(np.ones((n, 1))), Tensor(np.zeros(1)))
+    """Sum of every element of a 0-, 1- or 2-D t as one node, through affine:
+    a 2-D t is the weights under a row of ones, a 1-D t the bias of a zero
+    row, and a column of ones sums that row."""
+    if t.data.ndim == 0:
+        return t
+    if t.data.ndim == 1:
+        t = affine(Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, t.data.size))), t)
+    else:
+        t = affine(Tensor(np.ones((1, len(t.data)))), t, Tensor(np.zeros(t.data.shape[1])))
+    return affine(t, Tensor(np.ones((t.data.shape[1], 1))), Tensor(np.zeros(1)))
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -78,85 +102,157 @@ def numeric_grad(fn, x, h=1e-6):
     return g
 
 
-def check_op(build, x0, rtol=1e-6):
+def check_op(build, x0, rtol=1e-6, h=1e-6):
     """Compare autodiff gradient of sum(op(x)) against finite differences."""
     t = Tensor(x0.copy())
     total(build(t)).backward()
-    num = numeric_grad(lambda a: float(build(Tensor(a)).data.sum()), x0.copy())
+    num = numeric_grad(lambda a: float(build(Tensor(a)).data.sum()), x0.copy(), h)
     denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-3)
     assert (np.abs(t.grad - num) / denom).max() < rtol
 
 
-# fixed operands of the fused-op cases; the (3, 4) variable is the t below
+def layers(*widths, seed):
+    """Arrays (w, b) of each affine layer between consecutive `widths`: an
+    affine for two widths, a two-layer net's (w1, b1, w2, b2) for three."""
+    r = np.random.default_rng(seed)
+    return [r.normal(size=shape) * 0.5 for fan_in, fan_out in zip(widths, widths[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
+
+
+# fixed operands of the stage-op cases: b = 3 rows, p = 4 features, d = 2
 Z = np.linspace(-1.5, 1.2, 12).reshape(3, 4)
 T = np.linspace(0.8, -0.9, 12).reshape(3, 4)
-LOGITS = np.array([[0.4, -1.1], [-2.0, 0.3], [1.5, 0.9]])
 MASK = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
-EPS_NOISE = np.linspace(-1.2, 1.4, 12).reshape(3, 4)
+NOISE = np.linspace(-1.2, 1.4, 6).reshape(3, 2)
+LATENT = np.stack([Z[:, :2], T[:, 1:3]])  # mu and log sigma
+PHI_C, PHI_T = layers(4, 3, 2, seed=1), layers(4, 3, 4, seed=2)
+PHI_E, PHI_MU, PHI_SIGMA = layers(4, 3, seed=3), layers(3, 2, seed=4), layers(3, 2, seed=5)
+PHI_D = layers(2, 3, 4, seed=6)
 TIER_W = [np.linspace(-1, 1, 4 * c).reshape(4, c) for c in (3, 2, 1)]
-ALPHA = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
-Y12 = np.linspace(-3.0, 3.0, 12)  # residuals reach both sides of delta
+PHI_ALPHA, PHI_Y = layers(4, 3, 3, seed=7), layers(6, 3, 1, seed=8)
+Y3 = np.array([0.4, -1.3, 2.1])  # with Y_HAT, residuals on both sides of delta = 0.5
+Y_HAT = np.array([0.2, -0.2, 0.9])
 MIXED = [(0, 5), (5, 9), (9, 12), (12, 13)]  # groups of widths 5, 4, 3, 1
 
 
-class FixedMask:
-    """Stands in for an Rng whose every Bernoulli draw is MASK."""
+class FixedDraws:
+    """Stands in for an Rng: every Bernoulli draw is MASK, every normal draw
+    NOISE."""
 
     def bernoulli(self, q, shape):
         return MASK
 
-
-def cal(z=Z, logits=LOGITS, t=T, train=True):
-    """calibrate with one operand varied; train mode freezes the mask."""
-    wrap = [x if isinstance(x, Tensor) else Tensor(x) for x in (z, logits, t)]
-    return calibrate(*wrap, FixedMask() if train else None)[0]
+    def normal(self, shape):
+        return NOISE
 
 
-def tiers(g=Z, w1=TIER_W[0], alpha=ALPHA):
-    g, w1, alpha = (x if isinstance(x, Tensor) else Tensor(x) for x in (g, w1, alpha))
-    return tiered_projection(g, w1, Tensor(TIER_W[1]), Tensor(TIER_W[2]), alpha)
+def wrap(arrays):
+    return [a if isinstance(a, Tensor) else Tensor(a) for a in arrays]
+
+
+def cal(z=Z, t2=PHI_T[2], train=True):
+    """calibration with z or phi_t's output weights varied; train mode
+    freezes the mask."""
+    z, *ps = wrap([z, *PHI_C, *PHI_T[:2], t2, PHI_T[3]])
+    return calibration(z, ps[:4], ps[4:], FixedDraws() if train else None)[0]
+
+
+def kl(latent, kl_scale=1.0):
+    """kl_scale times the KL term of `latent` alone, as a `loss` node."""
+    b = latent.data.shape[1]
+    return loss(Tensor(np.zeros(b)), np.zeros(b), latent, 1.0, 1.0, kl_scale)[0]
+
+
+def enc(s=Z, sigma=PHI_SIGMA):
+    s, *ps = wrap([s, *PHI_E, *PHI_MU, *sigma])
+    return encode(s, ps[:2], ps[2:4], ps[4:])
+
+
+def dec(latent=LATENT, s=Z, d2=PHI_D[2], train=True):
+    """decode with one operand varied; train mode freezes the noise."""
+    latent, s, *ps = wrap([latent, s, *PHI_D[:2], d2, PHI_D[3]])
+    return decode(latent, s, ps, FixedDraws() if train else None)
+
+
+def hd(g=Z, w1=TIER_W[0]):
+    """head with g or w1 varied (w1's rows set p; the other operands keep
+    their first p rows)."""
+    p, c1 = (np.shape(x.data if isinstance(x, Tensor) else x)[1] for x in (g, w1))
+    g, w1, *ps = wrap([g, w1, TIER_W[1][:p], TIER_W[2][:p], PHI_ALPHA[0][:p],
+                       *PHI_ALPHA[1:], *layers(c1 + 3, 3, 1, seed=8)])
+    return head(g, w1, *ps[:2], ps[2:6], ps[6:])[0]
+
+
+def regress(y_hat, omega=1.0, delta=1.0):
+    """The MSE/Huber part of `loss` of a (3,) y_hat against Y3."""
+    return loss(y_hat, Y3, None, omega, delta, 0.0)[0]
+
+
+# each stage op with all its operands, in order, as (build, arrays); the
+# `encode` node is reduced to its KL term
+STAGE_OPERANDS = {
+    "calibration_train": (lambda z, *ps: calibration(z, ps[:4], ps[4:], FixedDraws())[0],
+                          [Z, *PHI_C, *PHI_T]),
+    "calibration_eval": (lambda z, *ps: calibration(z, ps[:4], ps[4:], None)[0],
+                         [Z, *PHI_C, *PHI_T]),
+    "encode": (lambda s, *ps: kl(encode(s, ps[:2], ps[2:4], ps[4:])),
+               [Z, *PHI_E, *PHI_MU, *PHI_SIGMA]),
+    "decode_train": (lambda lat, s, *ps: decode(lat, s, ps, FixedDraws()), [LATENT, Z, *PHI_D]),
+    "decode_eval": (lambda lat, s, *ps: decode(lat, s, ps, None), [LATENT, Z, *PHI_D]),
+    "head": (lambda g, *ps: head(g, *ps[:3], ps[3:7], ps[7:])[0],
+             [Z, *TIER_W, *PHI_ALPHA, *PHI_Y]),
+    "loss": (lambda y_hat, lat: loss(y_hat, Y3, lat, 0.7, 0.5, 0.3)[0], [Y_HAT, LATENT]),
+}
+STAGE_OPS = sorted(STAGE_OPERANDS)
 
 
 class TestForwardExamples:
     def test_softmax_uniform(self):
-        out = Tensor([[0.0, 0.0, 0.0]]).softmax()
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out, w = softmax_row(Tensor(np.zeros(3)))
+        np.testing.assert_allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(out.data, [[4 / 3, 4 / 3, 4 / 3]], atol=1e-15)
 
     def test_l2_normalize_345(self):
         _, k_hat = normalize_rows(Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(k_hat, [[0.6, 0.8]], atol=1e-15)
 
     def test_matmul_identity(self):
-        # g @ w_i inside tiered_projection, with g = I and unit tier weights
+        # g @ w_i inside head, with g = I and equal tier weights: phi_y's
+        # input is the three projections side by side, a third each
         w = [np.arange(6.0).reshape(3, 2), np.ones((3, 1)), -np.eye(3)]
-        out = tiered_projection(Tensor(np.eye(3)), *map(Tensor, w), Tensor(np.ones((3, 3))))
-        np.testing.assert_array_equal(out.data, np.hstack(w))
+        alpha_net = [np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(3)]
+        phi_y = [np.eye(6), np.zeros(6), np.ones((6, 1)), np.zeros(1)]  # sum of tanh
+        y, alpha = head(Tensor(np.eye(3)), *wrap(w), wrap(alpha_net), wrap(phi_y))
+        np.testing.assert_array_equal(alpha, np.full((3, 3), 1 / 3))
+        np.testing.assert_allclose(y.data, np.tanh(np.hstack(w) / 3).sum(axis=1), rtol=1e-14)
 
 
 class TestGradients:
     @pytest.mark.parametrize(
         "name,build",
         [
-            ("add", lambda t: t + Tensor(np.linspace(-1, 1, 12).reshape(3, 4))),
-            ("mul", lambda t: t * Tensor(np.linspace(0.5, 2, 12).reshape(3, 4))),
-            ("scalar_mul", lambda t: t * 2.5),
-            # the deleted generic ops keep their cases, each re-pointed at the
-            # fused op that now holds that arithmetic
-            ("sub", lambda t: regression_loss(t.reshape(-1), Y12, 1.0, 1.0)[0]),
-            ("div", lambda t: cal(logits=pick(t, 1, 3))),  # the 1/(1 - delta)
-            ("rowvec_add", lambda t: affine(Tensor(np.ones((2, 5))),
-                                            Tensor(np.ones((5, 12))), t.reshape(-1))),
-            ("colvec_mul", lambda t: tiers(alpha=pick(t, 0, 3))),
-            ("matmul", lambda t: tiers(g=t)),
-            ("exp", lambda t: reparameterize(Tensor(Z), t, EPS_NOISE)),
-            ("tanh", lambda t: t.tanh()),
-            ("sigmoid", lambda t: cal(logits=pick(t, 2, 4), train=False)),
-            ("softmax", lambda t: t.softmax()),
-            ("l2_normalize", lambda t: normalize_rows(t)[0]),
-            ("abs", lambda t: regression_loss(t.reshape(-1), Y12, 0.0, 0.7)[0]),
-            ("clamp", lambda t: t.clamp(-0.5, 0.5)),
-            ("mean", lambda t: kl_term(t, Tensor(T))),
-            ("reshape", lambda t: t.reshape(4, 3)),
+            # the deleted generic and fused ops keep their cases, each
+            # re-pointed at the stage op that now holds that arithmetic
+            ("add", lambda t: dec(s=t, train=False)),  # the decoder's residual
+            ("mul", lambda t: cal(t2=t, train=False)),  # γ·phi_t(z)
+            ("scalar_mul", lambda t: kl(enc(s=t), kl_scale=2.5)),
+            ("sub", lambda t: loss(hd(g=t), Y3, enc(s=t), 0.7, 0.5, 0.3)[0]),
+            ("div", lambda t: cal(z=t)),  # the 1/(1 - δ)
+            ("rowvec_add", lambda t: affine(Tensor(np.ones((2, 3))), t,
+                                            Tensor(np.linspace(-1, 1, 4)))),
+            ("colvec_mul", lambda t: hd(g=t)),  # α's columns times the tiers
+            ("matmul", lambda t: dec(d2=t, train=False)),
+            ("exp", lambda t: dec(latent=enc(s=t), s=t)),  # exp(log σ/2)
+            ("tanh", lambda t: kl(enc(s=t))),
+            ("sigmoid", lambda t: cal(z=t, train=False)),
+            ("softmax", lambda t: hd(g=t)),
+            ("l2_normalize", lambda t: normalize_rows(
+                affine(Tensor([[1.0, -0.5, 0.3]]), t, Tensor(np.zeros(4))))[0]),
+            ("abs", lambda t: regress(hd(g=t), 0.0, 0.5)),
+            # log σ straddles the clamp at -10, where the KL stays moderate
+            ("clamp", lambda t: kl(enc(s=t, sigma=[PHI_SIGMA[0] * 4.0, PHI_SIGMA[1] - 10.0]))),
+            ("mean", lambda t: regress(hd(g=t))),  # mean(r²)
+            ("reshape", lambda t: hd(g=t)),  # phi_y's (b, 1) output as (b,)
             ("affine", lambda t: affine(t, Tensor(W_A), Tensor(np.array([0.3, -0.2])))),
             (
                 "mlp2",
@@ -184,46 +280,52 @@ class TestGradients:
                      [Tensor(a) for a in attention_set(3, 2, h=4, seed=1)]])[0],
             ),
             ("calibrate_train_dz", lambda t: cal(z=t)),
-            ("calibrate_train_dt", lambda t: cal(t=t)),
+            ("calibrate_train_dt", lambda t: cal(t2=t)),  # phi_t's output weights
             ("calibrate_eval_dz", lambda t: cal(z=t, train=False)),
-            ("calibrate_eval_dt", lambda t: cal(t=t, train=False)),
-            ("reparameterize_dmu", lambda t: reparameterize(t, Tensor(T), EPS_NOISE)),
-            (
-                "tiered_projection_dw",  # p = 3 rows, so the (3, 4) t is w1
-                lambda t: tiered_projection(Tensor(Z[:, :3]), t, Tensor(TIER_W[1][:3]),
-                                            Tensor(TIER_W[2][:3]), Tensor(ALPHA)),
-            ),
-            ("regression_loss", lambda t: regression_loss(t.reshape(-1), Y12, 0.7, 0.5)[0]),
-            ("kl_term_dlog_sigma", lambda t: kl_term(Tensor(Z), t)),
+            ("calibrate_eval_dt", lambda t: cal(t2=t, train=False)),
+            ("reparameterize_dmu", lambda t: dec(s=t)),
+            ("tiered_projection_dw", lambda t: hd(g=Z[:, :3], w1=t)),  # p = 3 rows
+            ("regression_loss", lambda t: regress(hd(g=t), 0.7, 0.5)),
+            ("kl_term_dlog_sigma", lambda t: kl(enc(s=t), kl_scale=0.3)),
         ],
     )
     def test_op_matches_finite_differences(self, name, build):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        # crc32, not hash(): str hashes are salted per process
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         x0 = rng.normal(size=(3, 4)) + 0.1  # keep away from |x|=0 and clamp edges
         check_op(build, x0)
 
+    @pytest.mark.parametrize("name,i", [(name, i) for name in STAGE_OPS
+                                        for i in range(len(STAGE_OPERANDS[name][1]))])
+    def test_stage_op_matches_finite_differences_in_every_operand(self, name, i):
+        # h = 1e-5, near the roundoff-optimal step of a central difference:
+        # at 1e-6 the sum of calibration's outputs (~6.6) leaves ~1e-9 of
+        # roundoff on gradients near the 1e-3 floor
+        build, arrays = STAGE_OPERANDS[name]
+        check_op(lambda t: build(*[t if j == i else Tensor(a) for j, a in enumerate(arrays)]),
+                 arrays[i].copy(), h=1e-5)
+
     def test_square_at_3(self):
-        x = Tensor(np.array([[3.0]]))
-        (x * x).backward()
-        assert x.grad[0, 0] == pytest.approx(6.0)
+        x = Tensor(np.array([3.0]))
+        loss(x, np.zeros(1), None, 1.0, 1.0, 0.0)[0].backward()  # x²
+        assert x.grad[0] == pytest.approx(6.0)
 
     def test_softmax_jacobian_diagonal_at_uniform(self):
         # d softmax_i / d x_i at uniform input is (1/m)(1 - 1/m)
         m = 4
         for i in range(m):
-            x = Tensor(np.zeros((1, m)))
-            pick(x.softmax(), i, i + 1).backward()
-            assert x.grad[0, i] == pytest.approx((1 / m) * (1 - 1 / m), abs=1e-12)
+            x = Tensor(np.zeros(m))
+            pick(softmax_row(x)[0], i, i + 1).backward()
+            assert x.grad[i] == pytest.approx((1 / m) * (1 - 1 / m), abs=1e-12)
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 3)))
         w = Tensor(rng.normal(size=(3, 2)))
-        h = affine(x, w, Tensor(np.zeros(2)))
-        loss = total(h.tanh() * h)
-        loss.backward()
+        loss_ = total(mlp2(x, w, Tensor(np.zeros(2)), Tensor(W_B), Tensor(np.zeros(3))))
+        loss_.backward()
         g1 = x.grad.copy(), w.grad.copy()
-        loss.backward()
+        loss_.backward()
         assert np.array_equal(g1[0], x.grad) and np.array_equal(g1[1], w.grad)
 
 
@@ -231,7 +333,7 @@ class TestInvariantsProperties:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_softmax_simplex(self, row):
-        out = Tensor(np.array([row])).softmax().data
+        _, out = softmax_row(Tensor(np.array(row)))
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) < 1e-12
 
@@ -259,35 +361,36 @@ class TestInvariantsProperties:
 class TestErrors:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
+            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
     def test_matmul_mismatch(self):
-        # g @ w_i inside tiered_projection needs w_i to have p rows
-        with pytest.raises(ShapeError, match="tiered_projection"):
-            tiers(w1=np.zeros((3, 3)))
+        # g @ w_i inside head needs w_i to have p rows
+        with pytest.raises(ShapeError, match="head"):
+            hd(w1=np.zeros((3, 3)))
 
     def test_nonfinite_names_op(self):
-        with pytest.raises(NumericError, match="reparameterize"):
-            reparameterize(Tensor([[0.0]]), Tensor([[2000.0]]), np.ones((1, 1)))
+        with pytest.raises(NumericError, match="decode"):  # exp(1000) in the draw
+            dec(latent=np.stack([Z[:, :2], np.full((3, 2), 2000.0)]))
 
     def test_no_broadcasting(self):
-        with pytest.raises(ShapeError, match="mul"):
-            Tensor(np.zeros((3, 4))) * Tensor(np.zeros((3, 1)))
-        with pytest.raises(ShapeError, match="add"):
-            Tensor(np.zeros((3, 4))) + Tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match="decode"):
+            dec(s=Z[:, :1])
+        with pytest.raises(ShapeError, match="loss"):
+            loss(Tensor(Y_HAT), Y3[:, None], None, 1.0, 1.0, 0.0)
 
     def test_float_scale_is_not_a_leaf(self):
-        t = Tensor(np.ones((2, 2)))
-        out = t * 2.5
-        assert out._prev == (t,) and out.op == "mul"
+        y_hat, latent = Tensor(Y_HAT), Tensor(LATENT)
+        out = loss(y_hat, Y3, latent, 1.0, 1.0, 2.5)[0]
+        assert out._prev == (y_hat, latent) and out.op == "loss"
 
     def test_guard_passes_finite_elements_with_overflowing_sum(self):
-        out = Tensor([[1e308, 1e308]]) * 1.0
+        with np.errstate(over="ignore"):  # the guard's own sum overflows
+            out = affine(Tensor([[1e308, 1e308]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
         np.testing.assert_array_equal(out.data, [[1e308, 1e308]])
 
     def test_guard_names_op_of_nan_element(self):
-        with pytest.raises(NumericError, match="'mul'"):
-            Tensor([[1.0, np.nan, 2.0]]) * 1.0
+        with pytest.raises(NumericError, match="'affine'"):
+            affine(Tensor([[1.0, np.nan, 2.0]]), Tensor(np.eye(3)), Tensor(np.zeros(3)))
 
     def test_fused_ops_reject_nonconforming_shapes(self):
         x = Tensor(np.zeros((2, 3)))
@@ -301,16 +404,16 @@ class TestErrors:
             kernel_attention(x, [(0, 3)], [two_wide])
         with pytest.raises(ShapeError, match="kernel_attention"):  # groups miss column 2
             kernel_attention(x, [(0, 2)], [two_wide])
-        with pytest.raises(ShapeError, match="calibrate"):
-            calibrate(x, Tensor(np.zeros((2, 3))), x, None)
-        with pytest.raises(ShapeError, match="reparameterize"):
-            reparameterize(x, x, np.zeros((3, 2)))
-        with pytest.raises(ShapeError, match="tiered_projection"):
-            tiered_projection(x, x, x, x, Tensor(np.zeros((2, 2))))
-        with pytest.raises(ShapeError, match="regression_loss"):
-            regression_loss(Tensor(np.zeros(2)), np.zeros(3), 0.5, 1.0)
-        with pytest.raises(ShapeError, match="kl_term"):
-            kl_term(x, Tensor(np.zeros((3, 2))))
+        with pytest.raises(ShapeError, match="calibration"):  # phi_c must give 2 logits
+            calibration(Tensor(Z), wrap(PHI_T), wrap(PHI_T), None)
+        with pytest.raises(ShapeError, match="encode"):  # phi_mu and phi_sigma widths differ
+            encode(Tensor(Z), wrap(PHI_E), wrap(PHI_MU), wrap(layers(3, 1, seed=0)))
+        with pytest.raises(ShapeError, match="decode"):  # rows of latent and s differ
+            dec(s=Z[:2])
+        with pytest.raises(ShapeError, match="head"):  # phi_y must give 1 output
+            head(Tensor(Z), *wrap(TIER_W), wrap(PHI_ALPHA), wrap(layers(6, 3, 2, seed=0)))
+        with pytest.raises(ShapeError, match="loss"):  # latent is not (2, b, d)
+            loss(Tensor(Y_HAT), Y3, Tensor(Z), 1.0, 1.0, 1.0)
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -353,15 +456,28 @@ class TestVocabulary:
                         used.add(node.attr)
                     elif isinstance(node, ast.alias):
                         used.add(node.name)
-        assert len(public) >= 15
+        assert len(public) >= 13
         assert sorted(public - used) == []
 
+    def test_node_building_ops_are_the_stages_and_two_layers(self):
+        """Every op name given to `_node` in tensor.py: one per paper stage
+        and per single layer, eight in all."""
+        tree = ast.parse((Path(scalarnet.__file__).parent / "tensor.py").read_text(
+            encoding="utf-8"))
+        ops = {node.args[0].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_node"}
+        assert ops == {"kernel_attention", "calibration", "encode", "decode", "head", "loss",
+                       "affine", "mlp2"}
+
     @pytest.mark.parametrize("name", ["__sub__", "__rsub__", "__truediv__", "__matmul__",
-                                      "sigmoid", "abs", "exp", "sum", "mean", "cols"])
+                                      "sigmoid", "abs", "exp", "sum", "mean", "cols",
+                                      "_binary", "_unary", "__add__", "__mul__", "reshape",
+                                      "tanh", "clamp", "softmax"])
     def test_deleted_generic_ops_stay_deleted(self, name):
         assert not hasattr(Tensor, name)
 
-    @pytest.mark.parametrize("name", ["concat", "kernel_attend"])
+    @pytest.mark.parametrize("name", ["concat", "kernel_attend", "calibrate", "reparameterize",
+                                      "tiered_projection", "regression_loss", "kl_term"])
     def test_deleted_module_ops_stay_deleted(self, name):
         assert not hasattr(tensor, name)
 
@@ -392,18 +508,21 @@ def _link_writers(scope, tree, attrs):
 # multi-operand ops and their operands: (build, arrays); every operand may be
 # made constant
 OPERANDS = {
-    "add": (lambda a, b: a + b, [Z, T]),
-    "mul": (lambda a, b: a * b, [Z, T]),
+    **STAGE_OPERANDS,
     "affine": (affine, [Z, W_A, np.array([0.3, -0.2])]),
     "mlp2": (mlp2, [Z, W_A, np.array([0.1, -0.4]), W_B, np.array([0.2, 0.0, -0.1])]),
     "kernel_attention": (  # two stacked groups of width 2
         lambda x, *ps: kernel_attention(x, [(0, 2), (2, 4)], [ps[:10], ps[10:]])[0],
         [Z, *attention_set(2, 2, seed=1), *attention_set(2, 2, seed=2)]),
-    "calibrate_train": (lambda z, lg, t: calibrate(z, lg, t, FixedMask())[0], [Z, LOGITS, T]),
-    "calibrate_eval": (lambda z, lg, t: calibrate(z, lg, t, None)[0], [Z, LOGITS, T]),
-    "reparameterize": (lambda mu, ls: reparameterize(mu, ls, EPS_NOISE), [Z, T]),
-    "tiered_projection": (tiered_projection, [Z, *TIER_W, ALPHA]),
-    "kl_term": (kl_term, [Z, T]),
+    # the cases of the deleted ops, each re-pointed at the stage op that now
+    # holds that arithmetic
+    "add": STAGE_OPERANDS["decode_eval"],  # the decoder's residual
+    "mul": STAGE_OPERANDS["calibration_eval"],
+    "calibrate_train": STAGE_OPERANDS["calibration_train"],
+    "calibrate_eval": STAGE_OPERANDS["calibration_eval"],
+    "reparameterize": STAGE_OPERANDS["decode_train"],
+    "tiered_projection": STAGE_OPERANDS["head"],
+    "kl_term": STAGE_OPERANDS["loss"],
 }
 
 
@@ -420,28 +539,31 @@ class TestNodeConstructor:
 
     def test_node_guards_and_links(self):
         t = Tensor(np.ones((2, 3)))
-        out = t.reshape(3, 2)
-        assert out._prev == (t,) and out.op == "reshape"
-        with pytest.raises(NumericError, match="'reshape'"):
-            Tensor([[1.0, np.inf]]).reshape(2)
+        with no_grad():
+            w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+        out = affine(t, w, b)
+        assert out._prev == (t,) and out.op == "affine"
+        with pytest.raises(NumericError, match="'affine'"):
+            affine(Tensor([[1.0, np.inf, 0.0]]), w, b)
 
     def test_node_of_constants_is_a_constant(self):
         with no_grad():
-            a, b = Tensor(Z), Tensor(T)
-        assert not (a.requires_grad or b.requires_grad)
-        out = affine(a + b, Tensor(W_A), Tensor(np.zeros(2)))
+            a = Tensor(Z)
+            head_params = wrap([*TIER_W, *PHI_ALPHA, *PHI_Y])
+        assert not any(t.requires_grad for t in [a, *head_params])
+        out = affine(a, Tensor(W_A), Tensor(np.zeros(2)))
         assert out.requires_grad and len(out._prev) == 2  # w and b, not the constant
-        c = (a + b).tanh()
+        c = head(a, *head_params[:3], head_params[3:7], head_params[7:])[0]
         assert not c.requires_grad and c._prev == () and c._backward is None
         with pytest.raises(NumericError, match="constant"):
-            regression_loss(c.reshape(-1), np.zeros(12), 1.0, 1.0)[0].backward()
+            loss(c, np.zeros(3), None, 1.0, 1.0, 0.0)[0].backward()
 
     def test_no_grad_records_nothing_and_restores_grad_mode(self):
         w = Tensor(W_A)
         with pytest.raises(ShapeError):
             with no_grad():
-                out = affine(Tensor(Z), w, Tensor(np.zeros(2))).tanh()
-                Tensor(Z) + Tensor(T[:2])
+                out = mlp2(Tensor(Z), w, Tensor(np.zeros(2)), Tensor(W_B), Tensor(np.zeros(3)))
+                affine(Tensor(Z), Tensor(T[:2]), Tensor(np.zeros(4)))
         assert not out.requires_grad and out._prev == () and out._backward is None
         assert Tensor(Z).requires_grad  # grad mode is back on after the error
         assert affine(Tensor(Z), w, Tensor(np.zeros(2)))._prev

@@ -4,15 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalarnet import model as model_module
 from scalarnet.attention import FeatureGroupSpec
-from scalarnet.data import standardize, synth_nonlinear
+from scalarnet.calibration import self_calibrate, variational_encode_decode
+from scalarnet.data import Dataset, standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
-from scalarnet.head import feature_importance
-from scalarnet.losses import LossConfig, composite_loss
+from scalarnet.head import feature_importance, head_forward
+from scalarnet.losses import LossConfig, composite_loss, kl_weight
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng, Tensor, kl_term
+from scalarnet.tensor import Rng, Tensor, loss, no_grad
 from scalarnet.train import (
     EVAL_ALIGN,
     EVAL_ROWS,
@@ -61,7 +64,7 @@ class TestGradcheck:
         rng = Rng(5)
         x, y = rng.normal((4, 6)), rng.normal(4)
         y_hat, trace = model.forward(x, "train", rng)
-        total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
+        total, _ = composite_loss(y, y_hat, trace.latent, 0, 10, cfg.loss)
         total.backward()
         named = model.named_parameters()
         for key in ("var.phi_mu.w", "var.phi_sigma.w"):
@@ -78,7 +81,7 @@ class TestGradcheck:
         rng = Rng(6)
         x, y = rng.normal((4, 6)), rng.normal(4)
         y_hat, trace = model.forward(x, "train", rng)
-        total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
+        total, _ = composite_loss(y, y_hat, trace.latent, 0, 10, cfg.loss)
         total.backward()
         for name, t in model.named_parameters().items():
             assert np.isfinite(t.grad).all(), name
@@ -140,7 +143,7 @@ class TestAdam:
 def batch_loss(model, x, y, rng):
     """The train-mode composite loss of one batch at epoch 0 of 10."""
     y_hat, trace = model.forward(x, "train", rng)
-    total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10,
+    total, _ = composite_loss(y, y_hat, trace.latent, 0, 10,
                               model.cfg.loss)
     return total
 
@@ -188,7 +191,8 @@ class TestFlatBuffers:
         x, y = data.normal((16, 8)), data.normal(16)
         train_step(model, opt, x, y, 0, noise)  # reaches every parameter
         _, trace = model.forward(x, "train", noise)
-        reached = kl_term(trace.mu, trace.log_sigma).backward()
+        kl, *_ = loss(Tensor(np.zeros(16)), np.zeros(16), trace.latent, 1.0, 1.0, 1.0)
+        reached = kl.backward()
         with pytest.raises(NumericError, match=r"missing gradients for \['var\.phi_d\.l1\.w'"):
             opt.step(5.0, reached)
 
@@ -269,12 +273,15 @@ class TestGraphSize:
         rng = Rng(1)
         x, y = rng.normal((32, 12)), rng.normal(32)
         y_hat, trace = model.forward(x, "train", rng)
-        total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
-        hist = loss_graph_histogram(total)
-        assert sum(hist.values()) <= 41  # 84 before the stage ops, 200 before layers
-        assert len(hist) <= 16
-        deleted = {"sub", "div", "matmul", "sigmoid", "abs", "exp", "sum", "mean"}
-        assert not deleted & set(hist), hist
+        total, _ = composite_loss(y, y_hat, trace.latent, 0, 10, cfg.loss)
+        # one node per stage: 22 before the stage ops, 84 before the first fused
+        # ops, 200 before layers
+        stages = {"kernel_attention": 2, "calibration": 1, "head": 1, "loss": 1}
+        assert loss_graph_histogram(total) == {**stages, "encode": 1, "decode": 1}
+        model = ScalarModel(ModelConfig(**{**cfg.to_dict(), "use_variational": False}), 12)
+        y_hat, trace = model.forward(x, "train", rng)
+        total, _ = composite_loss(y, y_hat, trace.latent, 0, 10, cfg.loss)
+        assert loss_graph_histogram(total) == stages  # without the variational block
 
 
 class TestTraining:
@@ -311,7 +318,7 @@ class TestTraining:
         n_val = max(1, int(round(ds.n * cfg.val_fraction)))
         val = np.random.default_rng(cfg.seed + 3).permutation(ds.n)[:n_val]
         y_hat, trace = ck.build_model().forward(ds.x[val], "eval")
-        total, _ = composite_loss(ds.y[val], y_hat, trace.mu, trace.log_sigma,
+        total, _ = composite_loss(ds.y[val], y_hat, trace.latent,
                                   ck.epoch, cfg.max_epochs, cfg.loss)
         assert float(total.data) == ck.best_val_loss
 
@@ -475,14 +482,112 @@ class TestChunkedEval:
             assert peak / ds_raw.n < 2048, (score.__name__, peak / ds_raw.n)
 
 
+def ref_mlp2(x, net):
+    """An `mlp2` node of the op chain the stage ops replaced."""
+    w1, b1, w2, b2 = (t.data for t in net)
+    return np.tanh(x @ w1 + b1) @ w2 + b2
+
+
+def ref_sigmoid(a):
+    """The replaced `calibrate` op's stable sigmoid, one branch per sign."""
+    c = np.empty_like(a)
+    pos = a >= 0
+    c[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    c[~pos] = e / (1.0 + e)
+    return c
+
+
+class TestStageOpsOverConfigs:
+    """Over the edges of the config space (width-1 groups, k = 1, d = 1,
+    p = 3, one-row batches, with and without the variational block, beta0 =
+    0) each stage op's forward is bit-equal to the op chain it replaced,
+    written out below in numpy, and each config trains or raises ConfigError."""
+
+    @given(widths=st.lists(st.integers(1, 3), min_size=1, max_size=3), k=st.integers(1, 2),
+           d=st.integers(1, 2), batch=st.integers(2, 5), use_variational=st.booleans(),
+           beta0=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 999))
+    @settings(max_examples=30, deadline=None)
+    def test_stage_ops_equal_the_op_chain_and_configs_train(self, widths, k, d, batch,
+                                                            use_variational, beta0, seed):
+        bounds = np.cumsum([0] + widths).tolist()
+        groups = [[s, e] for s, e in zip(bounds[:-1], bounds[1:])]
+        p = bounds[-1]
+        cfg = ModelConfig(groups=groups, k=k, d=d, batch_size=batch, max_epochs=2, seed=seed,
+                          use_variational=use_variational, loss=LossConfig(beta0=beta0))
+        # n rows whose training part ends in a batch of one row
+        n = next(n for n in range(2 * batch + 2, 10 * batch)
+                 if (n - max(1, round(n * cfg.val_fraction))) % batch == 1)
+        data = np.random.default_rng(seed)
+        ds = standardize(Dataset(x=data.normal(size=(n, p)), y=data.normal(size=n),
+                                 feature_names=[f"f{j}" for j in range(p)],
+                                 spec=FeatureGroupSpec(groups)))
+        try:
+            model = ScalarModel(cfg, p)
+        except ConfigError:  # p < 3 leaves no decreasing head widths
+            with pytest.raises(ConfigError):
+                train(ds, cfg)
+            return
+        b = int(data.integers(1, batch + 1))
+        z, g, y = data.normal(size=(b, p)), data.normal(size=(b, p)), data.normal(size=b)
+        with no_grad():
+            zt, gt = Tensor(z), Tensor(g)
+
+        cal = model.cal_params
+        t, c = ref_mlp2(z, cal.phi_t.tensors()), ref_sigmoid(ref_mlp2(z, cal.phi_c.tensors()))
+        delta, gamma = c[:, 0:1] * (0.4 - 0.0) + 0.0, c[:, 1:2] * (1.0 - 0.5) + 0.5
+        mask = Rng(seed).bernoulli(1.0 - delta, z.shape)
+        s, delta_op, gamma_op = self_calibrate(zt, cal, Rng(seed))
+        assert np.array_equal(delta_op, delta) and np.array_equal(gamma_op, gamma)
+        assert np.array_equal(s.data, z + gamma * (t * mask) / (1.0 - delta))
+        assert np.array_equal(self_calibrate(zt, cal, None)[0].data, z + gamma * t)
+
+        latent = None
+        if use_variational:
+            var, sv = model.var_params, s.data
+            h = np.tanh(sv @ var.phi_e.w.data + var.phi_e.b.data)
+            mu = h @ var.phi_mu.w.data + var.phi_mu.b.data
+            log_sigma = np.clip(h @ var.phi_sigma.w.data + var.phi_sigma.b.data, -10.0, 10.0)
+            draw = mu + Rng(seed).normal(mu.shape) * np.exp(log_sigma * 0.5)
+            v, latent = variational_encode_decode(s, var, Rng(seed))
+            assert np.array_equal(latent.data, np.stack([mu, log_sigma]))
+            assert np.array_equal(v.data, sv + ref_mlp2(draw, var.phi_d.tensors()))
+            v_eval, _ = variational_encode_decode(s, var, None)
+            assert np.array_equal(v_eval.data, sv + ref_mlp2(mu, var.phi_d.tensors()))
+
+        hp = model.head_params
+        logits = ref_mlp2(g, hp.phi_alpha.tensors())
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        alpha = e / e.sum(axis=-1, keepdims=True)
+        blocks = np.concatenate([alpha[:, i : i + 1] * (g @ w.data)
+                                 for i, w in enumerate((hp.w1, hp.w2, hp.w3))], axis=1)
+        y_hat, alpha_op = head_forward(gt, hp)
+        assert np.array_equal(alpha_op, alpha)
+        assert np.array_equal(y_hat.data, ref_mlp2(blocks, hp.phi_y.tensors()).reshape(-1))
+
+        lc = cfg.loss
+        r = y_hat.data - y
+        a = np.abs(r)
+        q = np.clip(a, 0.0, lc.huber_delta)
+        total = (r * r).mean() * lc.omega_mse + (q * a - q * q * 0.5).mean() * (1 - lc.omega_mse)
+        if latent is not None and beta0 > 0:
+            ls2 = log_sigma * 2.0
+            kl = (mu * mu + np.exp(ls2) - ls2 - 1.0).sum() * (0.5 / b)
+            total = total + kl * (kl_weight(1, 2, lc.warmup_fraction) * beta0)
+        assert composite_loss(y, y_hat, latent, 1, 2, lc)[0].data == total
+
+        _, history = train(ds, cfg)
+        assert len(history) == 2 and all(np.isfinite(h["train_loss"]) for h in history)
+
+
 class TestGraphScope:
     def test_eval_forward_builds_no_graph(self):
         cfg = quick_cfg()
         model = ScalarModel(cfg, 8)
         y_hat, trace = model.forward(Rng(1).normal((5, 8)), "eval")
-        for t in (y_hat, trace.mu, trace.log_sigma, trace.global_trace.z):
+        for t in (y_hat, trace.latent, trace.global_trace.z):
             assert t._prev == () and t._backward is None and not t.requires_grad
-        total, _ = composite_loss(np.zeros(5), y_hat, trace.mu, trace.log_sigma,
+        total, _ = composite_loss(np.zeros(5), y_hat, trace.latent,
                                   0, 10, cfg.loss)  # the validation loss in train()
         assert total._prev == () and not total.requires_grad
 
@@ -504,7 +609,7 @@ class TestGraphScope:
         def parameter_grads():
             model = ScalarModel(cfg, 12)
             y_hat, trace = model.forward(x, "train", Rng(3))
-            total, _ = composite_loss(y, y_hat, trace.mu, trace.log_sigma, 0, 10, cfg.loss)
+            total, _ = composite_loss(y, y_hat, trace.latent, 0, 10, cfg.loss)
             total.backward()
             return {k: t.grad for k, t in model.named_parameters().items()}
 
