@@ -56,7 +56,7 @@ def self_calibrate(z, params, rng):
     """The calibrated residual branch on z (b, p), the `calibration` op:
     returns (s, delta, gamma), delta and gamma (b, 1) ndarrays. With `rng`
     None (eval mode) the dropout mask is replaced by its expectation."""
-    return calibration(z, params.phi_c.tensors(), params.phi_t.tensors(), rng)
+    return calibration(z, params.phi_c, params.phi_t, rng)
 
 
 def variational_encode_decode(s, params, rng):
@@ -64,6 +64,5 @@ def variational_encode_decode(s, params, rng):
     from `rng` (train mode) or take the posterior mean (`rng` None, eval
     mode), decode with a residual back to feature space. Returns (v, the
     `encode` node, whose data[0] is mu and data[1] log sigma)."""
-    latent = encode(s, params.phi_e.tensors(), params.phi_mu.tensors(),
-                    params.phi_sigma.tensors())
-    return decode(latent, s, params.phi_d.tensors(), rng), latent
+    latent = encode(s, params.phi_e, params.phi_mu, params.phi_sigma)
+    return decode(latent, s, params.phi_d, rng), latent

@@ -59,8 +59,7 @@ def head_forward(g: Tensor, params: HeadParams):
     Returns (y_hat, alpha): y_hat is the (b,) graph Tensor and alpha the
     (b, 3) tier weights, an ndarray outside the graph.
     """
-    return head(g, params.w1, params.w2, params.w3, params.phi_alpha.tensors(),
-                params.phi_y.tensors())
+    return head(g, params.w1, params.w2, params.w3, params.phi_alpha, params.phi_y)
 
 
 def feature_importance(k_hat: np.ndarray, w: np.ndarray):

@@ -1,5 +1,7 @@
 """Affine layers and the two-layer tanh blocks used by every subnetwork, and
-the dataclass walk that names every parameter."""
+the dataclass walk that names every parameter. A layer's `__call__` is its
+array-level forward, which the stage ops in `tensor` run inside their nodes;
+a non-finite value raises a NumericError naming the stage."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .tensor import Rng, Tensor, affine, mlp2
+from .tensor import Rng, Tensor, _guard
 
 
 def named_tensors(obj, prefix: str) -> dict:
@@ -39,8 +41,9 @@ class Affine:
         w = np.zeros((fan_in, fan_out)) if zero else glorot(rng, fan_in, fan_out)
         return cls(Tensor(w), Tensor(np.zeros(fan_out)))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return affine(x, self.w, self.b)
+    def __call__(self, x: np.ndarray, op: str) -> np.ndarray:
+        """x @ w + b on the 2-D array x, inside the stage op `op`."""
+        return _guard(op, x @ self.w.data + self.b.data)
 
     def tensors(self) -> tuple:
         return self.w, self.b
@@ -57,11 +60,13 @@ class Mlp2:
     def init(cls, rng: Rng, fan_in: int, hidden: int, fan_out: int) -> "Mlp2":
         return cls(Affine.init(rng, fan_in, hidden), Affine.init(rng, hidden, fan_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return mlp2(x, *self.tensors())
+    def __call__(self, x: np.ndarray, op: str):
+        """(hidden, output) arrays of l2(tanh(l1(x))), inside the stage op `op`."""
+        h = np.tanh(self.l1(x, op))
+        return h, self.l2(h, op)
 
     def tensors(self) -> tuple:
-        """(w1, b1, w2, b2), the parameters of the `mlp2` op and the stage ops."""
+        """(w1, b1, w2, b2), the parameters in the order of `tensor._mlp2_grad`."""
         return self.l1.w, self.l1.b, self.l2.w, self.l2.b
 
 

@@ -1,15 +1,17 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
 Each of the paper's stages is one graph node, and there are no generic
-arithmetic ops. The eight ops, each with a hand-written backward:
+arithmetic ops. The six ops, each with a hand-written backward:
 `kernel_attention` (a whole attention tier: every column group's kernels,
 kernel weights, mixing, projection and residual, the groups of one width
 stacked), `calibration`, `encode` (μ and log σ in one (2, b, d) node),
 `decode` (the reparameterized draw, decoder and residual), `head` and `loss`
-(MSE/Huber blend plus scaled KL), and the single layers `affine` and `mlp2`
-(two-layer tanh net). Every two-layer tanh net runs through `_mlp2` and
-`_mlp2_grad`. Nothing broadcasts: each op checks the shapes it documents,
-and a non-finite value inside an op raises a NumericError naming it.
+(MSE/Huber blend plus scaled KL). The stages other than `kernel_attention`
+take their `layers.Affine`/`Mlp2` objects, run their forwards through those
+layers' array-level `__call__` and their parameter gradients through
+`_affine_grad` and `_mlp2_grad`. Nothing broadcasts: each op checks the
+shapes it documents, and a non-finite value inside an op raises a
+NumericError naming it.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
 `_node`, the one place that guards the output, records the parents and binds
@@ -173,14 +175,6 @@ def _layers_ok(x_shape, params, fan_out=None) -> bool:
     return fan_out in (None, x_shape[1])
 
 
-def _mlp2(op: str, x: np.ndarray, net):
-    """(hidden, output) arrays of tanh(x @ w1 + b1) @ w2 + b2 for the
-    parameters net = (w1, b1, w2, b2); a non-finite value raises naming `op`."""
-    w1, b1, w2, b2 = (t.data for t in net)
-    h = np.tanh(_guard(op, x @ w1 + b1))
-    return h, _guard(op, h @ w2 + b2)
-
-
 def _affine_grad(x: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> None:
     """Add the gradients of w and b in x @ w + b, given g, the output's."""
     if w.requires_grad:
@@ -190,41 +184,16 @@ def _affine_grad(x: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> None:
 
 
 def _mlp2_grad(x: np.ndarray, h: np.ndarray, g: np.ndarray, net, gh=None) -> np.ndarray:
-    """Add the parameter gradients of `_mlp2(op, x, net)` given g, the
-    gradient wrt its output, and gh, one already on the hidden layer h (added
-    after g's term). Returns the gradient wrt the hidden pre-activation."""
+    """Add the parameter gradients of a two-layer tanh net (w1, b1, w2, b2)
+    applied to x, as `Mlp2.__call__` does, given h, its hidden layer, g, the
+    gradient wrt its output, and gh, one already on h (added after g's term).
+    Returns the gradient wrt the hidden pre-activation."""
     w1, b1, w2, b2 = net
     _affine_grad(h, g, w2, b2)
     gh = g @ w2.data.T if gh is None else g @ w2.data.T + gh
     ga = gh * (1.0 - h * h)
     _affine_grad(x, ga, w1, b1)
     return ga
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a 2-D x, (fan_in, fan_out) w and (fan_out,) b."""
-    _conform("affine", _layers_ok(x.data.shape, (w, b)), x, w, b)
-
-    def backward(g):
-        if x.requires_grad:
-            x.grad += g @ w.data.T
-        _affine_grad(x.data, g, w, b)
-
-    return _node("affine", x.data @ w.data + b.data, (x, w, b), backward)
-
-
-def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """tanh(x @ w1 + b1) @ w2 + b2; the hidden activation is kept for backward."""
-    net = (w1, b1, w2, b2)
-    _conform("mlp2", _layers_ok(x.data.shape, net), x, *net)
-    h, out = _mlp2("mlp2", x.data, net)
-
-    def backward(g):
-        ga = _mlp2_grad(x.data, h, g, net)
-        if x.requires_grad:
-            x.grad += ga @ w1.data.T
-
-    return _node("mlp2", out, (x, *net), backward)
 
 
 def _attention_buckets(x: Tensor, groups, param_sets) -> list:
@@ -340,12 +309,12 @@ def calibration(z: Tensor, phi_c, phi_t, rng):
     γ ∈ GAMMA_RANGE, each (b, 1). Train mode gives s = z + γ·(phi_t(z)·m)/(1−δ)
     with the constant mask m = rng.bernoulli(1−δ, z.shape); eval mode (`rng`
     None) gives s = z + γ·phi_t(z). phi_c (p → 2) and phi_t (p → p) are
-    two-layer tanh nets (w1, b1, w2, b2). Returns (s, δ, γ as ndarrays)."""
+    `Mlp2`s. Returns (s, δ, γ as ndarrays)."""
     b, p = z.data.shape
-    _conform("calibration", _layers_ok((b, p), phi_c, 2) and _layers_ok((b, p), phi_t, p),
-             z, *phi_c, *phi_t)
-    hc, a = _mlp2("calibration", z.data, phi_c)
-    ht, t = _mlp2("calibration", z.data, phi_t)
+    pc, pt = phi_c.tensors(), phi_t.tensors()
+    _conform("calibration", _layers_ok((b, p), pc, 2) and _layers_ok((b, p), pt, p), z, *pc, *pt)
+    hc, a = phi_c(z.data, "calibration")
+    ht, t = phi_t(z.data, "calibration")
     c = np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))  # a stable sigmoid
     (d_lo, d_hi), (g_lo, g_hi) = DELTA_RANGE, GAMMA_RANGE
     delta = c[:, 0:1] * (d_hi - d_lo) + d_lo
@@ -358,94 +327,96 @@ def calibration(z: Tensor, phi_c, phi_t, rng):
         s = z.data + gamma * (t * m) / keep
 
     def backward(g):
-        ga_t = _mlp2_grad(z.data, ht, g * m * (gamma / keep), phi_t)
+        ga_t = _mlp2_grad(z.data, ht, g * m * (gamma / keep), pt)
         g_gamma = (g * t * m).sum(axis=1, keepdims=True) / keep
         slope = c * (1.0 - c)
         glogits = np.zeros_like(a)
         glogits[:, 1:2] = g_gamma * (g_hi - g_lo) * slope[:, 1:2]
         if rng is not None:
             glogits[:, 0:1] = g_gamma * gamma / keep * (d_hi - d_lo) * slope[:, 0:1]
-        ga_c = _mlp2_grad(z.data, hc, glogits, phi_c)
+        ga_c = _mlp2_grad(z.data, hc, glogits, pc)
         if z.requires_grad:  # the residual's term, then phi_t's, then phi_c's
-            z.grad += g + ga_t @ phi_t[0].data.T + ga_c @ phi_c[0].data.T
+            z.grad += g + ga_t @ phi_t.l1.w.data.T + ga_c @ phi_c.l1.w.data.T
 
-    return _node("calibration", s, (z, *phi_c, *phi_t), backward), delta, gamma
+    return _node("calibration", s, (z, *pc, *pt), backward), delta, gamma
 
 
 def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
     """The variational encoder of s (b, p), one (2, b, d) node holding μ and
     log σ: h = tanh(phi_e(s)), μ = phi_mu(h) and log σ = phi_sigma(h) clamped
-    to ±LOG_SIGMA_CLAMP. phi_e, phi_mu and phi_sigma are affine (w, b)."""
-    net = (*phi_e, *phi_sigma)
-    ok = _layers_ok(s.data.shape, net) and _layers_ok(s.data.shape, (*phi_e, *phi_mu),
-                                                       len(phi_sigma[1].data))
-    _conform("encode", ok, s, *phi_e, *phi_mu, *phi_sigma)
-    h, raw = _mlp2("encode", s.data, net)
+    to ±LOG_SIGMA_CLAMP. phi_e, phi_mu and phi_sigma are `Affine`s."""
+    pe, pm, ps = phi_e.tensors(), phi_mu.tensors(), phi_sigma.tensors()
+    net = (*pe, *ps)  # phi_e, tanh, phi_sigma: a two-layer tanh net
+    ok = _layers_ok(s.data.shape, net) and _layers_ok(s.data.shape, (*pe, *pm),
+                                                       len(phi_sigma.b.data))
+    _conform("encode", ok, s, *pe, *pm, *ps)
+    h = np.tanh(phi_e(s.data, "encode"))
+    raw = phi_sigma(h, "encode")
     out = np.empty((2,) + raw.shape)
-    out[0] = _guard("encode", h @ phi_mu[0].data + phi_mu[1].data)
+    out[0] = phi_mu(h, "encode")
     out[1] = np.clip(raw, -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
 
     def backward(g):
-        _affine_grad(h, g[0], *phi_mu)
+        _affine_grad(h, g[0], *pm)
         # h's terms: log σ's, then μ's
         g_raw = g[1] * ((raw >= -LOG_SIGMA_CLAMP) & (raw <= LOG_SIGMA_CLAMP))
-        ga = _mlp2_grad(s.data, h, g_raw, net, g[0] @ phi_mu[0].data.T)
+        ga = _mlp2_grad(s.data, h, g_raw, net, g[0] @ phi_mu.w.data.T)
         if s.requires_grad:
-            s.grad += ga @ phi_e[0].data.T
+            s.grad += ga @ phi_e.w.data.T
 
-    return _node("encode", out, (s, *phi_e, *phi_mu, *phi_sigma), backward)
+    return _node("encode", out, (s, *pe, *pm, *ps), backward)
 
 
 def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     """v = s + phi_d(r) for s (b, p), the `encode` node `latent` and the
-    two-layer tanh net phi_d (d → p), one node. Train mode draws r = μ +
+    `Mlp2` phi_d (d → p), one node. Train mode draws r = μ +
     ε·exp(log σ/2) with ε = rng.normal(μ.shape), a constant; eval mode (`rng`
     None) takes the posterior mean r = μ."""
     lat = latent.data
     ok = lat.ndim == 3 and len(lat) == 2 and s.data.ndim == 2 and lat.shape[1] == len(s.data)
-    _conform("decode", ok and _layers_ok(lat.shape[1:], phi_d, s.data.shape[1]),
-             latent, s, *phi_d)
+    pd = phi_d.tensors()
+    _conform("decode", ok and _layers_ok(lat.shape[1:], pd, s.data.shape[1]), latent, s, *pd)
     r, log_sigma = lat  # r is the posterior mean μ in eval mode
     if rng is not None:
         eps = rng.normal(r.shape)
         with np.errstate(all="ignore"):
             sd = np.exp(log_sigma * 0.5)
             r = _guard("decode", r + eps * sd)
-    h, out = _mlp2("decode", r, phi_d)
+    h, out = phi_d(r, "decode")
 
     def backward(g):
         if s.requires_grad:
             s.grad += g
-        ga = _mlp2_grad(r, h, g, phi_d)
+        ga = _mlp2_grad(r, h, g, pd)
         if latent.requires_grad:
-            gr = ga @ phi_d[0].data.T
+            gr = ga @ phi_d.l1.w.data.T
             latent.grad[0] += gr
             if rng is not None:
                 latent.grad[1] += gr * eps * sd * 0.5
 
-    return _node("decode", s.data + out, (latent, s, *phi_d), backward)
+    return _node("decode", s.data + out, (latent, s, *pd), backward)
 
 
 def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
     """The hierarchical head on g (b, p), one node: the tier weights α =
     softmax(phi_alpha(g)) (b, 3) scale the projections g @ w_i (w_i (p, c_i)),
-    and the two-layer tanh net phi_y maps their concatenation to one output
-    per row. Returns (the (b,) node, α as an ndarray)."""
-    ws = (w1, w2, w3)
+    and the `Mlp2` phi_y maps their concatenation to one output per row;
+    phi_alpha is an `Mlp2` too. Returns (the (b,) node, α as an ndarray)."""
+    ws, pa, py = (w1, w2, w3), phi_alpha.tensors(), phi_y.tensors()
     b, p = g.data.shape
-    ok = all(w.data.shape[:-1] == (p,) for w in ws) and _layers_ok((b, p), phi_alpha, 3)
-    ok = ok and _layers_ok((b, sum(w.data.shape[1] for w in ws)), phi_y, 1)
-    _conform("head", ok, g, *ws, *phi_alpha, *phi_y)
-    ha, logits = _mlp2("head", g.data, phi_alpha)
+    ok = all(w.data.shape[:-1] == (p,) for w in ws) and _layers_ok((b, p), pa, 3)
+    ok = ok and _layers_ok((b, sum(w.data.shape[1] for w in ws)), py, 1)
+    _conform("head", ok, g, *ws, *pa, *py)
+    ha, logits = phi_alpha(g.data, "head")
     alpha = _softmax_rows(logits)
     proj = [g.data @ w.data for w in ws]
     blocks = _guard("head", np.concatenate(
         [alpha[:, i : i + 1] * pr for i, pr in enumerate(proj)], axis=1))
     offsets = np.cumsum([0] + [pr.shape[1] for pr in proj])
-    hy, y = _mlp2("head", blocks, phi_y)
+    hy, y = phi_y(blocks, "head")
 
     def backward(g_out):
-        gb = _mlp2_grad(blocks, hy, g_out.reshape(-1, 1), phi_y) @ phi_y[0].data.T
+        gb = _mlp2_grad(blocks, hy, g_out.reshape(-1, 1), py) @ phi_y.l1.w.data.T
         galpha, gg = np.empty_like(alpha), 0.0
         for i, (w, pr) in enumerate(zip(ws, proj)):
             gi = gb[:, offsets[i] : offsets[i + 1]]
@@ -455,11 +426,11 @@ def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
                 w.grad += g.data.T @ gp
             if g.requires_grad:  # g's terms: tiers 1, 2, 3, then phi_alpha's
                 gg = gg + gp @ w.data.T
-        ga = _mlp2_grad(g.data, ha, _softmax_rows_grad(alpha, galpha), phi_alpha)
+        ga = _mlp2_grad(g.data, ha, _softmax_rows_grad(alpha, galpha), pa)
         if g.requires_grad:
-            g.grad += gg + ga @ phi_alpha[0].data.T
+            g.grad += gg + ga @ phi_alpha.l1.w.data.T
 
-    return _node("head", y.reshape(-1), (g, *ws, *phi_alpha, *phi_y), backward), alpha
+    return _node("head", y.reshape(-1), (g, *ws, *pa, *py), backward), alpha
 
 
 def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
@@ -467,8 +438,9 @@ def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
     """omega·mean(r²) + (1−omega)·mean(huber(r)) for r = y_hat − y, where
     huber(r) is r²/2 inside |r| <= delta and delta·(|r| − delta/2) outside,
     plus kl_scale·KL when `latent` (an `encode` node) is given: the batch-mean
-    KL divergence of N(μ, σ²I) from N(0, I). One node. Returns (the scalar
-    node, the MSE, the mean Huber and the KL as floats)."""
+    KL divergence of N(μ, σ²I) from N(0, I), floored at 0 where it rounds
+    below (a NaN stays NaN). One node. Returns (the scalar node, the MSE, the
+    mean Huber and the KL as floats)."""
     ok = y_hat.data.ndim == 1 and y.shape == y_hat.data.shape
     _conform("loss", ok and (latent is None or latent.data.ndim == 3 and len(latent.data) == 2),
              y_hat, y, latent)
@@ -484,7 +456,7 @@ def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
         with np.errstate(all="ignore"):
             ls2 = log_sigma * 2.0
             var = np.exp(ls2)
-            kl = (mu * mu + var - ls2 - 1.0).sum() * scale
+            kl = max((mu * mu + var - ls2 - 1.0).sum() * scale, 0.0)
             value = value + kl * kl_scale
 
     def backward(g):

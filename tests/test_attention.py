@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from scalarnet import tensor
 from scalarnet.attention import (
     FeatureGroupSpec,
     KernelAttentionParams,
@@ -13,7 +14,7 @@ from scalarnet.errors import ConfigError
 from scalarnet.layers import named_tensors
 from scalarnet.losses import composite_loss
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng, Tensor, affine, no_grad
+from scalarnet.tensor import Rng, Tensor, no_grad
 
 
 def loop_oracle(x, params):
@@ -179,11 +180,13 @@ class TestGroupedAttention:
 
 
 def weighted_sum(z, u, w):
-    """uᵀ z w as one scalar node: z is affine's weights under the row u, and
-    the column w sums the result; z's gradient is exactly the outer product
-    u wᵀ, each element one rounded product."""
-    row = affine(Tensor(u[None, :]), z, Tensor(np.zeros(len(w))))
-    return affine(row, Tensor(w[:, None]), Tensor(np.zeros(1)))
+    """uᵀ z w as one scalar test node on tensor._node; z's gradient is exactly
+    the outer product u wᵀ, each element one rounded product."""
+
+    def backward(g):
+        z.grad += g * np.outer(u, w)
+
+    return tensor._node("weighted_sum", u @ z.data @ w, (z,), backward)
 
 
 def random_group_params(widths, k, seed):
@@ -199,7 +202,8 @@ class TestFusedGroups:
     group's output and gradients are those of running it alone."""
 
     @pytest.mark.parametrize("widths,rows", [
-        ((6,) * 2, 5), ((6,) * 8, 9), ((6,) * 16, 3), ((1, 6, 6, 3, 1), 1)])
+        ((6,) * 2, 5), ((6,) * 8, 9), ((6,) * 16, 3), ((1, 6, 6, 3, 1), 1),
+        ((1, 6, 6, 3, 1), 128)])
     def test_stacked_groups_equal_each_group_alone(self, widths, rows):
         bounds = np.cumsum((0,) + widths)
         spec = FeatureGroupSpec(list(zip(bounds[:-1], bounds[1:])))

@@ -9,6 +9,7 @@ from scalarnet.calibration import (
     self_calibrate,
     variational_encode_decode,
 )
+from scalarnet.errors import NumericError
 from scalarnet.layers import named_tensors
 from scalarnet.tensor import Rng, Tensor, loss
 
@@ -75,7 +76,7 @@ class TestSelfCalibrate:
         z = Tensor(np.random.default_rng(13).normal(size=(5, 4)))
         s, delta, gamma = self_calibrate(z, params, Rng(3))
         mask = Rng(3).bernoulli(1.0 - delta, (5, 4))
-        t = params.phi_t(z).data
+        t = params.phi_t(z.data, "calibration")[1]
         expected = z.data + gamma * (t * mask) / (1.0 - delta)
         np.testing.assert_array_equal(s.data, expected)
 
@@ -171,6 +172,14 @@ class TestKlTerm:
         m = min(len(mus), len(logs))
         kl, _ = kl_term([mus[:m]], [logs[:m]])
         assert float(kl.data) >= 0.0
+
+    def test_rounding_below_zero_reads_zero(self):
+        # the sum rounds to -5.55e-17 here: the loss and its KL floor it at 0
+        latent = Tensor(np.stack([np.zeros((1, 2)), [[0.0, -1.107e-14]]]))
+        out, _, _, kl = loss(Tensor(np.zeros(1)), np.zeros(1), latent, 1.0, 1.0, 1.0)
+        assert float(out.data) == 0.0 and kl == 0.0
+        with pytest.raises(NumericError, match="'loss'"):  # the floor keeps a NaN
+            kl_term([[np.nan]], [[0.0]])
 
     def test_zero_iff_prior(self):
         kl, _ = kl_term([[0.1, 0.0]], [[0.0, 0.0]])

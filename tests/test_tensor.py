@@ -10,23 +10,19 @@ from hypothesis import strategies as st
 import scalarnet
 from scalarnet import tensor
 from scalarnet.errors import NumericError, ShapeError
+from scalarnet.layers import Affine, Mlp2
 from scalarnet.tensor import (
     EPS,
     Rng,
     Tensor,
-    affine,
     calibration,
     decode,
     encode,
     head,
     kernel_attention,
     loss,
-    mlp2,
     no_grad,
 )
-
-W_A = np.linspace(-1, 1, 8).reshape(4, 2)
-W_B = np.linspace(0.5, -0.5, 6).reshape(2, 3)
 
 
 def attention_set(w, k, h=3, seed=0):
@@ -67,23 +63,26 @@ def softmax_row(t):
     return out, w
 
 
+# test scaffolds: nodes built on tensor._node with an exact backward; they are
+# not package ops
+
+
 def pick(t, start, stop):
-    """Columns [start, stop) of a 2-D t as one affine node (a 0/1 matrix)."""
-    select = np.eye(t.data.shape[1])[:, start:stop]
-    return affine(t, Tensor(select), Tensor(np.zeros(stop - start)))
+    """Columns [start, stop) of a 2-D t as one node."""
+
+    def backward(g):
+        t.grad[:, start:stop] += g
+
+    return tensor._node("pick", t.data[:, start:stop], (t,), backward)
 
 
 def total(t):
-    """Sum of every element of a 0-, 1- or 2-D t as one node, through affine:
-    a 2-D t is the weights under a row of ones, a 1-D t the bias of a zero
-    row, and a column of ones sums that row."""
-    if t.data.ndim == 0:
-        return t
-    if t.data.ndim == 1:
-        t = affine(Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, t.data.size))), t)
-    else:
-        t = affine(Tensor(np.ones((1, len(t.data)))), t, Tensor(np.zeros(t.data.shape[1])))
-    return affine(t, Tensor(np.ones((t.data.shape[1], 1))), Tensor(np.zeros(1)))
+    """Sum of every element of t as one scalar node."""
+
+    def backward(g):
+        t.grad += g
+
+    return tensor._node("total", t.data.sum(), (t,), backward)
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -150,11 +149,21 @@ def wrap(arrays):
     return [a if isinstance(a, Tensor) else Tensor(a) for a in arrays]
 
 
+def aff(arrays):
+    """An Affine of (w, b), arrays or Tensors."""
+    return Affine(*wrap(arrays))
+
+
+def mlp(arrays):
+    """An Mlp2 of (w1, b1, w2, b2), arrays or Tensors."""
+    return Mlp2(aff(arrays[:2]), aff(arrays[2:]))
+
+
 def cal(z=Z, t2=PHI_T[2], train=True):
     """calibration with z or phi_t's output weights varied; train mode
     freezes the mask."""
     z, *ps = wrap([z, *PHI_C, *PHI_T[:2], t2, PHI_T[3]])
-    return calibration(z, ps[:4], ps[4:], FixedDraws() if train else None)[0]
+    return calibration(z, mlp(ps[:4]), mlp(ps[4:]), FixedDraws() if train else None)[0]
 
 
 def kl(latent, kl_scale=1.0):
@@ -165,13 +174,13 @@ def kl(latent, kl_scale=1.0):
 
 def enc(s=Z, sigma=PHI_SIGMA):
     s, *ps = wrap([s, *PHI_E, *PHI_MU, *sigma])
-    return encode(s, ps[:2], ps[2:4], ps[4:])
+    return encode(s, aff(ps[:2]), aff(ps[2:4]), aff(ps[4:]))
 
 
 def dec(latent=LATENT, s=Z, d2=PHI_D[2], train=True):
     """decode with one operand varied; train mode freezes the noise."""
     latent, s, *ps = wrap([latent, s, *PHI_D[:2], d2, PHI_D[3]])
-    return decode(latent, s, ps, FixedDraws() if train else None)
+    return decode(latent, s, mlp(ps), FixedDraws() if train else None)
 
 
 def hd(g=Z, w1=TIER_W[0]):
@@ -180,7 +189,7 @@ def hd(g=Z, w1=TIER_W[0]):
     p, c1 = (np.shape(x.data if isinstance(x, Tensor) else x)[1] for x in (g, w1))
     g, w1, *ps = wrap([g, w1, TIER_W[1][:p], TIER_W[2][:p], PHI_ALPHA[0][:p],
                        *PHI_ALPHA[1:], *layers(c1 + 3, 3, 1, seed=8)])
-    return head(g, w1, *ps[:2], ps[2:6], ps[6:])[0]
+    return head(g, w1, *ps[:2], mlp(ps[2:6]), mlp(ps[6:]))[0]
 
 
 def regress(y_hat, omega=1.0, delta=1.0):
@@ -191,15 +200,16 @@ def regress(y_hat, omega=1.0, delta=1.0):
 # each stage op with all its operands, in order, as (build, arrays); the
 # `encode` node is reduced to its KL term
 STAGE_OPERANDS = {
-    "calibration_train": (lambda z, *ps: calibration(z, ps[:4], ps[4:], FixedDraws())[0],
-                          [Z, *PHI_C, *PHI_T]),
-    "calibration_eval": (lambda z, *ps: calibration(z, ps[:4], ps[4:], None)[0],
+    "calibration_train": (lambda z, *ps: calibration(z, mlp(ps[:4]), mlp(ps[4:]),
+                                                     FixedDraws())[0], [Z, *PHI_C, *PHI_T]),
+    "calibration_eval": (lambda z, *ps: calibration(z, mlp(ps[:4]), mlp(ps[4:]), None)[0],
                          [Z, *PHI_C, *PHI_T]),
-    "encode": (lambda s, *ps: kl(encode(s, ps[:2], ps[2:4], ps[4:])),
+    "encode": (lambda s, *ps: kl(encode(s, aff(ps[:2]), aff(ps[2:4]), aff(ps[4:]))),
                [Z, *PHI_E, *PHI_MU, *PHI_SIGMA]),
-    "decode_train": (lambda lat, s, *ps: decode(lat, s, ps, FixedDraws()), [LATENT, Z, *PHI_D]),
-    "decode_eval": (lambda lat, s, *ps: decode(lat, s, ps, None), [LATENT, Z, *PHI_D]),
-    "head": (lambda g, *ps: head(g, *ps[:3], ps[3:7], ps[7:])[0],
+    "decode_train": (lambda lat, s, *ps: decode(lat, s, mlp(ps), FixedDraws()),
+                     [LATENT, Z, *PHI_D]),
+    "decode_eval": (lambda lat, s, *ps: decode(lat, s, mlp(ps), None), [LATENT, Z, *PHI_D]),
+    "head": (lambda g, *ps: head(g, *ps[:3], mlp(ps[3:7]), mlp(ps[7:]))[0],
              [Z, *TIER_W, *PHI_ALPHA, *PHI_Y]),
     "loss": (lambda y_hat, lat: loss(y_hat, Y3, lat, 0.7, 0.5, 0.3)[0], [Y_HAT, LATENT]),
 }
@@ -222,7 +232,7 @@ class TestForwardExamples:
         w = [np.arange(6.0).reshape(3, 2), np.ones((3, 1)), -np.eye(3)]
         alpha_net = [np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(3)]
         phi_y = [np.eye(6), np.zeros(6), np.ones((6, 1)), np.zeros(1)]  # sum of tanh
-        y, alpha = head(Tensor(np.eye(3)), *wrap(w), wrap(alpha_net), wrap(phi_y))
+        y, alpha = head(Tensor(np.eye(3)), *wrap(w), mlp(alpha_net), mlp(phi_y))
         np.testing.assert_array_equal(alpha, np.full((3, 3), 1 / 3))
         np.testing.assert_allclose(y.data, np.tanh(np.hstack(w) / 3).sum(axis=1), rtol=1e-14)
 
@@ -238,27 +248,22 @@ class TestGradients:
             ("scalar_mul", lambda t: kl(enc(s=t), kl_scale=2.5)),
             ("sub", lambda t: loss(hd(g=t), Y3, enc(s=t), 0.7, 0.5, 0.3)[0]),
             ("div", lambda t: cal(z=t)),  # the 1/(1 - δ)
-            ("rowvec_add", lambda t: affine(Tensor(np.ones((2, 3))), t,
-                                            Tensor(np.linspace(-1, 1, 4)))),
+            ("rowvec_add", lambda t: dec(d2=t)),  # phi_d's bias row after h @ w2
             ("colvec_mul", lambda t: hd(g=t)),  # α's columns times the tiers
             ("matmul", lambda t: dec(d2=t, train=False)),
             ("exp", lambda t: dec(latent=enc(s=t), s=t)),  # exp(log σ/2)
             ("tanh", lambda t: kl(enc(s=t))),
             ("sigmoid", lambda t: cal(z=t, train=False)),
             ("softmax", lambda t: hd(g=t)),
-            ("l2_normalize", lambda t: normalize_rows(
-                affine(Tensor([[1.0, -0.5, 0.3]]), t, Tensor(np.zeros(4))))[0]),
+            ("l2_normalize", lambda t: normalize_rows(  # of one decoded row
+                dec(latent=LATENT[:, :1], s=Z[:1], d2=t, train=False))[0]),
             ("abs", lambda t: regress(hd(g=t), 0.0, 0.5)),
             # log σ straddles the clamp at -10, where the KL stays moderate
             ("clamp", lambda t: kl(enc(s=t, sigma=[PHI_SIGMA[0] * 4.0, PHI_SIGMA[1] - 10.0]))),
             ("mean", lambda t: regress(hd(g=t))),  # mean(r²)
             ("reshape", lambda t: hd(g=t)),  # phi_y's (b, 1) output as (b,)
-            ("affine", lambda t: affine(t, Tensor(W_A), Tensor(np.array([0.3, -0.2])))),
-            (
-                "mlp2",
-                lambda t: mlp2(t, Tensor(W_A), Tensor(np.array([0.1, -0.4])),
-                               Tensor(W_B), Tensor(np.array([0.2, 0.0, -0.1]))),
-            ),
+            ("affine", lambda t: enc(s=t)),  # phi_e, phi_mu and phi_sigma
+            ("mlp2", lambda t: cal(z=t, train=False)),  # phi_c and phi_t
             (
                 "kernel_attention_dx",  # one group, k=2 kernels over p=4 features
                 lambda t: kernel_attention(
@@ -267,8 +272,9 @@ class TestGradients:
             (
                 "kernel_attention_mixed_widths",  # widths 5, 4, 3, 1 with k=1; d/dx
                 lambda t: kernel_attention(
-                    affine(t, Tensor(np.linspace(-1, 1, 52).reshape(4, 13)),
-                           Tensor(np.zeros(13))),
+                    decode(Tensor(np.stack([Z[:, :3], T[:, 1:]])), Tensor(np.zeros((3, 13))),
+                           mlp([t, np.zeros(4), np.linspace(-1, 1, 52).reshape(4, 13),
+                                np.zeros(13)]), None),  # phi_d: d = 3 -> 4 -> 13
                     MIXED, [[Tensor(a) for a in attention_set(e - s, 1, seed=s)]
                             for s, e in MIXED])[0],
             ),
@@ -320,9 +326,9 @@ class TestGradients:
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(3, 2)))
-        loss_ = total(mlp2(x, w, Tensor(np.zeros(2)), Tensor(W_B), Tensor(np.zeros(3))))
+        x = Tensor(rng.normal(size=Z.shape))
+        w = Tensor(rng.normal(size=PHI_T[0].shape))
+        loss_ = total(calibration(x, mlp(PHI_C), mlp([w, *PHI_T[1:]]), None)[0])
         loss_.backward()
         g1 = x.grad.copy(), w.grad.copy()
         loss_.backward()
@@ -360,8 +366,9 @@ class TestInvariantsProperties:
 
 class TestErrors:
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):  # s and phi_e's w
+            encode(Tensor(np.zeros((2, 3))), aff([np.zeros((4, 5)), np.zeros(5)]),
+                   aff(PHI_MU), aff(PHI_SIGMA))
 
     def test_matmul_mismatch(self):
         # g @ w_i inside head needs w_i to have p rows
@@ -385,33 +392,32 @@ class TestErrors:
 
     def test_guard_passes_finite_elements_with_overflowing_sum(self):
         with np.errstate(over="ignore"):  # the guard's own sum overflows
-            out = affine(Tensor([[1e308, 1e308]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
-        np.testing.assert_array_equal(out.data, [[1e308, 1e308]])
+            out = aff([np.eye(2), np.zeros(2)])(np.array([[1e308, 1e308]]), "encode")
+        np.testing.assert_array_equal(out, [[1e308, 1e308]])
 
     def test_guard_names_op_of_nan_element(self):
-        with pytest.raises(NumericError, match="'affine'"):
-            affine(Tensor([[1.0, np.nan, 2.0]]), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        with pytest.raises(NumericError, match="'head'"):  # a layer names its stage
+            aff([np.eye(3), np.zeros(3)])(np.array([[1.0, np.nan, 2.0]]), "head")
 
     def test_fused_ops_reject_nonconforming_shapes(self):
         x = Tensor(np.zeros((2, 3)))
-        with pytest.raises(ShapeError, match="affine"):
-            affine(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
-        with pytest.raises(ShapeError, match="mlp2"):
-            mlp2(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
-                 Tensor(np.zeros((5, 1))), Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError, match="encode"):  # phi_e's fan-in is not p
+            encode(x, aff(PHI_E), aff(PHI_MU), aff(PHI_SIGMA))
+        with pytest.raises(ShapeError, match="calibration"):  # phi_t's layers do not chain
+            calibration(Tensor(Z), mlp(PHI_C), mlp(PHI_T[:2] + layers(5, 4, seed=0)), None)
         two_wide = [Tensor(a) for a in attention_set(2, 2)]
         with pytest.raises(ShapeError, match="kernel_attention"):  # width 3, params of 2
             kernel_attention(x, [(0, 3)], [two_wide])
         with pytest.raises(ShapeError, match="kernel_attention"):  # groups miss column 2
             kernel_attention(x, [(0, 2)], [two_wide])
         with pytest.raises(ShapeError, match="calibration"):  # phi_c must give 2 logits
-            calibration(Tensor(Z), wrap(PHI_T), wrap(PHI_T), None)
+            calibration(Tensor(Z), mlp(PHI_T), mlp(PHI_T), None)
         with pytest.raises(ShapeError, match="encode"):  # phi_mu and phi_sigma widths differ
-            encode(Tensor(Z), wrap(PHI_E), wrap(PHI_MU), wrap(layers(3, 1, seed=0)))
+            encode(Tensor(Z), aff(PHI_E), aff(PHI_MU), aff(layers(3, 1, seed=0)))
         with pytest.raises(ShapeError, match="decode"):  # rows of latent and s differ
             dec(s=Z[:2])
         with pytest.raises(ShapeError, match="head"):  # phi_y must give 1 output
-            head(Tensor(Z), *wrap(TIER_W), wrap(PHI_ALPHA), wrap(layers(6, 3, 2, seed=0)))
+            head(Tensor(Z), *wrap(TIER_W), mlp(PHI_ALPHA), mlp(layers(6, 3, 2, seed=0)))
         with pytest.raises(ShapeError, match="loss"):  # latent is not (2, b, d)
             loss(Tensor(Y_HAT), Y3, Tensor(Z), 1.0, 1.0, 1.0)
 
@@ -456,18 +462,17 @@ class TestVocabulary:
                         used.add(node.attr)
                     elif isinstance(node, ast.alias):
                         used.add(node.name)
-        assert len(public) >= 13
+        assert len(public) >= 11
         assert sorted(public - used) == []
 
-    def test_node_building_ops_are_the_stages_and_two_layers(self):
+    def test_node_building_ops_are_the_stages(self):
         """Every op name given to `_node` in tensor.py: one per paper stage
-        and per single layer, eight in all."""
+        and the loss, six in all."""
         tree = ast.parse((Path(scalarnet.__file__).parent / "tensor.py").read_text(
             encoding="utf-8"))
         ops = {node.args[0].value for node in ast.walk(tree)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_node"}
-        assert ops == {"kernel_attention", "calibration", "encode", "decode", "head", "loss",
-                       "affine", "mlp2"}
+        assert ops == {"kernel_attention", "calibration", "encode", "decode", "head", "loss"}
 
     @pytest.mark.parametrize("name", ["__sub__", "__rsub__", "__truediv__", "__matmul__",
                                       "sigmoid", "abs", "exp", "sum", "mean", "cols",
@@ -477,7 +482,8 @@ class TestVocabulary:
         assert not hasattr(Tensor, name)
 
     @pytest.mark.parametrize("name", ["concat", "kernel_attend", "calibrate", "reparameterize",
-                                      "tiered_projection", "regression_loss", "kl_term"])
+                                      "tiered_projection", "regression_loss", "kl_term",
+                                      "affine", "mlp2", "_mlp2"])
     def test_deleted_module_ops_stay_deleted(self, name):
         assert not hasattr(tensor, name)
 
@@ -509,8 +515,6 @@ def _link_writers(scope, tree, attrs):
 # made constant
 OPERANDS = {
     **STAGE_OPERANDS,
-    "affine": (affine, [Z, W_A, np.array([0.3, -0.2])]),
-    "mlp2": (mlp2, [Z, W_A, np.array([0.1, -0.4]), W_B, np.array([0.2, 0.0, -0.1])]),
     "kernel_attention": (  # two stacked groups of width 2
         lambda x, *ps: kernel_attention(x, [(0, 2), (2, 4)], [ps[:10], ps[10:]])[0],
         [Z, *attention_set(2, 2, seed=1), *attention_set(2, 2, seed=2)]),
@@ -538,35 +542,35 @@ class TestNodeConstructor:
         assert _link_writers("", tree, {"requires_grad"}) == {"_node", "Tensor.__init__"}
 
     def test_node_guards_and_links(self):
-        t = Tensor(np.ones((2, 3)))
+        t = Tensor(Z)
         with no_grad():
-            w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
-        out = affine(t, w, b)
-        assert out._prev == (t,) and out.op == "affine"
-        with pytest.raises(NumericError, match="'affine'"):
-            affine(Tensor([[1.0, np.inf, 0.0]]), w, b)
+            ps = [aff(PHI_E), aff(PHI_MU), aff(PHI_SIGMA)]
+        out = encode(t, *ps)
+        assert out._prev == (t,) and out.op == "encode"
+        with pytest.raises(NumericError, match="'encode'"):
+            encode(t, aff([PHI_E[0], np.array([np.inf, 0.0, 0.0])]), *ps[1:])
 
     def test_node_of_constants_is_a_constant(self):
         with no_grad():
             a = Tensor(Z)
             head_params = wrap([*TIER_W, *PHI_ALPHA, *PHI_Y])
         assert not any(t.requires_grad for t in [a, *head_params])
-        out = affine(a, Tensor(W_A), Tensor(np.zeros(2)))
-        assert out.requires_grad and len(out._prev) == 2  # w and b, not the constant
-        c = head(a, *head_params[:3], head_params[3:7], head_params[7:])[0]
+        out = encode(a, aff(PHI_E), aff(PHI_MU), aff(PHI_SIGMA))
+        assert out.requires_grad and len(out._prev) == 6  # the layers, not the constant
+        c = head(a, *head_params[:3], mlp(head_params[3:7]), mlp(head_params[7:]))[0]
         assert not c.requires_grad and c._prev == () and c._backward is None
         with pytest.raises(NumericError, match="constant"):
             loss(c, np.zeros(3), None, 1.0, 1.0, 0.0)[0].backward()
 
     def test_no_grad_records_nothing_and_restores_grad_mode(self):
-        w = Tensor(W_A)
+        phi_d = mlp(PHI_D)
         with pytest.raises(ShapeError):
             with no_grad():
-                out = mlp2(Tensor(Z), w, Tensor(np.zeros(2)), Tensor(W_B), Tensor(np.zeros(3)))
-                affine(Tensor(Z), Tensor(T[:2]), Tensor(np.zeros(4)))
+                out = dec(d2=phi_d.l2.w)
+                decode(out, Tensor(Z), phi_d, None)  # out is not (2, b, d)
         assert not out.requires_grad and out._prev == () and out._backward is None
         assert Tensor(Z).requires_grad  # grad mode is back on after the error
-        assert affine(Tensor(Z), w, Tensor(np.zeros(2)))._prev
+        assert decode(Tensor(LATENT), Tensor(Z), phi_d, None)._prev
 
     @pytest.mark.parametrize("name", sorted(OPERANDS))
     def test_constant_operand_gets_no_gradient_and_changes_no_other(self, name):

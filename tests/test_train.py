@@ -13,6 +13,7 @@ from scalarnet.calibration import self_calibrate, variational_encode_decode
 from scalarnet.data import Dataset, standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
 from scalarnet.head import feature_importance, head_forward
+from scalarnet.layers import Affine, Mlp2
 from scalarnet.losses import LossConfig, composite_loss, kl_weight
 from scalarnet.model import ModelConfig, ScalarModel
 from scalarnet.tensor import Rng, Tensor, loss, no_grad
@@ -283,6 +284,25 @@ class TestGraphSize:
         total, _ = composite_loss(y, y_hat, trace.latent, 0, 10, cfg.loss)
         assert loss_graph_histogram(total) == stages  # without the variational block
 
+    @pytest.mark.parametrize("use_variational,calls", [(True, (13, 5)), (False, (8, 4))])
+    def test_stages_apply_their_layers(self, monkeypatch, use_variational, calls):
+        """Every stage but the attention tiers runs its forward through
+        `Affine.__call__` and `Mlp2.__call__`; an Mlp2's two layers count as
+        Affine calls too."""
+        counts = Counter()
+        for cls in (Affine, Mlp2):
+            def counted(self, x, op, _call=cls.__call__, _name=cls.__name__):
+                counts[_name] += 1
+                return _call(self, x, op)
+
+            monkeypatch.setattr(cls, "__call__", counted)
+        cfg = ModelConfig(groups=[[0, 6], [6, 12]], use_variational=use_variational, seed=0)
+        model, x = ScalarModel(cfg, 12), Rng(1).normal((8, 12))
+        for mode, rng in (("train", Rng(2)), ("eval", None)):
+            counts.clear()
+            model.forward(x, mode, rng)
+            assert (counts["Affine"], counts["Mlp2"]) == calls, mode
+
 
 class TestTraining:
     def test_two_runs_bit_identical(self):
@@ -483,7 +503,7 @@ class TestChunkedEval:
 
 
 def ref_mlp2(x, net):
-    """An `mlp2` node of the op chain the stage ops replaced."""
+    """The two-layer tanh net tanh(x @ w1 + b1) @ w2 + b2 of net's arrays."""
     w1, b1, w2, b2 = (t.data for t in net)
     return np.tanh(x @ w1 + b1) @ w2 + b2
 
@@ -572,7 +592,7 @@ class TestStageOpsOverConfigs:
         total = (r * r).mean() * lc.omega_mse + (q * a - q * q * 0.5).mean() * (1 - lc.omega_mse)
         if latent is not None and beta0 > 0:
             ls2 = log_sigma * 2.0
-            kl = (mu * mu + np.exp(ls2) - ls2 - 1.0).sum() * (0.5 / b)
+            kl = max((mu * mu + np.exp(ls2) - ls2 - 1.0).sum() * (0.5 / b), 0.0)
             total = total + kl * (kl_weight(1, 2, lc.warmup_fraction) * beta0)
         assert composite_loss(y, y_hat, latent, 1, 2, lc)[0].data == total
 
