@@ -2,16 +2,17 @@
 
 Each of the paper's stages is one graph node, and there are no generic
 arithmetic ops. The six ops, each with a hand-written backward:
-`kernel_attention` (a whole attention tier: every column group's kernels,
-kernel weights, mixing, projection and residual, the groups of one width
-stacked), `calibration`, `encode` (μ and log σ in one (2, b, d) node),
-`decode` (the reparameterized draw, decoder and residual), `head` and `loss`
-(MSE/Huber blend plus scaled KL). The stages other than `kernel_attention`
-take their `layers.Affine`/`Mlp2` objects, run their forwards through those
-layers' array-level `__call__` and their parameter gradients through
-`_affine_grad` and `_mlp2_grad`. Nothing broadcasts: each op checks the
-shapes it documents, and a non-finite value inside an op raises a
-NumericError naming it.
+`kernel_attention` (a whole attention tier: every column group's kernels
+k̂_j, kernel weights w_j, the mixed kernel mix = Σ_j w_j k̂_j, and the output
+phi_p(x ⊙ mix) + x, the groups of one width stacked), `calibration`,
+`encode` (μ and log σ in one (2, b, d) node), `decode` (the reparameterized
+draw, decoder and residual), `head` and `loss` (MSE/Huber blend plus scaled
+KL). The stages other than `kernel_attention` take their
+`layers.Affine`/`Mlp2` objects, run their forwards through those layers'
+array-level `__call__` and their parameter gradients through `_affine_grad`
+and `_mlp2_grad`. Nothing broadcasts: each op checks the shapes it
+documents, and a non-finite value inside an op raises a NumericError naming
+it; each op runs under one np.errstate, so numpy does not warn first.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
 `_node`, the one place that guards the output, records the parents and binds
@@ -65,7 +66,8 @@ def no_grad():
 
 
 def _guard(op: str, out: np.ndarray) -> np.ndarray:
-    # overflow/0-div warnings are redundant with this check. A finite sum
+    # ops call this under np.errstate(all="ignore"), so neither their
+    # arithmetic nor the sum below warns before it raises. A finite sum
     # implies finite elements; only a non-finite sum needs the full scan.
     if not math.isfinite(out.sum()) and not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite output in op '{op}'")
@@ -223,6 +225,7 @@ def _stack(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+@np.errstate(all="ignore")
 def kernel_attention(x: Tensor, groups, param_sets):
     """Adaptive kernel attention on each column group of x (b, p), as one node.
 
@@ -231,13 +234,16 @@ def kernel_attention(x: Tensor, groups, param_sets):
     `_attention_buckets` documents. On a group's columns xg (b, w):
     raw = phi_k(xg) holds k kernels per row, each L2-normalized by max(norm,
     EPS) into k̂ (b, k, w); the kernel weights w (b, k) are the row softmax of
-    phi_w(xg); the group's output columns are phi_p(Σ_j w[:, j] · xg · k̂_j) +
-    xg. phi_k and phi_w are two-layer tanh nets, phi_p is affine.
+    phi_w(xg); the mixed kernel is mix = Σ_j w[:, j] · k̂_j (b, w), and the
+    group's output columns are phi_p(xg ⊙ mix) + xg. phi_k and phi_w are
+    two-layer tanh nets, phi_p is affine.
 
-    Groups whose parameters have the same shapes run stacked, as (G, b, w)
-    arrays through batched matmul; each group's arithmetic is the same as
-    running it alone. Returns (the (b, p) Tensor, per-group k̂ and w as
-    views of the stacked ndarrays).
+    The kernel sums (the norms, mix, and backward's k̂_j · u) are einsum
+    contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
+    k̂ and mix. Groups whose parameters have the same shapes run stacked, as
+    (G, b, w) arrays through batched matmul; each group's arithmetic is the
+    same as running it alone. Returns (the (b, p) Tensor, per-group k̂ and w
+    as views of the stacked ndarrays).
     """
     xd = x.data
     out = np.empty_like(xd)
@@ -252,32 +258,35 @@ def kernel_attention(x: Tensor, groups, param_sets):
         hw = np.tanh(_guard("kernel_attention", xs @ w1w + b1w[:, None]))
         wsm = _softmax_rows(_guard("kernel_attention", hw @ w2w + b2w[:, None]))  # (G, b, k)
         hk = np.tanh(_guard("kernel_attention", xs @ w1k + b1k[:, None]))
-        raw = _guard("kernel_attention", hk @ w2k + b2k[:, None]).reshape(wsm.shape + (-1,))
-        norm = np.sqrt(np.add.reduce(raw * raw, axis=3, keepdims=True))  # np.linalg.norm
+        # the raw kernels, normalized in place into k̂ (G, b, k, w)
+        k_hat = _guard("kernel_attention", hk @ w2k + b2k[:, None]).reshape(wsm.shape + (-1,))
+        norm = np.sqrt(np.einsum("gbkw,gbkw->gbk", k_hat, k_hat))[..., None]  # np.linalg.norm
         m = np.maximum(norm, EPS)
-        k_hat = raw / m  # (G, b, k, w)
-        del raw
-        if not _grad_enabled:  # no backward: free the hidden layers before xk
-            hk = hw = None
-        wk = wsm[..., None]
-        xk = xs[:, :, None, :] * k_hat
-        att = (wk * xk).sum(axis=2)
+        k_hat /= m
+        mix = np.einsum("gbk,gbkw->gbw", wsm, k_hat)  # Σ_j w_j k̂_j
+        att = xs * mix
         z = att @ wp + bp[:, None] + xs
         for j, (i, (s, e)) in enumerate(zip(members, cols)):
             out[:, s:e] = z[j]
             k_hats[i], weights[i] = k_hat[j], wsm[j]
-        stacks.append((members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, wk, xk, att))
+        if _grad_enabled:  # only a backward reads these; eval keeps none of them
+            stacks.append((members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, mix, att))
 
     def backward(g):
-        for members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, wk, xk, att in stacks:
+        for members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, mix, att in stacks:
             w1k, w2k, w1w, w2w, wp = (prm[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
             gz = _stack([g[:, s:e] for s, e in cols])
             gatt = gz @ wp
-            gq = gatt[:, :, None, :]
-            gw = (gq * xk).sum(axis=3)
-            gk = wk * (gq * xs[:, :, None, :])
-            proj = (gk - k_hat * (k_hat * gk).sum(axis=3, keepdims=True)) / m
-            graw = np.where(norm > EPS, proj, gk / EPS).reshape(hk.shape[:2] + (-1,))
+            u = gatt * xs  # the gradient wrt mix; k̂_j's is w_j·u
+            gw = np.einsum("gbkw,gbw->gbk", k_hat, u)
+            # through k̂ = raw / m: (w_j·u − k̂_j (k̂_j · w_j·u)) / m, where k̂_j · u =
+            # gw_j; built in place, one (G, b, k, w) array rather than three
+            graw = k_hat * gw[..., None]
+            np.subtract(u[:, :, None], graw, out=graw)
+            graw *= wsm[..., None] / m
+            if (norm <= EPS).any():  # there k̂ = raw / EPS: w_j·u passes through scaled
+                graw = np.where(norm > EPS, graw, wsm[..., None] * u[:, :, None] / EPS)
+            graw = graw.reshape(hk.shape[:2] + (-1,))
             glogits = _softmax_rows_grad(wsm, gw)
             ghw = (glogits @ w2w) * (1.0 - hw * hw)
             ghk = (graw @ w2k) * (1.0 - hk * hk)
@@ -293,7 +302,7 @@ def kernel_attention(x: Tensor, groups, param_sets):
             if x.requires_grad:
                 # the residual, kernel mixing, phi_w and phi_k terms, in the
                 # order a graph of one node per layer would add them
-                gx = gz + gatt * (wk * k_hat).sum(axis=2)
+                gx = gz + gatt * mix
                 gx = gx + ghw @ w1w
                 gx = gx + ghk @ w1k
                 for j, (s, e) in enumerate(cols):
@@ -303,6 +312,7 @@ def kernel_attention(x: Tensor, groups, param_sets):
     return _node("kernel_attention", out, parents, backward), k_hats, weights
 
 
+@np.errstate(all="ignore")
 def calibration(z: Tensor, phi_c, phi_t, rng):
     """The self-calibrated residual of z (b, p), one node. A sigmoid of the
     logits phi_c(z) maps into the dropout rate δ ∈ DELTA_RANGE and the scale
@@ -341,6 +351,7 @@ def calibration(z: Tensor, phi_c, phi_t, rng):
     return _node("calibration", s, (z, *pc, *pt), backward), delta, gamma
 
 
+@np.errstate(all="ignore")
 def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
     """The variational encoder of s (b, p), one (2, b, d) node holding μ and
     log σ: h = tanh(phi_e(s)), μ = phi_mu(h) and log σ = phi_sigma(h) clamped
@@ -367,6 +378,7 @@ def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
     return _node("encode", out, (s, *pe, *pm, *ps), backward)
 
 
+@np.errstate(all="ignore")
 def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     """v = s + phi_d(r) for s (b, p), the `encode` node `latent` and the
     `Mlp2` phi_d (d → p), one node. Train mode draws r = μ +
@@ -379,9 +391,8 @@ def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     r, log_sigma = lat  # r is the posterior mean μ in eval mode
     if rng is not None:
         eps = rng.normal(r.shape)
-        with np.errstate(all="ignore"):
-            sd = np.exp(log_sigma * 0.5)
-            r = _guard("decode", r + eps * sd)
+        sd = np.exp(log_sigma * 0.5)
+        r = _guard("decode", r + eps * sd)
     h, out = phi_d(r, "decode")
 
     def backward(g):
@@ -397,6 +408,7 @@ def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     return _node("decode", s.data + out, (latent, s, *pd), backward)
 
 
+@np.errstate(all="ignore")
 def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
     """The hierarchical head on g (b, p), one node: the tier weights α =
     softmax(phi_alpha(g)) (b, 3) scale the projections g @ w_i (w_i (p, c_i)),
@@ -433,6 +445,7 @@ def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
     return _node("head", y.reshape(-1), (g, *ws, *pa, *py), backward), alpha
 
 
+@np.errstate(all="ignore")
 def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
          kl_scale: float):
     """omega·mean(r²) + (1−omega)·mean(huber(r)) for r = y_hat − y, where
@@ -453,11 +466,10 @@ def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
     if latent is not None:
         mu, log_sigma = latent.data
         scale, parents = 0.5 / mu.shape[0], (y_hat, latent)
-        with np.errstate(all="ignore"):
-            ls2 = log_sigma * 2.0
-            var = np.exp(ls2)
-            kl = max((mu * mu + var - ls2 - 1.0).sum() * scale, 0.0)
-            value = value + kl * kl_scale
+        ls2 = log_sigma * 2.0
+        var = np.exp(ls2)
+        kl = max((mu * mu + var - ls2 - 1.0).sum() * scale, 0.0)
+        value = value + kl * kl_scale
 
     def backward(g):
         if y_hat.requires_grad:

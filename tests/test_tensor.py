@@ -85,6 +85,15 @@ def total(t):
     return tensor._node("total", t.data.sum(), (t,), backward)
 
 
+def weighted(t, c):
+    """Σ c ⊙ t for a constant array c of t's shape, as one scalar node."""
+
+    def backward(g):
+        t.grad += g * c
+
+    return tensor._node("weighted", (c * t.data).sum(), (t,), backward)
+
+
 def numeric_grad(fn, x, h=1e-6):
     """Central finite differences of a scalar-valued fn at array x."""
     g = np.zeros_like(x)
@@ -363,6 +372,70 @@ class TestInvariantsProperties:
         total(normalize_rows(raw)[0]).backward()
         np.testing.assert_array_equal(raw.grad, np.full((1, 3), 1.0 / EPS))
 
+    def test_both_normalization_branches_in_one_stacked_call(self):
+        """Three stacked 3-wide groups, k = 2, five rows. In group 1, row 2's
+        input (1, -1, 0) meets equal first rows of phi_k's w1 and a zero b1,
+        so its hidden layer is exactly 0 and its kernels are phi_k's output
+        bias: kernel 1 is [3e-13, 4e-13, 0], below EPS, and kernel 0 is not."""
+        groups, r0, j0 = [(0, 3), (3, 6), (6, 9)], 2, 1
+        sets = [attention_set(3, 2, h=4, seed=s) for s in range(3)]
+        sets[1][0][1] = sets[1][0][0]
+        sets[1][1][:] = 0.0
+        sets[1][3][3 * j0 : 3 * j0 + 3] = [3e-13, 4e-13, 0.0]
+        x0 = np.random.default_rng(5).normal(size=(5, 9))
+        x0[r0, 3:6] = [1.0, -1.0, 0.0]
+        arrays = [x0, *(a for ps in sets for a in ps)]
+
+        def attend(ts):
+            return kernel_attention(ts[0], groups, [ts[1 + 10 * g : 11 + 10 * g]
+                                                    for g in range(3)])
+
+        # upstream gradient on row r0's first group-1 column alone: every other
+        # row's raw gradient is exactly 0, so phi_k's b2 gradient is row r0's
+        ts = [Tensor(a) for a in arrays]
+        z, k_hats, weights = attend(ts)
+        c = np.zeros((5, 9))
+        c[r0, 3] = 1.0
+        weighted(z, c).backward()
+        k_hat, w = k_hats[1][r0], weights[1][r0]
+        np.testing.assert_allclose(k_hat[j0], [0.3, 0.4, 0.0], rtol=1e-12)  # raw / EPS
+        u = sets[1][8][:, 0] * x0[r0, 3:6]  # (gz @ wpᵀ) ⊙ x with gz = (1, 0, 0)
+        b2_grad = ts[14].grad.reshape(2, 3)
+        np.testing.assert_array_equal(b2_grad[j0], w[j0] * u / EPS)
+        j1 = 1 - j0  # row r0's other kernel, raw = its bias block, takes the projection
+        raw1 = sets[1][3][3 * j1 : 3 * j1 + 3]
+        np.testing.assert_allclose(
+            b2_grad[j1], w[j1] * (u - k_hat[j1] * (k_hat[j1] @ u)) / np.linalg.norm(raw1),
+            rtol=1e-12)
+
+        # with row r0 out of the sum, x and every parameter pass central
+        # differences; the sum does not read row r0, so a step that lifts its
+        # kernel above EPS changes nothing
+        c = np.random.default_rng(6).normal(size=(5, 9))
+        c[r0] = 0.0
+        ts = [Tensor(a) for a in arrays]
+        weighted(attend(ts)[0], c).backward()
+        for i, t in enumerate(ts):
+            def fn(a, i=i):
+                return float((c * attend([Tensor(a) if j == i else Tensor(b)
+                                          for j, b in enumerate(arrays)])[0].data).sum())
+
+            num = numeric_grad(fn, arrays[i].copy(), h=1e-5)
+            denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-3)
+            assert (np.abs(t.grad - num) / denom).max() < 1e-6, i
+
+
+# each stage op fed a (3, 4) array holding an inf
+NONFINITE_INPUT = {
+    "kernel_attention": lambda a: kernel_attention(
+        Tensor(a), [(0, 4)], [[Tensor(p) for p in attention_set(4, 2)]]),
+    "calibration": lambda a: cal(z=a, train=False),
+    "encode": lambda a: enc(s=a),
+    "decode": lambda a: dec(latent=np.stack([a[:, :2], LATENT[1]]), train=False),
+    "head": lambda a: hd(g=a),
+    "loss": lambda a: loss(Tensor(a[:, 0]), Y3, None, 1.0, 0.5, 0.0),
+}
+
 
 class TestErrors:
     def test_shape_mismatch_names_both_shapes(self):
@@ -378,6 +451,15 @@ class TestErrors:
     def test_nonfinite_names_op(self):
         with pytest.raises(NumericError, match="decode"):  # exp(1000) in the draw
             dec(latent=np.stack([Z[:, :2], np.full((3, 2), 2000.0)]))
+
+    @pytest.mark.parametrize("op", sorted(NONFINITE_INPUT))
+    def test_nonfinite_input_raises_numeric_error_naming_the_op(self, op):
+        # under Tier-1's error::RuntimeWarning, so numpy must not warn first
+        # (inf times weights of both signs, or the guard's own sum)
+        a = Z.copy()
+        a[1, 0] = np.inf
+        with pytest.raises(NumericError, match=f"'{op}'"):
+            NONFINITE_INPUT[op](a)
 
     def test_no_broadcasting(self):
         with pytest.raises(ShapeError, match="decode"):

@@ -305,9 +305,15 @@ class TestGraphSize:
 
 
 class TestTraining:
-    def test_two_runs_bit_identical(self):
-        ds = standardize(tiny_dataset())
-        cfg = quick_cfg(max_epochs=10)
+    # two 4-wide groups stack into one bucket of the grouped tier; widths
+    # (1, 6, 6, 3, 1) into three
+    @pytest.mark.parametrize("widths,epochs", [((4, 4), 10), ((1, 6, 6, 3, 1), 4)],
+                             ids=["one_bucket", "three_buckets"])
+    def test_two_runs_bit_identical(self, widths, epochs):
+        bounds = np.cumsum((0,) + widths).tolist()
+        groups = [[s, e] for s, e in zip(bounds[:-1], bounds[1:])]
+        ds = standardize(synth_nonlinear(64, FeatureGroupSpec(groups), 0.05, seed=1))
+        cfg = quick_cfg(groups=groups, max_epochs=epochs)
         ck1, h1 = train(ds, cfg)
         ck2, h2 = train(ds, cfg)
         assert h1 == h2
