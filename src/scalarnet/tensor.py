@@ -260,8 +260,8 @@ def kernel_attention(x: Tensor, groups, param_sets):
         hk = np.tanh(_guard("kernel_attention", xs @ w1k + b1k[:, None]))
         # the raw kernels, normalized in place into k̂ (G, b, k, w)
         k_hat = _guard("kernel_attention", hk @ w2k + b2k[:, None]).reshape(wsm.shape + (-1,))
-        norm = np.sqrt(np.einsum("gbkw,gbkw->gbk", k_hat, k_hat))[..., None]  # np.linalg.norm
-        m = np.maximum(norm, EPS)
+        norm = np.sqrt(np.einsum("gbkw,gbkw->gbk", k_hat, k_hat))  # np.linalg.norm
+        m = np.maximum(norm, EPS)[..., None]  # at EPS exactly where norm <= EPS
         k_hat /= m
         mix = np.einsum("gbk,gbkw->gbw", wsm, k_hat)  # Σ_j w_j k̂_j
         att = xs * mix
@@ -270,10 +270,10 @@ def kernel_attention(x: Tensor, groups, param_sets):
             out[:, s:e] = z[j]
             k_hats[i], weights[i] = k_hat[j], wsm[j]
         if _grad_enabled:  # only a backward reads these; eval keeps none of them
-            stacks.append((members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, mix, att))
+            stacks.append((members, cols, xs, prm, hk, hw, wsm, m, k_hat, mix, att))
 
     def backward(g):
-        for members, cols, xs, prm, hk, hw, wsm, norm, m, k_hat, mix, att in stacks:
+        for members, cols, xs, prm, hk, hw, wsm, m, k_hat, mix, att in stacks:
             w1k, w2k, w1w, w2w, wp = (prm[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
             gz = _stack([g[:, s:e] for s, e in cols])
             gatt = gz @ wp
@@ -284,8 +284,8 @@ def kernel_attention(x: Tensor, groups, param_sets):
             graw = k_hat * gw[..., None]
             np.subtract(u[:, :, None], graw, out=graw)
             graw *= wsm[..., None] / m
-            if (norm <= EPS).any():  # there k̂ = raw / EPS: w_j·u passes through scaled
-                graw = np.where(norm > EPS, graw, wsm[..., None] * u[:, :, None] / EPS)
+            if (m == EPS).any():  # there k̂ = raw / EPS: w_j·u passes through scaled
+                graw = np.where(m > EPS, graw, wsm[..., None] * u[:, :, None] / EPS)
             graw = graw.reshape(hk.shape[:2] + (-1,))
             glogits = _softmax_rows_grad(wsm, gw)
             ghw = (glogits @ w2w) * (1.0 - hw * hw)
