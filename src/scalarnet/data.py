@@ -54,9 +54,9 @@ class SplitPlan:
 
 @contextlib.contextmanager
 def open_text(path, error):
-    """`path` opened as UTF-8 text; bytes that are not UTF-8 raise `error` naming it."""
+    """`path` opened as UTF-8 text past any BOM; non-UTF-8 bytes raise `error` naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,19 @@ class TestTrainEval:
         assert vals == sorted(vals, reverse=True)
         assert vals[0] == 1.0 and vals[-1] == 0.0
 
+    def test_byte_order_marks_accepted(self, workspace, capsys):
+        # Excel's "CSV UTF-8" and PowerShell's Out-File begin the file with a BOM
+        tmp, data_path, groups_path, config_path = workspace
+        for path in (data_path, groups_path, config_path):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        common = ["--data", data_path, "--target", "y", "--groups", groups_path]
+        ckpt = _trained_checkpoint(tmp, common, config_path)
+        assert run(["importance", *common, "--ckpt", ckpt, "--out", tmp / "imp.csv"]) == 0
+        rows = csv.reader((tmp / "imp.csv").read_text(encoding="utf-8").splitlines())
+        names = {row[1] for row in rows}
+        header = data_path.read_text(encoding="utf-8-sig").splitlines()[0].split(",")
+        assert names == {"feature_name", *header} - {"y"}
+
     def test_missing_config_file(self, workspace, capsys):
         tmp, data_path, groups_path, _ = workspace
         rc = run(
@@ -175,6 +192,24 @@ class TestBaselineSynthGradcheck:
             run(["synth", "--n", "10", "--groups", groups_path, "--seed", "7",
                  "--out", out])
         assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
+
+    def test_module_entry_point(self, tmp_path):
+        """`python -m scalarnet.cli` runs `main` and exits with its code."""
+        groups_path = _write(tmp_path / "g.json", "[[0, 2], [2, 4]]")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+
+        def synth(n):
+            return subprocess.run(
+                [sys.executable, "-m", "scalarnet.cli", "synth", "--n", n, "--groups",
+                 groups_path, "--out", tmp_path / "s.csv"],
+                env=env, capture_output=True, text=True, timeout=120)
+
+        ok = synth("5")
+        assert ok.returncode == 0, ok.stderr
+        assert len((tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()) == 6
+        bad = synth("0")
+        assert bad.returncode == 2
+        assert bad.stderr.count("error:") == 1 and bad.stderr.count("\n") == 1
 
     def test_gradcheck_command(self, capsys):
         rc = run(["gradcheck", "--seed", "1"])

@@ -62,6 +62,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no column"):
             load_csv(csv_path, "target")
 
+    @pytest.mark.parametrize("header", ["y,a,b", "a,y,b"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # Excel's "CSV UTF-8" and PowerShell's Out-File begin the file with a BOM
+        csv_path = tmp_path / "d.csv"
+        groups_path = tmp_path / "g.json"
+        write(csv_path, "\ufeff" + header + "\n3,1,2\n6,4,5\n")
+        write(groups_path, "\ufeff[[0, 2]]")
+        ds = load_csv(csv_path, "y", groups_path)
+        assert ds.feature_names == [c for c in header.split(",") if c != "y"]
+        assert ds.x.shape == (2, 2) and ds.spec.groups == ((0, 2),)
+
     def test_roundtrip_value_identical(self, tmp_path):
         spec = FeatureGroupSpec([(0, 2), (2, 5)])
         ds = synth_nonlinear(20, spec, 0.3, seed=3)
