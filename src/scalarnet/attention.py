@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width
 from .tensor import Rng, Tensor, kernel_attention
 
@@ -109,12 +109,8 @@ class AttentionTrace:
 
 
 def kernel_attention_forward(x: Tensor, params: KernelAttentionParams) -> AttentionTrace:
-    p_in = x.data.shape[1]
-    if p_in != params.p_in:
-        raise ShapeError(
-            f"input has {p_in} columns but attention params expect {params.p_in}"
-        )
-    z, (k_hat,), (w,) = kernel_attention(x, [(0, p_in)], [params.tensors()])
+    """One kernel attention tier on x (b, params.p_in), as in the global tier."""
+    z, (k_hat,), (w,) = kernel_attention(x, [(0, params.p_in)], [params.tensors()])
     return AttentionTrace(k_hat=k_hat, w=w, z=z)
 
 
@@ -122,10 +118,5 @@ def grouped_attention_forward(x: Tensor, spec: FeatureGroupSpec, per_group_param
     """Run kernel attention on each column group, every group in one node;
     returns the (b, p) output, each group's block in its own columns, and the
     per-group traces."""
-    if len(per_group_params) != spec.n_groups:
-        raise ConfigError(
-            f"got {len(per_group_params)} parameter sets for {spec.n_groups} groups"
-        )
-    spec.validate_width(x.data.shape[1])
     z, k_hats, ws = kernel_attention(x, spec.groups, [gp.tensors() for gp in per_group_params])
     return z, [AttentionTrace(k_hat=k_hat, w=w, z=None) for k_hat, w in zip(k_hats, ws)]

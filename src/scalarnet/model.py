@@ -168,7 +168,7 @@ class ScalarModel:
         return out
 
     def forward(self, x: np.ndarray, mode: str = "train", rng: Rng = None):
-        """Run the pipeline on a (batch, p) array.
+        """Run the pipeline on a (batch, p) array, or raise a ConfigError.
 
         Train mode draws the dropout mask and then the latent noise from
         `rng`, the only source of noise; eval mode is deterministic, ignores
@@ -183,6 +183,8 @@ class ScalarModel:
             rng = None
         with no_grad():
             xt = Tensor(np.asarray(x, dtype=np.float64))
+        if xt.data.ndim != 2 or xt.data.shape[1] != self.p:
+            raise ConfigError(f"input must be (batch, {self.p}), got shape {xt.data.shape}")
         with no_grad() if mode == "eval" else contextlib.nullcontext():
             z, group_traces = grouped_attention_forward(xt, self.cfg.spec, self.group_params)
             s, delta, gamma = self_calibrate(z, self.cal_params, rng)

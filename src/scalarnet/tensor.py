@@ -10,9 +10,11 @@ draw, decoder and residual), `head` and `loss` (MSE/Huber blend plus scaled
 KL). The stages other than `kernel_attention` take their
 `layers.Affine`/`Mlp2` objects, run their forwards through those layers'
 array-level `__call__` and their parameter gradients through `_affine_grad`
-and `_mlp2_grad`. Nothing broadcasts: each op checks the shapes it
-documents, and a non-finite value inside an op raises a NumericError naming
-it; each op runs under one np.errstate, so numpy does not warn first.
+and `_mlp2_grad`. The ops take the shapes they document unchecked: a shape is
+checked where it enters the program (the config, `load_csv`, `Checkpoint.load`
+and the input of `ScalarModel.forward`), and each `*.init` derives parameter
+shapes from those. A non-finite value inside an op raises a NumericError
+naming it; each op runs under one np.errstate, so numpy does not warn first.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
 `_node`, the one place that guards the output, records the parents and binds
@@ -31,9 +33,10 @@ A tensor's `requires_grad` says whether backward gives it a gradient. A leaf
 needs one, unless it was made inside a `no_grad()` block: such a leaf is a
 constant, as the model input is. A node needs one when grad mode is on and
 some parent needs one; `_node` records only those parents, and a node with
-none is a constant with no `_prev` and no closure. Closures skip the terms of
-constant operands. Under `no_grad()` no op records anything, so an eval
-forward keeps no graph and frees its intermediates as it goes.
+none is a constant with no `_prev` and no closure. Closures assume that every
+operand trains, except `kernel_attention`'s input x, which may be a constant
+(the model input is one). Under `no_grad()` no op records anything, so
+an eval forward keeps no graph and frees its intermediates as it goes.
 """
 
 from __future__ import annotations
@@ -72,14 +75,6 @@ def _guard(op: str, out: np.ndarray) -> np.ndarray:
     if not math.isfinite(out.sum()) and not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite output in op '{op}'")
     return out
-
-
-def _conform(op: str, ok: bool, *operands) -> None:
-    """Raise a ShapeError naming `op` and the operands' shapes unless `ok`."""
-    if not ok:
-        shapes = ", ".join(str(np.shape(a.data if isinstance(a, Tensor) else a))
-                           for a in operands)
-        raise ShapeError(f"op '{op}': shapes {shapes} do not conform")
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -166,23 +161,10 @@ class Tensor:
         return order
 
 
-def _layers_ok(x_shape, params, fan_out=None) -> bool:
-    """Whether affine layers (w1, b1, w2, b2, ...), w (fan_in, fan_out) and b
-    (fan_out,), chain from x_shape (n, fan_in) to `fan_out` outputs if given."""
-    for w, b in zip(params[::2], params[1::2]):
-        ws = w.data.shape
-        if not (len(x_shape) == len(ws) == 2 and x_shape[1] == ws[0] and b.data.shape == ws[1:]):
-            return False
-        x_shape = ws
-    return fan_out in (None, x_shape[1])
-
-
 def _affine_grad(x: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> None:
     """Add the gradients of w and b in x @ w + b, given g, the output's."""
-    if w.requires_grad:
-        w.grad += x.T @ g
-    if b.requires_grad:
-        b.grad += g.sum(axis=0)
+    w.grad += x.T @ g
+    b.grad += g.sum(axis=0)
 
 
 def _mlp2_grad(x: np.ndarray, h: np.ndarray, g: np.ndarray, net, gh=None) -> np.ndarray:
@@ -198,28 +180,6 @@ def _mlp2_grad(x: np.ndarray, h: np.ndarray, g: np.ndarray, net, gh=None) -> np.
     return ga
 
 
-def _attention_buckets(x: Tensor, groups, param_sets) -> list:
-    """Check that `groups` (start, stop) partition x's columns [0, p) in order
-    and that each group of width w has the ten parameters of
-    `kernel_attention` in these shapes: phi_k (w, h), (h,), (h, k*w), (k*w,);
-    phi_w (w, h'), (h',), (h', k), (k,); phi_p (w, w), (w,), for k >= 1.
-    Returns the group indices bucketed by parameter shapes, in order."""
-    ends = [0] + [e for _, e in groups]
-    ok = (x.data.ndim == 2 and len(param_sets) == len(groups) > 0
-          and [s for s, _ in groups] == ends[:-1] and ends[-1] == x.data.shape[-1])
-    _conform("kernel_attention", ok, x)
-    buckets = {}
-    for i, ((s, e), ps) in enumerate(zip(groups, param_sets)):
-        w, shapes = e - s, tuple(t.data.shape for t in ps)
-        h, h2, k = (shapes[j][0] if len(shapes) == 10 and len(shapes[j]) == 1 else 0
-                    for j in (1, 5, 7))
-        ok = w >= 1 and k >= 1 and shapes == ((w, h), (h,), (h, k * w), (k * w,), (w, h2),
-                                              (h2,), (h2, k), (k,), (w, w), (w,))
-        _conform("kernel_attention", ok, x, *ps)
-        buckets.setdefault(shapes, []).append(i)
-    return list(buckets.values())
-
-
 def _stack(arrays) -> np.ndarray:
     """Equal-shape arrays stacked on a new first axis; one array as a view."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
@@ -230,8 +190,10 @@ def kernel_attention(x: Tensor, groups, param_sets):
     """Adaptive kernel attention on each column group of x (b, p), as one node.
 
     `groups` are the (start, stop) column intervals partitioning [0, p) in
-    order; `param_sets[i]` holds group i's ten parameters, in the order that
-    `_attention_buckets` documents. On a group's columns xg (b, w):
+    order; `param_sets[i]` holds group i's ten parameters: phi_k (w, h), (h,),
+    (h, k*w), (k*w,); phi_w (w, h'), (h',), (h', k), (k,); phi_p (w, w), (w,),
+    where h and h' depend on w alone, so that groups of one width share these
+    shapes. On a group's columns xg (b, w):
     raw = phi_k(xg) holds k kernels per row, each L2-normalized by max(norm,
     EPS) into k̂ (b, k, w); the kernel weights w (b, k) are the row softmax of
     phi_w(xg); the mixed kernel is mix = Σ_j w[:, j] · k̂_j (b, w), and the
@@ -240,16 +202,18 @@ def kernel_attention(x: Tensor, groups, param_sets):
 
     The kernel sums (the norms, mix, and backward's k̂_j · u) are einsum
     contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
-    k̂ and mix. Groups whose parameters have the same shapes run stacked, as
-    (G, b, w) arrays through batched matmul; each group's arithmetic is the
-    same as running it alone. Returns (the (b, p) Tensor, per-group k̂ and w
-    as views of the stacked ndarrays).
+    k̂ and mix. Groups of the same width run stacked, as (G, b, w) arrays
+    through batched matmul; each group's arithmetic is the same as running it
+    alone. Returns (the (b, p) Tensor, per-group k̂ and w as views of the
+    stacked ndarrays).
     """
     xd = x.data
     out = np.empty_like(xd)
     k_hats, weights = [None] * len(groups), [None] * len(groups)
-    stacks = []
-    for members in _attention_buckets(x, groups, param_sets):
+    stacks, buckets = [], {}
+    for i, (s, e) in enumerate(groups):
+        buckets.setdefault(e - s, []).append(i)
+    for members in buckets.values():
         cols = [groups[i] for i in members]
         xs = _stack([xd[:, s:e] for s, e in cols])  # (G, b, w)
         prm = [_stack([param_sets[i][j].data for i in members]) for j in range(10)]
@@ -297,8 +261,7 @@ def kernel_attention(x: Tensor, groups, param_sets):
                      att.transpose(0, 2, 1) @ gz, gz.sum(axis=1))
             for j, i in enumerate(members):
                 for t, gt in zip(param_sets[i], grads):
-                    if t.requires_grad:
-                        t.grad += gt[j]
+                    t.grad += gt[j]
             if x.requires_grad:
                 # the residual, kernel mixing, phi_w and phi_k terms, in the
                 # order a graph of one node per layer would add them
@@ -320,9 +283,7 @@ def calibration(z: Tensor, phi_c, phi_t, rng):
     with the constant mask m = rng.bernoulli(1−δ, z.shape); eval mode (`rng`
     None) gives s = z + γ·phi_t(z). phi_c (p → 2) and phi_t (p → p) are
     `Mlp2`s. Returns (s, δ, γ as ndarrays)."""
-    b, p = z.data.shape
     pc, pt = phi_c.tensors(), phi_t.tensors()
-    _conform("calibration", _layers_ok((b, p), pc, 2) and _layers_ok((b, p), pt, p), z, *pc, *pt)
     hc, a = phi_c(z.data, "calibration")
     ht, t = phi_t(z.data, "calibration")
     c = np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))  # a stable sigmoid
@@ -345,8 +306,8 @@ def calibration(z: Tensor, phi_c, phi_t, rng):
         if rng is not None:
             glogits[:, 0:1] = g_gamma * gamma / keep * (d_hi - d_lo) * slope[:, 0:1]
         ga_c = _mlp2_grad(z.data, hc, glogits, pc)
-        if z.requires_grad:  # the residual's term, then phi_t's, then phi_c's
-            z.grad += g + ga_t @ phi_t.l1.w.data.T + ga_c @ phi_c.l1.w.data.T
+        # the residual's term, then phi_t's, then phi_c's
+        z.grad += g + ga_t @ phi_t.l1.w.data.T + ga_c @ phi_c.l1.w.data.T
 
     return _node("calibration", s, (z, *pc, *pt), backward), delta, gamma
 
@@ -358,9 +319,6 @@ def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
     to ±LOG_SIGMA_CLAMP. phi_e, phi_mu and phi_sigma are `Affine`s."""
     pe, pm, ps = phi_e.tensors(), phi_mu.tensors(), phi_sigma.tensors()
     net = (*pe, *ps)  # phi_e, tanh, phi_sigma: a two-layer tanh net
-    ok = _layers_ok(s.data.shape, net) and _layers_ok(s.data.shape, (*pe, *pm),
-                                                       len(phi_sigma.b.data))
-    _conform("encode", ok, s, *pe, *pm, *ps)
     h = np.tanh(phi_e(s.data, "encode"))
     raw = phi_sigma(h, "encode")
     out = np.empty((2,) + raw.shape)
@@ -372,8 +330,7 @@ def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
         # h's terms: log σ's, then μ's
         g_raw = g[1] * ((raw >= -LOG_SIGMA_CLAMP) & (raw <= LOG_SIGMA_CLAMP))
         ga = _mlp2_grad(s.data, h, g_raw, net, g[0] @ phi_mu.w.data.T)
-        if s.requires_grad:
-            s.grad += ga @ phi_e.w.data.T
+        s.grad += ga @ phi_e.w.data.T
 
     return _node("encode", out, (s, *pe, *pm, *ps), backward)
 
@@ -384,11 +341,8 @@ def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     `Mlp2` phi_d (d → p), one node. Train mode draws r = μ +
     ε·exp(log σ/2) with ε = rng.normal(μ.shape), a constant; eval mode (`rng`
     None) takes the posterior mean r = μ."""
-    lat = latent.data
-    ok = lat.ndim == 3 and len(lat) == 2 and s.data.ndim == 2 and lat.shape[1] == len(s.data)
     pd = phi_d.tensors()
-    _conform("decode", ok and _layers_ok(lat.shape[1:], pd, s.data.shape[1]), latent, s, *pd)
-    r, log_sigma = lat  # r is the posterior mean μ in eval mode
+    r, log_sigma = latent.data  # r is the posterior mean μ in eval mode
     if rng is not None:
         eps = rng.normal(r.shape)
         sd = np.exp(log_sigma * 0.5)
@@ -396,14 +350,11 @@ def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     h, out = phi_d(r, "decode")
 
     def backward(g):
-        if s.requires_grad:
-            s.grad += g
-        ga = _mlp2_grad(r, h, g, pd)
-        if latent.requires_grad:
-            gr = ga @ phi_d.l1.w.data.T
-            latent.grad[0] += gr
-            if rng is not None:
-                latent.grad[1] += gr * eps * sd * 0.5
+        s.grad += g
+        gr = _mlp2_grad(r, h, g, pd) @ phi_d.l1.w.data.T
+        latent.grad[0] += gr
+        if rng is not None:
+            latent.grad[1] += gr * eps * sd * 0.5
 
     return _node("decode", s.data + out, (latent, s, *pd), backward)
 
@@ -415,10 +366,6 @@ def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
     and the `Mlp2` phi_y maps their concatenation to one output per row;
     phi_alpha is an `Mlp2` too. Returns (the (b,) node, α as an ndarray)."""
     ws, pa, py = (w1, w2, w3), phi_alpha.tensors(), phi_y.tensors()
-    b, p = g.data.shape
-    ok = all(w.data.shape[:-1] == (p,) for w in ws) and _layers_ok((b, p), pa, 3)
-    ok = ok and _layers_ok((b, sum(w.data.shape[1] for w in ws)), py, 1)
-    _conform("head", ok, g, *ws, *pa, *py)
     ha, logits = phi_alpha(g.data, "head")
     alpha = _softmax_rows(logits)
     proj = [g.data @ w.data for w in ws]
@@ -434,13 +381,10 @@ def head(g: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, phi_alpha, phi_y):
             gi = gb[:, offsets[i] : offsets[i + 1]]
             galpha[:, i] = (gi * pr).sum(axis=1)
             gp = gi * alpha[:, i : i + 1]
-            if w.requires_grad:
-                w.grad += g.data.T @ gp
-            if g.requires_grad:  # g's terms: tiers 1, 2, 3, then phi_alpha's
-                gg = gg + gp @ w.data.T
+            w.grad += g.data.T @ gp
+            gg = gg + gp @ w.data.T  # g's terms: tiers 1, 2, 3, then phi_alpha's
         ga = _mlp2_grad(g.data, ha, _softmax_rows_grad(alpha, galpha), pa)
-        if g.requires_grad:
-            g.grad += gg + ga @ phi_alpha.l1.w.data.T
+        g.grad += gg + ga @ phi_alpha.l1.w.data.T
 
     return _node("head", y.reshape(-1), (g, *ws, *pa, *py), backward), alpha
 
@@ -454,9 +398,6 @@ def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
     KL divergence of N(μ, σ²I) from N(0, I), floored at 0 where it rounds
     below (a NaN stays NaN). One node. Returns (the scalar node, the MSE, the
     mean Huber and the KL as floats)."""
-    ok = y_hat.data.ndim == 1 and y.shape == y_hat.data.shape
-    _conform("loss", ok and (latent is None or latent.data.ndim == 3 and len(latent.data) == 2),
-             y_hat, y, latent)
     r = y_hat.data - y
     mse = (r * r).mean()
     a = np.abs(r)
@@ -472,11 +413,10 @@ def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
         value = value + kl * kl_scale
 
     def backward(g):
-        if y_hat.requires_grad:
-            # d huber/dr = clip(r, -delta, delta), on both sides of delta
-            dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
-            y_hat.grad += g * dr / r.size
-        if latent is not None and latent.requires_grad:
+        # d huber/dr = clip(r, -delta, delta), on both sides of delta
+        dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
+        y_hat.grad += g * dr / r.size
+        if latent is not None:
             gk = g * kl_scale * scale
             latent.grad[0] += gk * 2.0 * mu
             latent.grad[1] += gk * 2.0 * (var - 1.0)

@@ -165,18 +165,10 @@ class TestGroupedAttention:
         reassembled = np.concatenate([blocks[0], blocks[1]], axis=1)
         assert np.array_equal(z.data, reassembled)
 
-    def test_wrong_param_count(self):
-        spec = FeatureGroupSpec([(0, 2), (2, 4)])
-        with pytest.raises(ConfigError):
-            grouped_attention_forward(
-                Tensor(np.zeros((2, 4))), spec, [KernelAttentionParams.init(Rng(0), 2, 2)]
-            )
-
     def test_spec_not_covering_data(self):
-        spec = FeatureGroupSpec([(0, 2), (2, 4)])
-        plist = [KernelAttentionParams.init(Rng(0), 2, 2) for _ in range(2)]
-        with pytest.raises(ConfigError):
-            grouped_attention_forward(Tensor(np.zeros((2, 5))), spec, plist)
+        model = ScalarModel(ModelConfig(groups=[[0, 2], [2, 4]], k=2), 4)
+        with pytest.raises(ConfigError, match=r"\(batch, 4\)"):
+            model.forward(np.zeros((2, 5)), "eval")
 
 
 def weighted_sum(z, u, w):

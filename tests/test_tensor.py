@@ -438,16 +438,6 @@ NONFINITE_INPUT = {
 
 
 class TestErrors:
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):  # s and phi_e's w
-            encode(Tensor(np.zeros((2, 3))), aff([np.zeros((4, 5)), np.zeros(5)]),
-                   aff(PHI_MU), aff(PHI_SIGMA))
-
-    def test_matmul_mismatch(self):
-        # g @ w_i inside head needs w_i to have p rows
-        with pytest.raises(ShapeError, match="head"):
-            hd(w1=np.zeros((3, 3)))
-
     def test_nonfinite_names_op(self):
         with pytest.raises(NumericError, match="decode"):  # exp(1000) in the draw
             dec(latent=np.stack([Z[:, :2], np.full((3, 2), 2000.0)]))
@@ -460,12 +450,6 @@ class TestErrors:
         a[1, 0] = np.inf
         with pytest.raises(NumericError, match=f"'{op}'"):
             NONFINITE_INPUT[op](a)
-
-    def test_no_broadcasting(self):
-        with pytest.raises(ShapeError, match="decode"):
-            dec(s=Z[:, :1])
-        with pytest.raises(ShapeError, match="loss"):
-            loss(Tensor(Y_HAT), Y3[:, None], None, 1.0, 1.0, 0.0)
 
     def test_float_scale_is_not_a_leaf(self):
         y_hat, latent = Tensor(Y_HAT), Tensor(LATENT)
@@ -480,28 +464,6 @@ class TestErrors:
     def test_guard_names_op_of_nan_element(self):
         with pytest.raises(NumericError, match="'head'"):  # a layer names its stage
             aff([np.eye(3), np.zeros(3)])(np.array([[1.0, np.nan, 2.0]]), "head")
-
-    def test_fused_ops_reject_nonconforming_shapes(self):
-        x = Tensor(np.zeros((2, 3)))
-        with pytest.raises(ShapeError, match="encode"):  # phi_e's fan-in is not p
-            encode(x, aff(PHI_E), aff(PHI_MU), aff(PHI_SIGMA))
-        with pytest.raises(ShapeError, match="calibration"):  # phi_t's layers do not chain
-            calibration(Tensor(Z), mlp(PHI_C), mlp(PHI_T[:2] + layers(5, 4, seed=0)), None)
-        two_wide = [Tensor(a) for a in attention_set(2, 2)]
-        with pytest.raises(ShapeError, match="kernel_attention"):  # width 3, params of 2
-            kernel_attention(x, [(0, 3)], [two_wide])
-        with pytest.raises(ShapeError, match="kernel_attention"):  # groups miss column 2
-            kernel_attention(x, [(0, 2)], [two_wide])
-        with pytest.raises(ShapeError, match="calibration"):  # phi_c must give 2 logits
-            calibration(Tensor(Z), mlp(PHI_T), mlp(PHI_T), None)
-        with pytest.raises(ShapeError, match="encode"):  # phi_mu and phi_sigma widths differ
-            encode(Tensor(Z), aff(PHI_E), aff(PHI_MU), aff(layers(3, 1, seed=0)))
-        with pytest.raises(ShapeError, match="decode"):  # rows of latent and s differ
-            dec(s=Z[:2])
-        with pytest.raises(ShapeError, match="head"):  # phi_y must give 1 output
-            head(Tensor(Z), *wrap(TIER_W), mlp(PHI_ALPHA), mlp(layers(6, 3, 2, seed=0)))
-        with pytest.raises(ShapeError, match="loss"):  # latent is not (2, b, d)
-            loss(Tensor(Y_HAT), Y3, Tensor(Z), 1.0, 1.0, 1.0)
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -593,25 +555,6 @@ def _link_writers(scope, tree, attrs):
     return found
 
 
-# multi-operand ops and their operands: (build, arrays); every operand may be
-# made constant
-OPERANDS = {
-    **STAGE_OPERANDS,
-    "kernel_attention": (  # two stacked groups of width 2
-        lambda x, *ps: kernel_attention(x, [(0, 2), (2, 4)], [ps[:10], ps[10:]])[0],
-        [Z, *attention_set(2, 2, seed=1), *attention_set(2, 2, seed=2)]),
-    # the cases of the deleted ops, each re-pointed at the stage op that now
-    # holds that arithmetic
-    "add": STAGE_OPERANDS["decode_eval"],  # the decoder's residual
-    "mul": STAGE_OPERANDS["calibration_eval"],
-    "calibrate_train": STAGE_OPERANDS["calibration_train"],
-    "calibrate_eval": STAGE_OPERANDS["calibration_eval"],
-    "reparameterize": STAGE_OPERANDS["decode_train"],
-    "tiered_projection": STAGE_OPERANDS["head"],
-    "kl_term": STAGE_OPERANDS["loss"],
-}
-
-
 class TestNodeConstructor:
     def test_only_node_builds_graph_links(self):
         """Every op makes its node through `_node`: no other function in
@@ -646,27 +589,11 @@ class TestNodeConstructor:
 
     def test_no_grad_records_nothing_and_restores_grad_mode(self):
         phi_d = mlp(PHI_D)
-        with pytest.raises(ShapeError):
+        inf_latent = np.stack([LATENT[0], np.full((3, 2), np.inf)])
+        with pytest.raises(NumericError, match="'decode'"):
             with no_grad():
                 out = dec(d2=phi_d.l2.w)
-                decode(out, Tensor(Z), phi_d, None)  # out is not (2, b, d)
+                decode(Tensor(inf_latent), Tensor(Z), phi_d, FixedDraws())  # exp(inf)
         assert not out.requires_grad and out._prev == () and out._backward is None
         assert Tensor(Z).requires_grad  # grad mode is back on after the error
         assert decode(Tensor(LATENT), Tensor(Z), phi_d, None)._prev
-
-    @pytest.mark.parametrize("name", sorted(OPERANDS))
-    def test_constant_operand_gets_no_gradient_and_changes_no_other(self, name):
-        build, arrays = OPERANDS[name]
-        ref = [Tensor(a) for a in arrays]
-        total(build(*ref)).backward()
-        for i in range(len(arrays)):
-            with no_grad():
-                const = Tensor(arrays[i])
-            operands = [const if j == i else Tensor(a) for j, a in enumerate(arrays)]
-            out = build(*operands)
-            assert all(t is not const for t in out._prev)
-            total(out).backward()
-            assert const.grad is None
-            for j, (t, r) in enumerate(zip(operands, ref)):
-                if j != i:
-                    assert np.array_equal(t.grad, r.grad), (i, j)

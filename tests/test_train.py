@@ -21,6 +21,7 @@ from scalarnet.train import (
     EVAL_ALIGN,
     EVAL_ROWS,
     Adam,
+    _FixedDraws,
     Checkpoint,
     evaluate,
     gradcheck,
@@ -86,6 +87,42 @@ class TestGradcheck:
         total.backward()
         for name, t in model.named_parameters().items():
             assert np.isfinite(t.grad).all(), name
+
+    @pytest.mark.parametrize("widths,batch,variational", [
+        ((6, 6), 32, True),  # the train_small benchmark workload
+        ((6,) * 8, 128, True),  # train_wide
+        ((1, 6, 6, 3, 1), 32, True),  # mixed-width buckets, one- and two-group
+        ((3,) * 16, 1, True),  # 16 stacked groups, a one-row batch
+        ((6, 6), 32, False),  # no variational block
+    ])
+    def test_directional_derivative_at_training_shapes(self, widths, batch, variational):
+        """g·v against the central difference of the loss along random unit
+        directions v of `model.flat`, with the dropout mask and latent noise
+        frozen (Baydin et al. 2018)."""
+        bounds = np.cumsum([0, *widths]).tolist()
+        p = bounds[-1]
+        cfg = ModelConfig(groups=list(zip(bounds[:-1], bounds[1:])), seed=0,
+                          use_variational=variational)
+        model = ScalarModel(cfg, p)
+        r = np.random.default_rng(p + batch)
+        model.flat += r.normal(size=model.flat.size) * 0.1  # off the zero phi_p
+        theta = model.flat.copy()
+        x, y = r.normal(size=(batch, p)), r.normal(size=batch)
+        noise = _FixedDraws((r.random((batch, p)) < 0.8) * 1.0, r.normal(size=(batch, model.d)))
+
+        def loss_at(step):
+            model.flat[:] = theta + step
+            y_hat, trace = model.forward(x, "train", noise)
+            return composite_loss(y, y_hat, trace.latent, 5, 10, cfg.loss)[0]
+
+        assert len(loss_at(0.0).backward()) == len(model.named_parameters())
+        g, h, worst = model.grad_flat.copy(), 1e-5, 0.0
+        for _ in range(8):
+            v = r.normal(size=theta.size)
+            v /= np.linalg.norm(v)
+            num = (float(loss_at(h * v).data) - float(loss_at(-h * v).data)) / (2 * h)
+            worst = max(worst, abs(g @ v - num) / max(abs(g @ v), abs(num), 1e-6))
+        assert worst < 1e-6
 
 
 def loss_graph_histogram(root) -> Counter:
@@ -263,6 +300,15 @@ class TestForwardNoise:
         b, _ = model.forward(x, "eval")
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(rng.uniform(3), Rng(2).uniform(3))  # nothing drawn
+
+
+class TestForwardInput:
+    @pytest.mark.parametrize("shape", [(8,), (2, 8, 1), (2, 7), (2, 9)])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_input_must_be_batch_by_p(self, shape, mode):
+        model = ScalarModel(quick_cfg(), 8)
+        with pytest.raises(ConfigError, match=r"\(batch, 8\)"):
+            model.forward(np.zeros(shape), mode, Rng(0))
 
 
 class TestGraphSize:
