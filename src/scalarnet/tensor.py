@@ -338,14 +338,15 @@ def encode(s: Tensor, phi_e, phi_mu, phi_sigma) -> Tensor:
 @np.errstate(all="ignore")
 def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
     """v = s + phi_d(r) for s (b, p), the `encode` node `latent` and the
-    `Mlp2` phi_d (d → p), one node. Train mode draws r = μ +
-    ε·exp(log σ/2) with ε = rng.normal(μ.shape), a constant; eval mode (`rng`
-    None) takes the posterior mean r = μ."""
+    `Mlp2` phi_d (d → p), one node. Train mode draws r = μ + ε·σ, σ =
+    exp(log σ), with ε = rng.normal(μ.shape), a constant, so r ~ N(μ, σ²),
+    the posterior whose KL `loss` charges; eval mode (`rng` None) takes the
+    posterior mean r = μ."""
     pd = phi_d.tensors()
     r, log_sigma = latent.data  # r is the posterior mean μ in eval mode
     if rng is not None:
         eps = rng.normal(r.shape)
-        sd = np.exp(log_sigma * 0.5)
+        sd = np.exp(log_sigma)
         r = _guard("decode", r + eps * sd)
     h, out = phi_d(r, "decode")
 
@@ -354,7 +355,7 @@ def decode(latent: Tensor, s: Tensor, phi_d, rng) -> Tensor:
         gr = _mlp2_grad(r, h, g, pd) @ phi_d.l1.w.data.T
         latent.grad[0] += gr
         if rng is not None:
-            latent.grad[1] += gr * eps * sd * 0.5
+            latent.grad[1] += gr * eps * sd
 
     return _node("decode", s.data + out, (latent, s, *pd), backward)
 

@@ -115,13 +115,16 @@ class TestVariational:
             worst = max(worst, np.abs(v.data - v_eval.data).max())
         assert worst < 0.01
 
-    def test_reparameterized_variance(self):
+    @pytest.mark.parametrize("log_sigma", [0.0, -1.0, 1.0])
+    def test_reparameterized_variance(self, log_sigma):
+        """The draw's variance is σ² = exp(2 log σ), the variance the KL in
+        `loss` charges for."""
         params = VariationalParams.init(Rng(6), p=2, d=1)
-        # mu = 0, log sigma = 0 regardless of input
+        # mu = 0 and log sigma fixed, regardless of input
         params.phi_mu.w.data[:] = 0.0
         params.phi_mu.b.data[:] = 0.0
         params.phi_sigma.w.data[:] = 0.0
-        params.phi_sigma.b.data[:] = 0.0
+        params.phi_sigma.b.data[:] = log_sigma
         # a decoder that is the identity on the draw to ~1e-6: v_0 = 1e3·tanh(1e-3·z)
         zeroed(params.phi_d)
         params.phi_d.l1.w.data[0, 0] = 1e-3
@@ -129,7 +132,7 @@ class TestVariational:
         s = Tensor(np.zeros((100_000, 2)))
         v, _ = variational_encode_decode(s, params, Rng(7))
         var = float(v.data[:, 0].var())
-        assert 0.98 < var < 1.02
+        assert 0.98 < var / np.exp(2.0 * log_sigma) < 1.02
 
     def test_eval_deterministic(self):
         params = VariationalParams.init(Rng(8), p=5, d=2)

@@ -260,7 +260,7 @@ class TestGradients:
             ("rowvec_add", lambda t: dec(d2=t)),  # phi_d's bias row after h @ w2
             ("colvec_mul", lambda t: hd(g=t)),  # α's columns times the tiers
             ("matmul", lambda t: dec(d2=t, train=False)),
-            ("exp", lambda t: dec(latent=enc(s=t), s=t)),  # exp(log σ/2)
+            ("exp", lambda t: dec(latent=enc(s=t), s=t)),  # σ = exp(log σ)
             ("tanh", lambda t: kl(enc(s=t))),
             ("sigmoid", lambda t: cal(z=t, train=False)),
             ("softmax", lambda t: hd(g=t)),

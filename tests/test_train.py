@@ -620,7 +620,7 @@ class TestStageOpsOverConfigs:
             h = np.tanh(sv @ var.phi_e.w.data + var.phi_e.b.data)
             mu = h @ var.phi_mu.w.data + var.phi_mu.b.data
             log_sigma = np.clip(h @ var.phi_sigma.w.data + var.phi_sigma.b.data, -10.0, 10.0)
-            draw = mu + Rng(seed).normal(mu.shape) * np.exp(log_sigma * 0.5)
+            draw = mu + Rng(seed).normal(mu.shape) * np.exp(log_sigma)
             v, latent = variational_encode_decode(s, var, Rng(seed))
             assert np.array_equal(latent.data, np.stack([mu, log_sigma]))
             assert np.array_equal(v.data, sv + ref_mlp2(draw, var.phi_d.tensors()))
