@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -479,6 +480,41 @@ def acceptance_ckpt():
     ds = synth_nonlinear(256, FeatureGroupSpec(ACCEPTANCE_GROUPS), 0.1, seed=3)
     cfg = ModelConfig(groups=ACCEPTANCE_GROUPS, max_epochs=3, learning_rate=3e-3, seed=0)
     return train(standardize(ds), cfg)[0]
+
+
+def with_params(ckpt, edit):
+    """A copy of `ckpt` whose params dict `edit` has changed."""
+    params = dict(ckpt.params)
+    edit(params)
+    return dataclasses.replace(ckpt, params=params)
+
+
+class TestCheckpointParameters:
+    """`build_model` is where a parameter's shape enters the program: the
+    stage ops trust the shapes `*.init` gives, so a checkpoint's parameters
+    are checked against them on load."""
+
+    # one matrix of each stage: grouped attention, calibration, variational,
+    # global attention and head
+    @pytest.mark.parametrize("name", ["group1.phi_p.w", "cal.phi_c.l2.w", "var.phi_mu.w",
+                                      "global.phi_k.l2.w", "head.phi_y.l1.w"])
+    def test_wrong_shape_names_parameter_and_both_shapes(self, acceptance_ckpt, name):
+        rows, cols = np.asarray(acceptance_ckpt.params[name]).shape
+        bad = with_params(acceptance_ckpt,
+                          lambda ps: ps.update({name: np.zeros((rows, cols + 1)).tolist()}))
+        with pytest.raises(ConfigError, match=rf"{name!r} has shape \({rows}, {cols + 1}\), "
+                                              rf"expected \({rows}, {cols}\)"):
+            bad.build_model()
+
+    def test_missing_parameter(self, acceptance_ckpt):
+        bad = with_params(acceptance_ckpt, lambda ps: ps.pop("head.w2"))
+        with pytest.raises(ConfigError, match="missing parameter 'head.w2'"):
+            bad.build_model()
+
+    def test_unexpected_parameter(self, acceptance_ckpt):
+        bad = with_params(acceptance_ckpt, lambda ps: ps.update({"head.w4": [[0.0]]}))
+        with pytest.raises(ConfigError, match=r"unexpected parameters: \['head.w4'\]"):
+            bad.build_model()
 
 
 def eval_rows(n, seed=5):
