@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width
-from .tensor import Rng, Tensor, kernel_attention
+from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
+
+EPS = 1e-12  # floor on a kernel's norm in kernel_attention
 
 
 def is_int(value) -> bool:
@@ -79,8 +82,6 @@ class KernelAttentionParams:
 
     @classmethod
     def init(cls, rng: Rng, p_in: int, k: int) -> "KernelAttentionParams":
-        if p_in < 1 or k < 1:
-            raise ConfigError(f"need p_in >= 1 and k >= 1, got p_in={p_in}, k={k}")
         h = hidden_width(p_in)
         return cls(
             p_in=p_in,
@@ -108,9 +109,104 @@ class AttentionTrace:
     z: "Tensor | None"  # (batch, p_in)
 
 
+def _stack(arrays) -> np.ndarray:
+    """Equal-shape arrays stacked on a new first axis; one array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+@np.errstate(all="ignore")
+def kernel_attention(x: Tensor, groups, params):
+    """Adaptive kernel attention on each column group of x (b, p), as one node.
+
+    `groups` are the (start, stop) column intervals partitioning [0, p) in
+    order; `params[i]` is group i's `KernelAttentionParams`, whose hidden
+    widths depend on its width w alone, so that groups of one width share
+    their parameter shapes. On a group's columns xg (b, w):
+    raw = phi_k(xg) holds k kernels per row, each L2-normalized by max(norm,
+    EPS) into k̂ (b, k, w); the kernel weights w (b, k) are the row softmax of
+    phi_w(xg); the mixed kernel is mix = Σ_j w[:, j] · k̂_j (b, w), and the
+    group's output columns are phi_p(xg ⊙ mix) + xg. phi_k and phi_w are
+    two-layer tanh nets, phi_p is affine.
+
+    The kernel sums (the norms, mix, and backward's k̂_j · u) are einsum
+    contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
+    k̂ and mix. Groups of the same width run stacked, as (G, b, w) arrays
+    through batched matmul; each group's arithmetic is the same as running it
+    alone. Returns (the (b, p) Tensor, per-group k̂ and w as views of the
+    stacked ndarrays).
+    """
+    param_sets = [gp.tensors() for gp in params]
+    xd = x.data
+    out = np.empty_like(xd)
+    k_hats, weights = [None] * len(groups), [None] * len(groups)
+    stacks, buckets = [], {}
+    for i, (s, e) in enumerate(groups):
+        buckets.setdefault(e - s, []).append(i)
+    for members in buckets.values():
+        cols = [groups[i] for i in members]
+        xs = _stack([xd[:, s:e] for s, e in cols])  # (G, b, w)
+        prm = [_stack([param_sets[i][j].data for i in members]) for j in range(10)]
+        w1k, b1k, w2k, b2k, w1w, b1w, w2w, b2w, wp, bp = prm
+        # backward needs neither the logits nor the raw kernels: neither is kept
+        hw = np.tanh(_guard("kernel_attention", xs @ w1w + b1w[:, None]))
+        wsm = _softmax_rows(_guard("kernel_attention", hw @ w2w + b2w[:, None]))  # (G, b, k)
+        hk = np.tanh(_guard("kernel_attention", xs @ w1k + b1k[:, None]))
+        # the raw kernels, normalized in place into k̂ (G, b, k, w)
+        k_hat = _guard("kernel_attention", hk @ w2k + b2k[:, None]).reshape(wsm.shape + (-1,))
+        norm = np.sqrt(np.einsum("gbkw,gbkw->gbk", k_hat, k_hat))  # np.linalg.norm
+        m = np.maximum(norm, EPS)[..., None]  # at EPS exactly where norm <= EPS
+        k_hat /= m
+        mix = np.einsum("gbk,gbkw->gbw", wsm, k_hat)  # Σ_j w_j k̂_j
+        att = xs * mix
+        z = att @ wp + bp[:, None] + xs
+        for j, (i, (s, e)) in enumerate(zip(members, cols)):
+            out[:, s:e] = z[j]
+            k_hats[i], weights[i] = k_hat[j], wsm[j]
+        if tensor._grad_enabled:  # only a backward reads these; eval keeps none
+            stacks.append((members, cols, xs, prm, hk, hw, wsm, m, k_hat, mix, att))
+
+    def backward(g):
+        for members, cols, xs, prm, hk, hw, wsm, m, k_hat, mix, att in stacks:
+            w1k, w2k, w1w, w2w, wp = (prm[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
+            gz = _stack([g[:, s:e] for s, e in cols])
+            gatt = gz @ wp
+            u = gatt * xs  # the gradient wrt mix; k̂_j's is w_j·u
+            gw = np.einsum("gbkw,gbw->gbk", k_hat, u)
+            # through k̂ = raw / m: (w_j·u − k̂_j (k̂_j · w_j·u)) / m, where k̂_j · u =
+            # gw_j; built in place, one (G, b, k, w) array rather than three
+            graw = k_hat * gw[..., None]
+            np.subtract(u[:, :, None], graw, out=graw)
+            graw *= wsm[..., None] / m
+            if (m == EPS).any():  # there k̂ = raw / EPS: w_j·u passes through scaled
+                graw = np.where(m > EPS, graw, wsm[..., None] * u[:, :, None] / EPS)
+            graw = graw.reshape(hk.shape[:2] + (-1,))
+            glogits = _softmax_rows_grad(wsm, gw)
+            ghw = (glogits @ w2w) * (1.0 - hw * hw)
+            ghk = (graw @ w2k) * (1.0 - hk * hk)
+            xs_t = xs.transpose(0, 2, 1)
+            grads = (xs_t @ ghk, ghk.sum(axis=1), hk.transpose(0, 2, 1) @ graw,
+                     graw.sum(axis=1), xs_t @ ghw, ghw.sum(axis=1),
+                     hw.transpose(0, 2, 1) @ glogits, glogits.sum(axis=1),
+                     att.transpose(0, 2, 1) @ gz, gz.sum(axis=1))
+            for j, i in enumerate(members):
+                for t, gt in zip(param_sets[i], grads):
+                    t.grad += gt[j]
+            if x.requires_grad:
+                # the residual, kernel mixing, phi_w and phi_k terms, in the
+                # order a graph of one node per layer would add them
+                gx = gz + gatt * mix
+                gx = gx + ghw @ w1w
+                gx = gx + ghk @ w1k
+                for j, (s, e) in enumerate(cols):
+                    x.grad[:, s:e] += gx[j]
+
+    parents = (x, *(t for ps in param_sets for t in ps))
+    return _node("kernel_attention", out, parents, backward), k_hats, weights
+
+
 def kernel_attention_forward(x: Tensor, params: KernelAttentionParams) -> AttentionTrace:
     """One kernel attention tier on x (b, params.p_in), as in the global tier."""
-    z, (k_hat,), (w,) = kernel_attention(x, [(0, params.p_in)], [params.tensors()])
+    z, (k_hat,), (w,) = kernel_attention(x, [(0, params.p_in)], [params])
     return AttentionTrace(k_hat=k_hat, w=w, z=z)
 
 
@@ -118,5 +214,5 @@ def grouped_attention_forward(x: Tensor, spec: FeatureGroupSpec, per_group_param
     """Run kernel attention on each column group, every group in one node;
     returns the (b, p) output, each group's block in its own columns, and the
     per-group traces."""
-    z, k_hats, ws = kernel_attention(x, spec.groups, [gp.tensors() for gp in per_group_params])
+    z, k_hats, ws = kernel_attention(x, spec.groups, per_group_params)
     return z, [AttentionTrace(k_hat=k_hat, w=w, z=None) for k_hat, w in zip(k_hats, ws)]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .layers import Mlp2, glorot, hidden_width
-from .tensor import Rng, Tensor, head
+from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
 
 
 def default_components(p: int):
@@ -26,7 +26,6 @@ def default_components(p: int):
 
 @dataclass
 class HeadParams:
-    p: int
     components: tuple  # (c1, c2, c3), strictly decreasing
     w1: Tensor
     w2: Tensor
@@ -43,7 +42,6 @@ class HeadParams:
             raise ConfigError(f"c1={c1} exceeds feature count p={p}")
         total = c1 + c2 + c3
         return cls(
-            p=p,
             components=(c1, c2, c3),
             w1=Tensor(glorot(rng, p, c1)),
             w2=Tensor(glorot(rng, p, c2)),
@@ -53,13 +51,38 @@ class HeadParams:
         )
 
 
+@np.errstate(all="ignore")
 def head_forward(g: Tensor, params: HeadParams):
-    """Predict one scalar per row of the global-attention output g (b, p).
+    """Predict one scalar per row of the global-attention output g (b, p), as
+    one `head` node: the tier weights α = softmax(phi_alpha(g)) (b, 3) scale
+    the projections g @ w_i (w_i (p, c_i)), and phi_y maps their
+    concatenation to one output per row.
 
     Returns (y_hat, alpha): y_hat is the (b,) graph Tensor and alpha the
     (b, 3) tier weights, an ndarray outside the graph.
     """
-    return head(g, params.w1, params.w2, params.w3, params.phi_alpha, params.phi_y)
+    ws, phi_alpha, phi_y = (params.w1, params.w2, params.w3), params.phi_alpha, params.phi_y
+    ha, logits = phi_alpha(g.data, "head")
+    alpha = _softmax_rows(logits)
+    proj = [g.data @ w.data for w in ws]
+    blocks = _guard("head", np.concatenate(
+        [alpha[:, i : i + 1] * pr for i, pr in enumerate(proj)], axis=1))
+    offsets = np.cumsum([0] + [pr.shape[1] for pr in proj])
+    hy, y = phi_y(blocks, "head")
+
+    def backward(g_out):
+        gb = phi_y.backward(blocks, hy, g_out.reshape(-1, 1))
+        galpha, gg = np.empty_like(alpha), 0.0
+        for i, (tier, pr) in enumerate(zip(ws, proj)):
+            gi = gb[:, offsets[i] : offsets[i + 1]]
+            galpha[:, i] = (gi * pr).sum(axis=1)
+            gp = gi * alpha[:, i : i + 1]
+            tier.grad += g.data.T @ gp
+            gg = gg + gp @ tier.data.T  # g's terms: tiers 1, 2, 3, then phi_alpha's
+        g.grad += gg + phi_alpha.backward(g.data, ha, _softmax_rows_grad(alpha, galpha))
+
+    parents = (g, *ws, *phi_alpha.tensors(), *phi_y.tensors())
+    return _node("head", y.reshape(-1), parents, backward), alpha
 
 
 def feature_importance(k_hat: np.ndarray, w: np.ndarray):

@@ -1,7 +1,8 @@
 """Affine layers and the two-layer tanh blocks used by every subnetwork, and
 the dataclass walk that names every parameter. A layer's `__call__` is its
-array-level forward, which the stage ops in `tensor` run inside their nodes;
-a non-finite value raises a NumericError naming the stage."""
+array-level forward and its `backward` the matching gradient, which the stage
+ops run inside their nodes; a non-finite value raises a NumericError naming
+the stage."""
 
 from __future__ import annotations
 
@@ -45,6 +46,13 @@ class Affine:
         """x @ w + b on the 2-D array x, inside the stage op `op`."""
         return _guard(op, x @ self.w.data + self.b.data)
 
+    def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Add the gradients of w and b in `self(x)`, given g, the output's;
+        returns the gradient wrt x."""
+        self.w.grad += x.T @ g
+        self.b.grad += g.sum(axis=0)
+        return g @ self.w.data.T
+
     def tensors(self) -> tuple:
         return self.w, self.b
 
@@ -65,8 +73,15 @@ class Mlp2:
         h = np.tanh(self.l1(x, op))
         return h, self.l2(h, op)
 
+    def backward(self, x: np.ndarray, h: np.ndarray, g: np.ndarray, gh=None) -> np.ndarray:
+        """Add the parameter gradients of `self(x)`, given h, its hidden layer,
+        g, the gradient wrt its output, and gh, one already on h (added after
+        g's term). Returns the gradient wrt x."""
+        gh = self.l2.backward(h, g) if gh is None else self.l2.backward(h, g) + gh
+        return self.l1.backward(x, gh * (1.0 - h * h))
+
     def tensors(self) -> tuple:
-        """(w1, b1, w2, b2), the parameters in the order of `tensor._mlp2_grad`."""
+        """(w1, b1, w2, b2)."""
         return self.l1.w, self.l1.b, self.l2.w, self.l2.b
 
 

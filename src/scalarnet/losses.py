@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import loss
+from .tensor import Tensor, _node
 
 
 @dataclass
@@ -36,6 +36,41 @@ def kl_weight(epoch: int, total_epochs: int, warmup_fraction: float = 0.1) -> fl
     """min(1, (epoch/total_epochs)/warmup_fraction): linear warmup that
     saturates after the first tenth of training."""
     return min(1.0, (epoch / total_epochs) / warmup_fraction)
+
+
+@np.errstate(all="ignore")
+def loss(y_hat: Tensor, y: np.ndarray, latent, omega: float, delta: float,
+         kl_scale: float):
+    """omega·mean(r²) + (1−omega)·mean(huber(r)) for r = y_hat − y, where
+    huber(r) is r²/2 inside |r| <= delta and delta·(|r| − delta/2) outside,
+    plus kl_scale·KL when `latent` (an `encode` node) is given: the batch-mean
+    KL divergence of N(μ, σ²I) from N(0, I), floored at 0 where it rounds
+    below (a NaN stays NaN). One node. Returns (the scalar node, the MSE, the
+    mean Huber and the KL as floats)."""
+    r = y_hat.data - y
+    mse = (r * r).mean()
+    a = np.abs(r)
+    q = np.clip(a, 0.0, delta)
+    hub = (q * a - q * q * 0.5).mean()
+    value, kl, parents = mse * omega + hub * (1.0 - omega), 0.0, (y_hat,)
+    if latent is not None:
+        mu, log_sigma = latent.data
+        scale, parents = 0.5 / mu.shape[0], (y_hat, latent)
+        ls2 = log_sigma * 2.0
+        var = np.exp(ls2)
+        kl = max((mu * mu + var - ls2 - 1.0).sum() * scale, 0.0)
+        value = value + kl * kl_scale
+
+    def backward(g):
+        # d huber/dr = clip(r, -delta, delta), on both sides of delta
+        dr = omega * 2.0 * r + (1.0 - omega) * np.clip(r, -delta, delta)
+        y_hat.grad += g * dr / r.size
+        if latent is not None:
+            gk = g * kl_scale * scale
+            latent.grad[0] += gk * 2.0 * mu
+            latent.grad[1] += gk * 2.0 * (var - 1.0)
+
+    return _node("loss", value, parents, backward), float(mse), float(hub), float(kl)
 
 
 def composite_loss(y, y_hat, latent, epoch, total_epochs, cfg: LossConfig):

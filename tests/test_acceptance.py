@@ -20,9 +20,9 @@ from scalarnet.baselines import pls_fit, pls_predict, ridge_fit, select_componen
 from scalarnet.data import split, standardize, synth_nonlinear, take
 from scalarnet.head import HeadParams, feature_importance, head_forward
 from scalarnet.layers import named_tensors
-from scalarnet.losses import concordance_index, kl_weight, metrics
+from scalarnet.losses import concordance_index, kl_weight, loss, metrics
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng, Tensor, loss
+from scalarnet.tensor import Rng, Tensor
 from scalarnet.train import Checkpoint, gradcheck, predict, train
 
 

@@ -11,7 +11,8 @@ from scalarnet.calibration import (
 )
 from scalarnet.errors import NumericError
 from scalarnet.layers import named_tensors
-from scalarnet.tensor import Rng, Tensor, loss
+from scalarnet.losses import loss
+from scalarnet.tensor import Rng, Tensor
 
 
 def zeroed(net):

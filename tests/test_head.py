@@ -6,7 +6,8 @@ import pytest
 from scalarnet.errors import ConfigError, DataError
 from scalarnet.head import HeadParams, default_components, feature_importance, head_forward
 from scalarnet.layers import named_tensors
-from scalarnet.tensor import Rng, Tensor, loss
+from scalarnet.losses import loss
+from scalarnet.tensor import Rng, Tensor
 
 
 def loop_oracle(g, params):

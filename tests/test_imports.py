@@ -46,6 +46,12 @@ assert m is sys.modules["scalarnet.train"] and m.train.__module__ == "scalarnet.
 assert scalarnet.train.train is m.train
 assert scalarnet.tensor.Rng.__module__ == "scalarnet.tensor"
 assert scalarnet.tensor.no_grad.__module__ == "scalarnet.tensor"
+
+# the engine stands alone: it imports no stage, layer or other module of the package
+forget()
+import scalarnet.tensor
+loaded = sorted(k for k in sys.modules if k.startswith("scalarnet."))
+assert loaded == ["scalarnet.errors", "scalarnet.tensor"], loaded
 print("ok", len(names))
 """
 

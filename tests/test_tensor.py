@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 
 import scalarnet
 from scalarnet import tensor
-from scalarnet.errors import NumericError, ShapeError
-from scalarnet.layers import Affine, Mlp2
-from scalarnet.tensor import (
-    EPS,
-    Rng,
-    Tensor,
-    calibration,
+from scalarnet.attention import EPS, KernelAttentionParams, kernel_attention
+from scalarnet.calibration import (
+    CalibrationParams,
+    VariationalParams,
     decode,
     encode,
-    head,
-    kernel_attention,
-    loss,
-    no_grad,
+    self_calibrate,
 )
+from scalarnet.errors import NumericError, ShapeError
+from scalarnet.head import HeadParams, head_forward
+from scalarnet.layers import Affine, Mlp2
+from scalarnet.losses import loss
+from scalarnet.tensor import Rng, Tensor, no_grad
 
 
 def attention_set(w, k, h=3, seed=0):
@@ -43,7 +42,8 @@ def unit_row_attention(m, k, phi_k2, phi_k2_bias, phi_w_bias):
     params = [Tensor(np.zeros((m, 1))), Tensor(np.array([20.0])), wrap[0], wrap[1],
               Tensor(np.zeros((m, 1))), Tensor(np.zeros(1)), Tensor(np.zeros((1, k))), wrap[2],
               Tensor(np.eye(m)), Tensor(np.zeros(m))]
-    out, (k_hat,), (w,) = kernel_attention(Tensor(np.ones((1, m))), [(0, m)], [params])
+    out, (k_hat,), (w,) = kernel_attention(Tensor(np.ones((1, m))), [(0, m)],
+                                           [attention_params(params)])
     return out, k_hat[0], w[0]
 
 
@@ -168,11 +168,38 @@ def mlp(arrays):
     return Mlp2(aff(arrays[:2]), aff(arrays[2:]))
 
 
+# the parameter record each stage op takes, of arrays or Tensors
+
+
+def attention_params(arrays):
+    """kernel_attention's ten parameters: phi_k's four, phi_w's four, phi_p's two."""
+    ts = wrap(arrays)
+    return KernelAttentionParams(p_in=ts[0].data.shape[0], k=ts[6].data.shape[1],
+                                 phi_k=mlp(ts[:4]), phi_w=mlp(ts[4:8]), phi_p=aff(ts[8:]))
+
+
+def calibration_params(c, t):
+    """phi_c's and phi_t's (w1, b1, w2, b2)."""
+    return CalibrationParams(phi_t=mlp(t), phi_c=mlp(c))
+
+
+def variational_params(d=PHI_D, e=PHI_E, mu=PHI_MU, sigma=PHI_SIGMA):
+    """phi_d's (w1, b1, w2, b2) and phi_e's, phi_mu's and phi_sigma's (w, b)."""
+    return VariationalParams(phi_e=aff(e), phi_mu=aff(mu), phi_sigma=aff(sigma), phi_d=mlp(d))
+
+
+def head_params(w1, w2, w3, alpha, y):
+    """The three tier weights and phi_alpha's and phi_y's (w1, b1, w2, b2)."""
+    ws = wrap([w1, w2, w3])
+    return HeadParams(tuple(w.data.shape[1] for w in ws), *ws, mlp(alpha), mlp(y))
+
+
 def cal(z=Z, t2=PHI_T[2], train=True):
     """calibration with z or phi_t's output weights varied; train mode
     freezes the mask."""
     z, *ps = wrap([z, *PHI_C, *PHI_T[:2], t2, PHI_T[3]])
-    return calibration(z, mlp(ps[:4]), mlp(ps[4:]), FixedDraws() if train else None)[0]
+    return self_calibrate(z, calibration_params(ps[:4], ps[4:]),
+                          FixedDraws() if train else None)[0]
 
 
 def kl(latent, kl_scale=1.0):
@@ -183,13 +210,13 @@ def kl(latent, kl_scale=1.0):
 
 def enc(s=Z, sigma=PHI_SIGMA):
     s, *ps = wrap([s, *PHI_E, *PHI_MU, *sigma])
-    return encode(s, aff(ps[:2]), aff(ps[2:4]), aff(ps[4:]))
+    return encode(s, variational_params(e=ps[:2], mu=ps[2:4], sigma=ps[4:]))
 
 
 def dec(latent=LATENT, s=Z, d2=PHI_D[2], train=True):
     """decode with one operand varied; train mode freezes the noise."""
     latent, s, *ps = wrap([latent, s, *PHI_D[:2], d2, PHI_D[3]])
-    return decode(latent, s, mlp(ps), FixedDraws() if train else None)
+    return decode(latent, s, variational_params(ps), FixedDraws() if train else None)
 
 
 def hd(g=Z, w1=TIER_W[0]):
@@ -198,7 +225,7 @@ def hd(g=Z, w1=TIER_W[0]):
     p, c1 = (np.shape(x.data if isinstance(x, Tensor) else x)[1] for x in (g, w1))
     g, w1, *ps = wrap([g, w1, TIER_W[1][:p], TIER_W[2][:p], PHI_ALPHA[0][:p],
                        *PHI_ALPHA[1:], *layers(c1 + 3, 3, 1, seed=8)])
-    return head(g, w1, *ps[:2], mlp(ps[2:6]), mlp(ps[6:]))[0]
+    return head_forward(g, head_params(w1, *ps[:2], ps[2:6], ps[6:]))[0]
 
 
 def regress(y_hat, omega=1.0, delta=1.0):
@@ -209,16 +236,17 @@ def regress(y_hat, omega=1.0, delta=1.0):
 # each stage op with all its operands, in order, as (build, arrays); the
 # `encode` node is reduced to its KL term
 STAGE_OPERANDS = {
-    "calibration_train": (lambda z, *ps: calibration(z, mlp(ps[:4]), mlp(ps[4:]),
-                                                     FixedDraws())[0], [Z, *PHI_C, *PHI_T]),
-    "calibration_eval": (lambda z, *ps: calibration(z, mlp(ps[:4]), mlp(ps[4:]), None)[0],
-                         [Z, *PHI_C, *PHI_T]),
-    "encode": (lambda s, *ps: kl(encode(s, aff(ps[:2]), aff(ps[2:4]), aff(ps[4:]))),
-               [Z, *PHI_E, *PHI_MU, *PHI_SIGMA]),
-    "decode_train": (lambda lat, s, *ps: decode(lat, s, mlp(ps), FixedDraws()),
+    "calibration_train": (lambda z, *ps: self_calibrate(
+        z, calibration_params(ps[:4], ps[4:]), FixedDraws())[0], [Z, *PHI_C, *PHI_T]),
+    "calibration_eval": (lambda z, *ps: self_calibrate(
+        z, calibration_params(ps[:4], ps[4:]), None)[0], [Z, *PHI_C, *PHI_T]),
+    "encode": (lambda s, *ps: kl(encode(s, variational_params(
+        e=ps[:2], mu=ps[2:4], sigma=ps[4:]))), [Z, *PHI_E, *PHI_MU, *PHI_SIGMA]),
+    "decode_train": (lambda lat, s, *ps: decode(lat, s, variational_params(ps), FixedDraws()),
                      [LATENT, Z, *PHI_D]),
-    "decode_eval": (lambda lat, s, *ps: decode(lat, s, mlp(ps), None), [LATENT, Z, *PHI_D]),
-    "head": (lambda g, *ps: head(g, *ps[:3], mlp(ps[3:7]), mlp(ps[7:]))[0],
+    "decode_eval": (lambda lat, s, *ps: decode(lat, s, variational_params(ps), None),
+                    [LATENT, Z, *PHI_D]),
+    "head": (lambda g, *ps: head_forward(g, head_params(*ps[:3], ps[3:7], ps[7:]))[0],
              [Z, *TIER_W, *PHI_ALPHA, *PHI_Y]),
     "loss": (lambda y_hat, lat: loss(y_hat, Y3, lat, 0.7, 0.5, 0.3)[0], [Y_HAT, LATENT]),
 }
@@ -241,7 +269,7 @@ class TestForwardExamples:
         w = [np.arange(6.0).reshape(3, 2), np.ones((3, 1)), -np.eye(3)]
         alpha_net = [np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(3)]
         phi_y = [np.eye(6), np.zeros(6), np.ones((6, 1)), np.zeros(1)]  # sum of tanh
-        y, alpha = head(Tensor(np.eye(3)), *wrap(w), mlp(alpha_net), mlp(phi_y))
+        y, alpha = head_forward(Tensor(np.eye(3)), head_params(*w, alpha_net, phi_y))
         np.testing.assert_array_equal(alpha, np.full((3, 3), 1 / 3))
         np.testing.assert_allclose(y.data, np.tanh(np.hstack(w) / 3).sum(axis=1), rtol=1e-14)
 
@@ -275,24 +303,23 @@ class TestGradients:
             ("mlp2", lambda t: cal(z=t, train=False)),  # phi_c and phi_t
             (
                 "kernel_attention_dx",  # one group, k=2 kernels over p=4 features
-                lambda t: kernel_attention(
-                    t, [(0, 4)], [[Tensor(a) for a in attention_set(4, 2)]])[0],
+                lambda t: kernel_attention(t, [(0, 4)], [attention_params(attention_set(4, 2))])[0],
             ),
             (
                 "kernel_attention_mixed_widths",  # widths 5, 4, 3, 1 with k=1; d/dx
                 lambda t: kernel_attention(
                     decode(Tensor(np.stack([Z[:, :3], T[:, 1:]])), Tensor(np.zeros((3, 13))),
-                           mlp([t, np.zeros(4), np.linspace(-1, 1, 52).reshape(4, 13),
-                                np.zeros(13)]), None),  # phi_d: d = 3 -> 4 -> 13
-                    MIXED, [[Tensor(a) for a in attention_set(e - s, 1, seed=s)]
+                           variational_params([t, np.zeros(4), np.linspace(-1, 1, 52).reshape(
+                               4, 13), np.zeros(13)]), None),  # phi_d: d = 3 -> 4 -> 13
+                    MIXED, [attention_params(attention_set(e - s, 1, seed=s))
                             for s, e in MIXED])[0],
             ),
             (
                 "kernel_attention_dphi_k",  # two stacked 3-wide groups; t is group 0's w1
                 lambda t: kernel_attention(
                     Tensor(np.linspace(-1.5, 1.4, 18).reshape(3, 6)), [(0, 3), (3, 6)],
-                    [[t, *map(Tensor, attention_set(3, 2, h=4)[1:])],
-                     [Tensor(a) for a in attention_set(3, 2, h=4, seed=1)]])[0],
+                    [attention_params([t, *attention_set(3, 2, h=4)[1:]]),
+                     attention_params(attention_set(3, 2, h=4, seed=1))])[0],
             ),
             ("calibrate_train_dz", lambda t: cal(z=t)),
             ("calibrate_train_dt", lambda t: cal(t2=t)),  # phi_t's output weights
@@ -337,7 +364,7 @@ class TestGradients:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=Z.shape))
         w = Tensor(rng.normal(size=PHI_T[0].shape))
-        loss_ = total(calibration(x, mlp(PHI_C), mlp([w, *PHI_T[1:]]), None)[0])
+        loss_ = total(self_calibrate(x, calibration_params(PHI_C, [w, *PHI_T[1:]]), None)[0])
         loss_.backward()
         g1 = x.grad.copy(), w.grad.copy()
         loss_.backward()
@@ -387,7 +414,7 @@ class TestInvariantsProperties:
         arrays = [x0, *(a for ps in sets for a in ps)]
 
         def attend(ts):
-            return kernel_attention(ts[0], groups, [ts[1 + 10 * g : 11 + 10 * g]
+            return kernel_attention(ts[0], groups, [attention_params(ts[1 + 10 * g : 11 + 10 * g])
                                                     for g in range(3)])
 
         # upstream gradient on row r0's first group-1 column alone: every other
@@ -428,7 +455,7 @@ class TestInvariantsProperties:
 # each stage op fed a (3, 4) array holding an inf
 NONFINITE_INPUT = {
     "kernel_attention": lambda a: kernel_attention(
-        Tensor(a), [(0, 4)], [[Tensor(p) for p in attention_set(4, 2)]]),
+        Tensor(a), [(0, 4)], [attention_params(attention_set(4, 2))]),
     "calibration": lambda a: cal(z=a, train=False),
     "encode": lambda a: enc(s=a),
     "decode": lambda a: dec(latent=np.stack([a[:, :2], LATENT[1]]), train=False),
@@ -486,37 +513,54 @@ class TestRng:
         assert (Rng(0).bernoulli(0.0, (1000,)) == 0.0).all()
 
 
+def package_trees():
+    """Module name -> parsed source, for every module of the package."""
+    src = Path(scalarnet.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+# the modules that hold the engine, the layers and the stage ops
+OP_MODULES = ("tensor", "layers", "attention", "calibration", "head", "losses")
+
+
 class TestVocabulary:
     def test_every_tensor_op_has_a_caller_in_the_package(self):
-        """Each public function and method of tensor.py is named by another
-        module of the package, so no op lives on with test-only callers."""
-        src = Path(scalarnet.__file__).parent
+        """Each public function and method of the engine, the layers and the
+        stage-op modules is named somewhere in the package (a call from its
+        own module counts), so no op lives on with test-only callers."""
+        trees = package_trees()
         defined = set()
-        for node in ast.parse((src / "tensor.py").read_text(encoding="utf-8")).body:
-            body = node.body if isinstance(node, ast.ClassDef) else [node]
-            defined |= {f.name for f in body if isinstance(f, ast.FunctionDef)}
+        for name in OP_MODULES:
+            for node in trees[name].body:
+                body = node.body if isinstance(node, ast.ClassDef) else [node]
+                defined |= {f.name for f in body if isinstance(f, ast.FunctionDef)}
         public = {name for name in defined if not name.startswith("_")}
         used = set()
-        for path in src.glob("*.py"):
-            if path.name != "tensor.py":
-                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                    if isinstance(node, ast.Name):
-                        used.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        used.add(node.attr)
-                    elif isinstance(node, ast.alias):
-                        used.add(node.name)
-        assert len(public) >= 11
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+        assert len(public) >= 31
         assert sorted(public - used) == []
 
     def test_node_building_ops_are_the_stages(self):
-        """Every op name given to `_node` in tensor.py: one per paper stage
-        and the loss, six in all."""
-        tree = ast.parse((Path(scalarnet.__file__).parent / "tensor.py").read_text(
-            encoding="utf-8"))
-        ops = {node.args[0].value for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_node"}
-        assert ops == {"kernel_attention", "calibration", "encode", "decode", "head", "loss"}
+        """Every op name given to `_node` in the package, by module: one per
+        paper stage and the loss, six in all, each beside its parameters;
+        tensor.py, the engine, builds no node."""
+        ops = {}
+        for module, tree in package_trees().items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "_node" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    ops.setdefault(node.args[0].value, []).append(module)
+        assert ops == {"kernel_attention": ["attention"], "calibration": ["calibration"],
+                       "encode": ["calibration"], "decode": ["calibration"],
+                       "head": ["head"], "loss": ["losses"]}
 
     @pytest.mark.parametrize("name", ["__sub__", "__rsub__", "__truediv__", "__matmul__",
                                       "sigmoid", "abs", "exp", "sum", "mean", "cols",
@@ -557,43 +601,44 @@ def _link_writers(scope, tree, attrs):
 
 class TestNodeConstructor:
     def test_only_node_builds_graph_links(self):
-        """Every op makes its node through `_node`: no other function in
-        tensor.py assigns `_prev`, `_backward` or `op`, except the leaf
+        """Every op makes its node through `_node`: no other function in the
+        package assigns `_prev`, `_backward` or `op`, except the leaf
         defaults of `Tensor.__init__`, and only those two decide
         `requires_grad`."""
-        tree = ast.parse((Path(scalarnet.__file__).parent / "tensor.py").read_text(
-            encoding="utf-8"))
-        assert _link_writers("", tree, GRAPH_LINKS) == {"_node", "Tensor.__init__"}
-        assert _link_writers("", tree, {"requires_grad"}) == {"_node", "Tensor.__init__"}
+        for name, tree in package_trees().items():
+            expected = {"_node", "Tensor.__init__"} if name == "tensor" else set()
+            assert _link_writers("", tree, GRAPH_LINKS) == expected, name
+            assert _link_writers("", tree, {"requires_grad"}) == expected, name
 
     def test_node_guards_and_links(self):
         t = Tensor(Z)
         with no_grad():
-            ps = [aff(PHI_E), aff(PHI_MU), aff(PHI_SIGMA)]
-        out = encode(t, *ps)
+            params = variational_params()
+        out = encode(t, params)
         assert out._prev == (t,) and out.op == "encode"
         with pytest.raises(NumericError, match="'encode'"):
-            encode(t, aff([PHI_E[0], np.array([np.inf, 0.0, 0.0])]), *ps[1:])
+            encode(t, variational_params(e=[PHI_E[0], np.array([np.inf, 0.0, 0.0])]))
 
     def test_node_of_constants_is_a_constant(self):
         with no_grad():
             a = Tensor(Z)
-            head_params = wrap([*TIER_W, *PHI_ALPHA, *PHI_Y])
-        assert not any(t.requires_grad for t in [a, *head_params])
-        out = encode(a, aff(PHI_E), aff(PHI_MU), aff(PHI_SIGMA))
+            tiers_alpha_y = wrap([*TIER_W, *PHI_ALPHA, *PHI_Y])
+        assert not any(t.requires_grad for t in [a, *tiers_alpha_y])
+        out = encode(a, variational_params())
         assert out.requires_grad and len(out._prev) == 6  # the layers, not the constant
-        c = head(a, *head_params[:3], mlp(head_params[3:7]), mlp(head_params[7:]))[0]
+        c = head_forward(a, head_params(*tiers_alpha_y[:3], tiers_alpha_y[3:7],
+                                        tiers_alpha_y[7:]))[0]
         assert not c.requires_grad and c._prev == () and c._backward is None
         with pytest.raises(NumericError, match="constant"):
             loss(c, np.zeros(3), None, 1.0, 1.0, 0.0)[0].backward()
 
     def test_no_grad_records_nothing_and_restores_grad_mode(self):
-        phi_d = mlp(PHI_D)
+        params = variational_params()
         inf_latent = np.stack([LATENT[0], np.full((3, 2), np.inf)])
         with pytest.raises(NumericError, match="'decode'"):
             with no_grad():
-                out = dec(d2=phi_d.l2.w)
-                decode(Tensor(inf_latent), Tensor(Z), phi_d, FixedDraws())  # exp(inf)
+                out = dec(d2=params.phi_d.l2.w)
+                decode(Tensor(inf_latent), Tensor(Z), params, FixedDraws())  # exp(inf)
         assert not out.requires_grad and out._prev == () and out._backward is None
         assert Tensor(Z).requires_grad  # grad mode is back on after the error
-        assert decode(Tensor(LATENT), Tensor(Z), phi_d, None)._prev
+        assert decode(Tensor(LATENT), Tensor(Z), params, None)._prev

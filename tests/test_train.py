@@ -15,9 +15,9 @@ from scalarnet.data import Dataset, standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
 from scalarnet.head import feature_importance, head_forward
 from scalarnet.layers import Affine, Mlp2
-from scalarnet.losses import LossConfig, composite_loss, kl_weight
+from scalarnet.losses import LossConfig, composite_loss, kl_weight, loss
 from scalarnet.model import ModelConfig, ScalarModel
-from scalarnet.tensor import Rng, Tensor, loss, no_grad
+from scalarnet.tensor import Rng, Tensor, no_grad
 from scalarnet.train import (
     EVAL_ALIGN,
     EVAL_ROWS,
