@@ -6,9 +6,11 @@ Exit codes: 0 success, 2 usage/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -28,8 +30,7 @@ from .train import (
 
 
 def _load_config(path, groups, seed=None) -> ModelConfig:
-    with data.open_text(path, ConfigError) as fh:
-        raw = json.load(fh)
+    raw = data.read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config is not a JSON object")
     raw.setdefault("groups", groups)
@@ -38,12 +39,26 @@ def _load_config(path, groups, seed=None) -> ModelConfig:
     return ModelConfig.from_dict(raw)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Check that `path` is writable before the work that writes it; if the
+    work fails, remove the file again when this check created it."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+
+
 def cmd_train(args):
     ds = data.load_csv(args.data, args.target, args.groups)
     cfg = _load_config(args.config, [list(g) for g in ds.spec.groups], args.seed)
-    open(args.out, "a", encoding="utf-8").close()  # an unwritable --out fails before training
-    ckpt, history = train(data.standardize(ds), cfg)
-    ckpt.save(args.out)
+    with _output(args.out):
+        ckpt, history = train(data.standardize(ds), cfg)
+        ckpt.save(args.out)
     last = history[-1]
     print(
         json.dumps(
@@ -66,14 +81,14 @@ def cmd_eval(args):
 def cmd_importance(args):
     ckpt = Checkpoint.load(args.ckpt)
     ds = data.load_csv(args.data, args.target, args.groups)
-    open(args.out, "a", encoding="utf-8").close()  # an unwritable --out fails before scoring
-    _, normalized = importance_scores(ckpt, ds)
-    order = sorted(range(ds.p), key=lambda j: -normalized[j])
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index", "feature_name", "importance"])
-        for j in order:
-            writer.writerow([j, ds.feature_names[j], repr(float(normalized[j]))])
+    with _output(args.out):
+        _, normalized = importance_scores(ckpt, ds)
+        order = sorted(range(ds.p), key=lambda j: -normalized[j])
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["feature_index", "feature_name", "importance"])
+            for j in order:
+                writer.writerow([j, ds.feature_names[j], repr(float(normalized[j]))])
     print(f"wrote {ds.p} importance rows to {args.out}")
 
 
@@ -206,8 +221,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             args.func(args)
     # an unreadable or unwritable path (a missing file, a directory) is a
-    # usage error too; a file that is not UTF-8 text raises one naming it
-    except (ConfigError, DataError, OSError, json.JSONDecodeError) as exc:
+    # usage error too; a file that is not UTF-8 text or not JSON raises one
+    # naming it
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

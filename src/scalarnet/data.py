@@ -62,10 +62,18 @@ def open_text(path, error):
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def read_json(path, error):
+    """The value in the JSON file `path`, read by `open_text`; a file that is
+    not JSON raises `error` naming it."""
+    with open_text(path, error) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not JSON ({exc})") from None
+
+
 def load_groups(path) -> FeatureGroupSpec:
-    with open_text(path, ConfigError) as fh:
-        raw = json.load(fh)
-    return FeatureGroupSpec(raw)
+    return FeatureGroupSpec(read_json(path, ConfigError))
 
 
 def load_csv(path, target_column: str, groups_path=None) -> Dataset:

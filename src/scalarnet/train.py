@@ -15,7 +15,7 @@ from .data import (
     Dataset,
     Scaler,
     destandardize_predictions,
-    open_text,
+    read_json,
     split,
     standardize,
     take,
@@ -94,8 +94,7 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        with open_text(path, ConfigError) as fh:
-            raw = json.load(fh)
+        raw = read_json(path, ConfigError)
         names = {f.name for f in fields(cls)}
         if not isinstance(raw, dict) or raw.keys() != names:
             raise ConfigError(

@@ -379,11 +379,18 @@ BAD_INPUTS = {
     "groups_not_utf8": lambda tmp, common, config: [
         "baseline", *common[:4], "--groups", _write_bytes(tmp / "g.json", b"[[0,\xff]]"),
         "--method", "ridge"],
+    "checkpoint_not_json": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _write(tmp / "c.json", "")],
+    "config_not_json": lambda tmp, common, config: [
+        "train", *common, "--config", _write(tmp / "c.json", "{not json"),
+        "--out", tmp / "m.json"],
+    "groups_not_json": _bad_groups("[[0, 4], [4, 8]"),
 }
-# the file each *_not_utf8 case writes, which its error must name
-NOT_UTF8 = {"checkpoint_not_utf8": "c.json", "config_not_utf8": "c.json",
-            "eval_data_not_utf8": "d.csv", "baseline_data_not_utf8": "d.csv",
-            "groups_not_utf8": "g.json"}
+# the file each *_not_utf8 and *_not_json case writes, which its error must name
+NAMED_FILE = {"checkpoint_not_utf8": "c.json", "config_not_utf8": "c.json",
+              "eval_data_not_utf8": "d.csv", "baseline_data_not_utf8": "d.csv",
+              "groups_not_utf8": "g.json", "checkpoint_not_json": "c.json",
+              "config_not_json": "c.json", "groups_not_json": "g.json"}
 
 
 def _work_started(*args, **kwargs):
@@ -402,8 +409,34 @@ def test_bad_input_exits_2_without_traceback(case, workspace, capsys, monkeypatc
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    if case in NOT_UTF8:
-        assert str(tmp / NOT_UTF8[case]) in err
+    if case in NAMED_FILE:
+        assert str(tmp / NAMED_FILE[case]) in err
+
+
+# commands that fail numerically after their --out was checked
+NUMERIC_FAILURES = {
+    "train": _bad_config(learning_rate=1e308),
+    "importance": lambda tmp, common, config: [
+        "importance", "--data", _write(tmp / "big.csv", "f0,f1,f2,f3,f4,f5,f6,f7,y\n"
+                                       + "1e308,1e308,1e308,1e308,1e308,1e308,1e308,1e308,1\n" * 3),
+        *common[2:], "--ckpt", _trained_checkpoint(tmp, common, config), "--out", tmp / "imp.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_FAILURES))
+def test_numeric_failure_leaves_no_out_file(command, workspace, capsys):
+    """A failed command removes the --out file that its check created, and
+    leaves one that already existed as it was."""
+    tmp, data_path, groups_path, config_path = workspace
+    common = ["--data", data_path, "--target", "y", "--groups", groups_path]
+    argv = NUMERIC_FAILURES[command](tmp, common, config_path)
+    out = Path(argv[argv.index("--out") + 1])
+    assert not out.exists()
+    assert run(argv) == 3
+    assert not out.exists()
+    out.write_text("kept", encoding="utf-8")
+    assert run(argv) == 3
+    assert out.read_text(encoding="utf-8") == "kept"
 
 
 def test_numeric_failure_is_one_line_without_warnings(workspace, capsys):
