@@ -6,8 +6,8 @@ configuration record that owns every free hyperparameter.
 from __future__ import annotations
 
 import contextlib
-import math
 import numbers
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -33,14 +33,15 @@ from .layers import named_tensors
 from .losses import LossConfig
 from .tensor import Rng, Tensor, no_grad
 
-_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossConfig": dict}
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossConfig": dict,
+          "dict": dict}
 
 
 def _check_fields(cls, raw: dict, what: str) -> None:
     """Reject keys that are not fields of dataclass `cls`, missing fields that
     have no default, JSON values of the wrong type (a bool only for a bool
-    field, None only as the default) and non-finite floats (JSON NaN and
-    Infinity)."""
+    field, an object for a dict field, None only as the default) and
+    non-finite floats (JSON NaN and Infinity)."""
     by_name = {f.name: f for f in fields(cls)}
     unknown = set(raw) - set(by_name)
     if unknown:
@@ -56,7 +57,7 @@ def _check_fields(cls, raw: dict, what: str) -> None:
             continue
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise ConfigError(f"{what} field {name!r} must be {f.type}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if kind is numbers.Real and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{what} field {name!r} must be finite, got {value!r}")
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import ModelConfig, ScalarModel, _check_fields
 from .tensor import Rng
 
 CHECKPOINT_VERSION = 1
-SCALER_KEYS = ("x_mean", "x_std", "y_mean", "y_std")
 EVAL_ROWS = 4096  # most rows in one eval-mode forward of predict and importance
 # Eval chunks start on multiples of EVAL_ALIGN rows. OpenBLAS (0.3.31) rounds
 # some rows of a one-column product, such as phi_y's last layer, differently
@@ -95,30 +94,21 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         raw = read_json(path, ConfigError)
-        names = {f.name for f in fields(cls)}
-        if not isinstance(raw, dict) or raw.keys() != names:
-            raise ConfigError(
-                f"{path}: a checkpoint is a JSON object with exactly the fields "
-                f"{sorted(names)}"
-            )
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: a checkpoint is a JSON object")
+        _check_fields(cls, raw, f"checkpoint {path}")
         if raw["format_version"] != CHECKPOINT_VERSION:
             raise ConfigError(
-                f"unsupported checkpoint format_version {raw['format_version']}"
-            )
-        if not (isinstance(raw["config"], dict) and isinstance(raw["params"], dict)):
-            raise ConfigError(f"{path}: checkpoint config and params must be JSON objects")
-        _check_fields(cls, raw, "checkpoint")  # a finite best_val_loss, an int epoch
+                f"{path}: unsupported checkpoint format_version {raw['format_version']}")
         if raw["epoch"] < 0:
             raise ConfigError(f"{path}: checkpoint epoch must be >= 0, got {raw['epoch']}")
         return cls(**raw)
 
-    def build_model(self, scaler: Scaler = None) -> ScalarModel:
-        """The model with this checkpoint's parameters, for the width of
-        `scaler`, a checked `get_scaler()` (made here when None)."""
+    def build_model(self) -> ScalarModel:
+        """The model with this checkpoint's parameters, for the width of its
+        checked scaler."""
         cfg = ModelConfig.from_dict(self.config)
-        if scaler is None:
-            scaler = self.get_scaler()
-        model = ScalarModel(cfg, len(scaler.x_mean))
+        model = ScalarModel(cfg, len(self.get_scaler().x_mean))
         named = model.named_parameters()
         extra = set(self.params) - set(named)
         if extra:
@@ -138,18 +128,15 @@ class Checkpoint:
     def get_scaler(self) -> Scaler:
         """The standardization record, checked: finite numbers, x_mean and
         x_std of one length p, and positive stds."""
+        _check_fields(Scaler, self.scaler, "checkpoint scaler")
         s = self.scaler
-        if not isinstance(s, dict) or s.keys() != set(SCALER_KEYS):
-            raise ConfigError(f"checkpoint scaler must be an object with keys "
-                              f"{SCALER_KEYS}")
-        x_mean, x_std, y_mean, y_std = (
-            _finite_array(s[k], f"scaler {k}") for k in SCALER_KEYS)
-        if x_mean.ndim != 1 or x_std.shape != x_mean.shape or y_mean.ndim or y_std.ndim:
-            raise ConfigError("checkpoint scaler needs x_mean and x_std of one length "
-                              "and scalar y_mean and y_std")
-        if not ((x_std > 0).all() and y_std > 0):
+        x_mean = _finite_array(s["x_mean"], "scaler x_mean")
+        x_std = _finite_array(s["x_std"], "scaler x_std")
+        if x_mean.ndim != 1 or x_std.shape != x_mean.shape:
+            raise ConfigError("checkpoint scaler needs x_mean and x_std of one length")
+        if not ((x_std > 0).all() and s["y_std"] > 0):
             raise ConfigError("checkpoint scaler stds must be positive")
-        return Scaler(x_mean=x_mean, x_std=x_std, y_mean=float(y_mean), y_std=float(y_std))
+        return Scaler(x_mean, x_std, float(s["y_mean"]), float(s["y_std"]))
 
 
 def _finite_array(value, what: str) -> np.ndarray:
@@ -169,12 +156,7 @@ def _checkpoint_from(model, ds, best_val, epoch) -> Checkpoint:
         format_version=CHECKPOINT_VERSION,
         config=model.cfg.to_dict(),
         params={k: t.data.tolist() for k, t in model.named_parameters().items()},
-        scaler={
-            "x_mean": ds.scaler.x_mean.tolist(),
-            "x_std": ds.scaler.x_std.tolist(),
-            "y_mean": ds.scaler.y_mean,
-            "y_std": ds.scaler.y_std,
-        },
+        scaler={k: np.asarray(v).tolist() for k, v in vars(ds.scaler).items()},
         best_val_loss=best_val,
         epoch=epoch,
     )
@@ -264,7 +246,7 @@ def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
         raise ConfigError(
             f"data has {ds_raw.p} features, checkpoint expects {len(scaler.x_mean)}"
         )
-    model = ckpt.build_model(scaler)
+    model = ckpt.build_model()
     n = ds_raw.n
     chunks = max(1, -(-n // EVAL_ROWS))
     # the near-equal cuts i·n/chunks, each rounded up to a multiple of EVAL_ALIGN
