@@ -101,9 +101,9 @@ def encode(s: Tensor, params: VariationalParams) -> Tensor:
 
     def backward(g):
         gh_mu = phi_mu.backward(h, g[0])
-        # h's terms: log σ's, then μ's; phi_e, tanh, phi_sigma is a two-layer tanh net
         g_raw = g[1] * ((raw >= -LOG_SIGMA_CLAMP) & (raw <= LOG_SIGMA_CLAMP))
-        s.grad += Mlp2(phi_e, phi_sigma).backward(s.data, h, g_raw, gh_mu)
+        gh = phi_sigma.backward(h, g_raw) + gh_mu  # h's terms: log σ's, then μ's
+        s.grad += phi_e.backward(s.data, gh * (1.0 - h * h))
 
     parents = (s, *phi_e.tensors(), *phi_mu.tensors(), *phi_sigma.tensors())
     return _node("encode", out, parents, backward)

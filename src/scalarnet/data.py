@@ -64,12 +64,14 @@ def open_text(path, error):
 
 def read_json(path, error):
     """The value in the JSON file `path`, read by `open_text`; a file that is
-    not JSON raises `error` naming it."""
+    not JSON, nests too deeply or holds an integer too long for Python to
+    parse raises `error` naming it."""
     with open_text(path, error) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: not JSON ({exc})") from None
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"{path}: not readable as JSON ({exc})") from None
 
 
 def load_groups(path) -> FeatureGroupSpec:

@@ -15,13 +15,8 @@ from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_gra
 
 
 def default_components(p: int):
-    c1, c2, c3 = min(16, p), min(8, p - 1), min(4, p - 2)
-    if not (c1 > c2 > c3 >= 1):
-        raise ConfigError(
-            f"cannot pick strictly decreasing component widths for p={p}; "
-            "set them explicitly or use p >= 3"
-        )
-    return c1, c2, c3
+    """Widths (c1, c2, c3) for p features, strictly decreasing for p >= 3."""
+    return min(16, p), min(8, p - 1), min(4, p - 2)
 
 
 @dataclass
@@ -35,6 +30,8 @@ class HeadParams:
 
     @classmethod
     def init(cls, rng: Rng, p: int, components) -> "HeadParams":
+        if p < 3:  # c1 <= p and c1 > c2 > c3 >= 1
+            raise ConfigError(f"the head needs p >= 3 features, got p={p}")
         c1, c2, c3 = components
         if not (c1 > c2 > c3 >= 1):
             raise ConfigError(f"need c1 > c2 > c3 >= 1, got {(c1, c2, c3)}")

@@ -73,12 +73,10 @@ class Mlp2:
         h = np.tanh(self.l1(x, op))
         return h, self.l2(h, op)
 
-    def backward(self, x: np.ndarray, h: np.ndarray, g: np.ndarray, gh=None) -> np.ndarray:
+    def backward(self, x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Add the parameter gradients of `self(x)`, given h, its hidden layer,
-        g, the gradient wrt its output, and gh, one already on h (added after
-        g's term). Returns the gradient wrt x."""
-        gh = self.l2.backward(h, g) if gh is None else self.l2.backward(h, g) + gh
-        return self.l1.backward(x, gh * (1.0 - h * h))
+        and g, the gradient wrt its output. Returns the gradient wrt x."""
+        return self.l1.backward(x, self.l2.backward(h, g) * (1.0 - h * h))
 
     def tensors(self) -> tuple:
         """(w1, b1, w2, b2)."""

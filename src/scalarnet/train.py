@@ -141,14 +141,14 @@ class Checkpoint:
 
 def _finite_array(value, what: str) -> np.ndarray:
     """`value` as a float64 array, or a ConfigError unless it is a finite
-    number or a regular nest of lists of them."""
+    JSON number or a regular nest of lists of them (not strings or booleans)."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nest, or one deeper than numpy's 64 dimensions
         arr = None
-    if arr is None or not np.isfinite(arr).all():
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ConfigError(f"checkpoint {what} must hold finite numbers")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def _checkpoint_from(model, ds, best_val, epoch) -> Checkpoint:

@@ -385,12 +385,38 @@ BAD_INPUTS = {
         "train", *common, "--config", _write(tmp / "c.json", "{not json"),
         "--out", tmp / "m.json"],
     "groups_not_json": _bad_groups("[[0, 4], [4, 8]"),
+    "checkpoint_nested_too_deeply": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _write(tmp / "c.json", "[" * 100000)],
+    "config_nested_too_deeply": lambda tmp, common, config: [
+        "train", *common, "--config", _write(tmp / "c.json", "[" * 100000),
+        "--out", tmp / "m.json"],
+    "groups_nested_too_deeply": _bad_groups("[" * 100000),
+    "config_integer_too_long": lambda tmp, common, config: [
+        "train", *common, "--config", _write(tmp / "c.json", '{"k": ' + "1" * 5000 + "}"),
+        "--out", tmp / "m.json"],
+    # each size's first array is far above 2**47 bytes, the x86-64 user
+    # address space, so no allocation is attempted that could partly succeed
+    "config_k_too_large": _bad_config(k=10**13),
+    "synth_rows_too_large": _synth("--n", str(10**15)),
+    "eval_bins_too_large": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _trained_checkpoint(tmp, common, config),
+        "--bins", str(10**15)],
+    "checkpoint_param_numeric_string": _bad_checkpoint(
+        lambda raw: raw["params"].update(
+            {"head.w1": [["0.5"] * len(row) for row in raw["params"]["head.w1"]]})),
+    "checkpoint_x_std_bool": _bad_checkpoint(
+        lambda raw: raw["scaler"].update(x_std=[True] * 8)),
+    "checkpoint_y_std_integer_too_large": _bad_checkpoint(
+        lambda raw: raw["scaler"].update(y_std=10**400)),
 }
-# the file each *_not_utf8 and *_not_json case writes, which its error must name
+# the file each *_not_utf8, *_not_json, *_nested_too_deeply and *_too_long
+# case writes, which its error must name
 NAMED_FILE = {"checkpoint_not_utf8": "c.json", "config_not_utf8": "c.json",
               "eval_data_not_utf8": "d.csv", "baseline_data_not_utf8": "d.csv",
               "groups_not_utf8": "g.json", "checkpoint_not_json": "c.json",
-              "config_not_json": "c.json", "groups_not_json": "g.json"}
+              "config_not_json": "c.json", "groups_not_json": "g.json",
+              "checkpoint_nested_too_deeply": "c.json", "config_nested_too_deeply": "c.json",
+              "groups_nested_too_deeply": "g.json", "config_integer_too_long": "c.json"}
 
 
 def _work_started(*args, **kwargs):
@@ -411,6 +437,20 @@ def test_bad_input_exits_2_without_traceback(case, workspace, capsys, monkeypatc
     assert "error:" in err
     if case in NAMED_FILE:
         assert str(tmp / NAMED_FILE[case]) in err
+
+
+def test_two_feature_train_names_the_feature_bound(tmp_path, capsys):
+    """No component widths fit p = 2 (c1 <= p and c1 > c2 > c3 >= 1), so the
+    error states the bound and does not advise setting them explicitly."""
+    write_csv(synth_nonlinear(20, FeatureGroupSpec([(0, 1), (1, 2)]), 0.1, seed=0),
+              tmp_path / "d.csv")
+    argv = ["train", "--data", tmp_path / "d.csv", "--target", "y",
+            "--groups", _write(tmp_path / "g.json", "[[0, 1], [1, 2]]"),
+            "--config", _write(tmp_path / "c.json", "{}"), "--out", tmp_path / "m.json"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "p >= 3" in err and "explicitly" not in err
 
 
 # commands that fail numerically after their --out was checked
