@@ -40,8 +40,8 @@ _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "LossCon
 def _check_fields(cls, raw: dict, what: str) -> None:
     """Reject keys that are not fields of dataclass `cls`, missing fields that
     have no default, JSON values of the wrong type (a bool only for a bool
-    field, an object for a dict field, None only as the default) and
-    non-finite floats (JSON NaN and Infinity)."""
+    field, an object for a dict field, None only as the default) and float
+    fields outside the float range (JSON NaN, Infinity, a huge integer)."""
     by_name = {f.name: f for f in fields(cls)}
     unknown = set(raw) - set(by_name)
     if unknown:
