@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -80,38 +81,39 @@ def load_groups(path) -> FeatureGroupSpec:
 
 def load_csv(path, target_column: str, groups_path=None) -> Dataset:
     """Read a numeric CSV with a header row; the target column is removed
-    from X. Without a groups file a single group [0, p) is assumed."""
+    from X. Without a groups file a single group [0, p) is assumed.
+
+    The body is parsed in one `np.loadtxt` pass, which skips blank lines and
+    reads quoted cells. Its cells are converted by the parser `float()` uses,
+    but only ASCII decimal and exponent notation is accepted. The file is read
+    again row by row only when that pass fails, to name the bad row or cell."""
     path = Path(path)
     with open_text(path, DataError) as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if target_column not in header:
             raise DataError(f"{path}: no column named {target_column!r}")
-        t_idx = header.index(target_column)
-        rows = []
-        for r, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {r} has {len(row)} cells, "
-                                f"expected {len(header)}")
-            vals = []
-            for c, cell in enumerate(row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell at row {r}, "
-                        f"column {header[c]!r}"
-                    ) from None
-            rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    mat = np.asarray(rows, dtype=np.float64)
+        # loadtxt warns on a body without data, so look for a line first
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        try:
+            mat = np.loadtxt(itertools.chain([first], fh), dtype=np.float64,
+                             delimiter=",", quotechar='"', comments=None, ndmin=2)
+            problem = (None if mat.shape[1] == len(header)
+                       else f"rows of {mat.shape[1]} cells, expected {len(header)}")
+        except UnicodeDecodeError:
+            raise  # open_text names the file
+        except ValueError as exc:
+            problem = str(exc)
+    if problem is not None:
+        _raise_bad_row(path, header, problem)
     if not np.all(np.isfinite(mat)):
         raise DataError(f"{path}: non-finite values present")
-    y = mat[:, t_idx]
+    t_idx = header.index(target_column)
+    y = mat[:, t_idx].copy()  # a view would keep all of mat alive
     x = np.delete(mat, t_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != t_idx]
     p = x.shape[1]
@@ -124,12 +126,38 @@ def load_csv(path, target_column: str, groups_path=None) -> Dataset:
     return Dataset(x=x, y=y, feature_names=names, spec=spec)
 
 
+def _raise_bad_row(path, header, problem: str) -> None:
+    """Read `path` again with `csv.reader` and raise a DataError naming its
+    first row whose width is not the header's or first non-numeric cell, or
+    else `problem`, what `load_csv`'s parse found. Blank rows are skipped, as
+    `np.loadtxt` skips them."""
+    with open_text(path, DataError) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for r, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {r} has {len(row)} cells, "
+                                f"expected {len(header)}")
+            for c, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric cell at row {r}, "
+                        f"column {header[c]!r}"
+                    ) from None
+    raise DataError(f"{path}: {problem}")
+
+
 def write_csv(ds: Dataset, path) -> None:
+    """`ds` as a CSV with header `feature_names + ["y"]`; each value is
+    written as its float repr, which never needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + ["y"])
-        for xi, yi in zip(ds.x, ds.y):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
+        csv.writer(fh).writerow(list(ds.feature_names) + ["y"])
+        for row in np.column_stack([ds.x, ds.y]).astype(np.float64, copy=False).tolist():
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -5,6 +5,7 @@ checking against central finite differences.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -147,6 +148,12 @@ def _finite_array(value, what: str) -> np.ndarray:
     except ValueError:  # a ragged nest, or one deeper than numpy's 64 dimensions
         arr = None
     if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ConfigError(f"checkpoint {what} must hold finite numbers")
+    # numpy reads a boolean beside numbers as 1 or 0, so look at the cells
+    cells = [value]
+    for _ in range(arr.ndim):
+        cells = itertools.chain.from_iterable(cells)
+    if bool in map(type, cells):
         raise ConfigError(f"checkpoint {what} must hold finite numbers")
     return arr.astype(np.float64, copy=False)
 

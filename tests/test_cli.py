@@ -406,6 +406,11 @@ BAD_INPUTS = {
             {"head.w1": [["0.5"] * len(row) for row in raw["params"]["head.w1"]]})),
     "checkpoint_x_std_bool": _bad_checkpoint(
         lambda raw: raw["scaler"].update(x_std=[True] * 8)),
+    "checkpoint_x_std_bool_beside_numbers": _bad_checkpoint(
+        lambda raw: raw["scaler"].update(x_std=[True] + [1.0] * 7)),
+    "checkpoint_param_bool_beside_numbers": _bad_checkpoint(
+        lambda raw: raw["params"].update(
+            {"head.w1": [[True, *row[1:]] for row in raw["params"]["head.w1"]]})),
     "checkpoint_y_std_integer_too_large": _bad_checkpoint(
         lambda raw: raw["scaler"].update(y_std=10**400)),
 }

@@ -1,8 +1,15 @@
 import json
+import math
+import struct
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.baselines import pls_fit, pls_predict, ridge_fit, ridge_predict, select_components
@@ -21,6 +28,51 @@ from scalarnet.losses import metrics
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
+
+
+def load_text(tmp_path, text):
+    """`text` written as d.csv beside a one-group groups file, then loaded
+    with target y."""
+    write(tmp_path / "d.csv", text)
+    write(tmp_path / "g.json", "[[0, 2]]")
+    return load_csv(tmp_path / "d.csv", "y", tmp_path / "g.json")
+
+
+# the text each malformed file's DataError carries after "<path>: "
+BAD_FILES = {
+    "empty": ("", "empty file"),
+    "header_only": ("a,b,y\n", "no data rows"),
+    "missing_target": ("a,b,c\n1,2,3\n", "no column named 'y'"),
+    "short_row": ("a,b,y\n1,2,3\n4,5\n", "row 3 has 2 cells, expected 3"),
+    "long_row": ("a,b,y\n1,2,3\n4,5,6\n7,8,9,10\n", "row 4 has 4 cells, expected 3"),
+    "every_row_short": ("a,b,y\n1,2\n3,4\n", "row 2 has 2 cells, expected 3"),
+    "bad_cell_quoted": ('a,b,y\n1,2,3\n4,"oops",6\n', "non-numeric cell at row 3, column 'b'"),
+    "bad_cell_after_bom": ("\ufeffa,b,y\nx,2,3\n", "non-numeric cell at row 2, column 'a'"),
+    "empty_cell": ("a,b,y\n1,,3\n", "non-numeric cell at row 2, column 'b'"),
+    "nan": ("a,b,y\n1,2,3\n4,nan,6\n", "non-finite values present"),
+    "overflow": ("a,b,y\n1,2,1e400\n", "non-finite values present"),
+}
+
+GOOD_FILES = {
+    "quoted_cells": ('a,"b",y\n"1","-2.5e1",3\n4,5,"6"\n', [[1, -25], [4, 5]], [3, 6]),
+    "crlf": ("a,b,y\r\n1,2,3\r\n4,5,6\r\n", [[1, 2], [4, 5]], [3, 6]),
+    "cr_only": ("a,b,y\r1,2,3\r4,5,6\r", [[1, 2], [4, 5]], [3, 6]),
+    "single_row": ("a,b,y\n1,2,3", [[1, 2]], [3]),
+    "spaces_around_cells": ("a,b,y\n 1 ,2, 3\n", [[1, 2]], [3]),
+}
+
+
+def bits_of(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+FINITE_FLOAT64 = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1)
+    .map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    .filter(math.isfinite),
+)
 
 
 class TestLoadCsv:
@@ -61,6 +113,57 @@ class TestLoadCsv:
         write(csv_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="no column"):
             load_csv(csv_path, "target")
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_malformed_file_error_text(self, tmp_path, case):
+        text, message = BAD_FILES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" too
+            with pytest.raises(DataError) as exc:
+                load_text(tmp_path, text)
+        assert str(exc.value) == f"{tmp_path / 'd.csv'}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(GOOD_FILES))
+    def test_well_formed_file_values(self, tmp_path, case):
+        text, x, y = GOOD_FILES[case]
+        ds = load_text(tmp_path, text)
+        assert ds.feature_names == ["a", "b"]
+        assert ds.x.dtype == ds.y.dtype == np.float64
+        np.testing.assert_array_equal(ds.x, x)
+        np.testing.assert_array_equal(ds.y, y)
+
+    @pytest.mark.parametrize("header", ["y,a,b", "a,y,b", "a,b,y"])
+    def test_x_and_y_own_their_memory(self, tmp_path, header):
+        ds = load_text(tmp_path, header + "\n1,2,3\n4,5,6\n")
+        assert ds.x.flags.owndata and ds.y.flags.owndata
+        assert ds.x.flags.c_contiguous and ds.y.flags.c_contiguous
+
+    def test_blank_lines_skipped(self, tmp_path):
+        ds = load_text(tmp_path, "a,b,y\n\n1,2,3\r\n\r\n4,5,6\n\n")
+        np.testing.assert_array_equal(ds.x, [[1, 2], [4, 5]])
+        np.testing.assert_array_equal(ds.y, [3, 6])
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        with pytest.raises(DataError, match="row 4 has 2 cells"):
+            load_text(tmp_path, "a,b,y\n1,2,3\n\n4,5\n")
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0)])  # ARABIC-INDIC ONE
+    def test_numbers_only_python_reads_rejected(self, tmp_path, cell, value):
+        assert float(cell) == value
+        with pytest.raises(DataError, match=f"could not convert string '{cell}'"):
+            load_text(tmp_path, f"a,b,y\n1,2,3\n1,{cell},3\n")
+
+    @given(values=st.lists(FINITE_FLOAT64, min_size=1, max_size=12),
+           fmt=st.sampled_from([repr, "%.17g".__mod__, "%.6e".__mod__]))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_read_as_float_bit_for_bit(self, values, fmt):
+        cells = [fmt(v) for v in values]
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = load_text(Path(tmp), "a,b,y\n" + "".join(
+                f"{c},{c},{c}\n" for c in cells))
+        expected = [bits_of(float(c)) for c in cells]
+        for column in (ds.x[:, 0], ds.x[:, 1], ds.y):
+            assert [bits_of(v) for v in column.tolist()] == expected
 
     @pytest.mark.parametrize("header", ["y,a,b", "a,y,b"])
     def test_byte_order_mark_skipped(self, tmp_path, header):
