@@ -1,8 +1,11 @@
 """Classical reference regressors: PLS1 and closed-form ridge.
 
 With a single response the NIPALS weight vector is the normalized covariance
-E^T f, so PLS1 takes one pass per component. Components come in sequence: the
-first `a` of a larger fit are the a-component fit, so CV fits each fold once.
+E_a^T f of the deflated data E_a. PLS1 never builds E_a (Dayal & MacGregor
+1997): it deflates the p-vector E^T f and takes the scores through rotations,
+t = E r, so each component makes two passes over the data. Components come in
+sequence: the first `a` of a larger fit are the a-component fit, so CV fits
+each fold once and scores every count with one product.
 X is standardized (zero mean, unit population variance) and y centered
 inside fit; predictions are returned on the original target scale.
 """
@@ -48,7 +51,7 @@ class PlsModel:
 
 
 def pls_fit(x, y, n_components: int) -> PlsModel:
-    """Fit PLS1 with deflation, one pass per component.
+    """Fit PLS1 without deflating X: two passes over the data per component.
 
     Parameters
     ----------
@@ -68,31 +71,40 @@ def pls_fit(x, y, n_components: int) -> PlsModel:
     x_scale = x.std(axis=0)
     x_scale[x_scale == 0.0] = 1.0
     y_mean = float(y.mean())
-    e = (x - x_mean) / x_scale
+    e = x - x_mean
+    e /= x_scale
     f = y - y_mean
 
-    weights, loadings, y_loads = [], [], []
+    # Column-major, so the first `a` columns lie in memory as an a-column
+    # fit's do: component a's arithmetic does not depend on n_components.
+    weights, rotations, loadings = (np.empty((p, n_components), order="F")
+                                    for _ in range(3))
+    y_loads = np.empty(n_components)
+    c = e.T @ f  # E_a^T f, deflated in p-space: E_a = E - sum_j t_j p_j^T
     for a in range(n_components):
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = e.T @ f / (f @ f)
+            w = c / (f @ f)
         norm = np.linalg.norm(w)
         if not 0.0 < norm < np.inf:  # zero, or NaN once y is exhausted
             raise ConvergenceError(f"zero weight vector at component {a + 1}")
         w /= norm
-        t = e @ w
-        pa = e.T @ t / (t @ t)
-        qa = (t @ f) / (t @ t)
-        e = e - np.outer(t, pa)
+        # r_a = w_a - R (P^T w_a), so t_a = E r_a = E_a w_a
+        r = w - rotations[:, :a] @ (loadings[:, :a].T @ w)
+        t = e @ r
+        tt = t @ t
+        if not tt > 0.0:  # r has no part in the row space of X: its rank is used up
+            raise ConvergenceError(f"zero score vector at component {a + 1}")
+        pa = e.T @ t / tt
+        qa = (t @ f) / tt
         f = f - qa * t
-        weights.append(w)
-        loadings.append(pa)
-        y_loads.append(qa)
+        c -= pa * (qa * tt)
+        weights[:, a], rotations[:, a], loadings[:, a], y_loads[a] = w, r, pa, qa
 
     return PlsModel(
         n_components=n_components,
-        x_weights=np.column_stack(weights),
-        x_loadings=np.column_stack(loadings),
-        y_loadings=np.asarray(y_loads),
+        x_weights=weights,
+        x_loadings=loadings,
+        y_loadings=y_loads,
         x_mean=x_mean,
         x_scale=x_scale,
         y_mean=y_mean,
@@ -106,7 +118,8 @@ def pls_predict(model: PlsModel, x) -> np.ndarray:
 
 def select_components(x, y, seed):
     """Pick the PLS component count with the lowest k-fold CV MSE, fitting
-    each fold once; a count a fold cannot support scores an infinite MSE."""
+    each fold once and scoring every count with one product; a count a fold
+    cannot support scores an infinite MSE."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n, p = x.shape
@@ -117,14 +130,25 @@ def select_components(x, y, seed):
         train_idx = np.concatenate(folds[:i] + folds[i + 1 :])
         top = min(hi, len(train_idx) - 1)  # a fit needs more rows than components
         sse[max(top, 0) :] = np.inf
-        fit = pls_fit(x[train_idx], y[train_idx], top) if top >= 1 else None
+        fit = None
+        while fit is None and top >= 1:
+            try:
+                fit = pls_fit(x[train_idx], y[train_idx], top)
+            except ConvergenceError:  # count `top` has nothing left to fit: one fewer
+                top -= 1
+                sse[top] = np.inf
+        if fit is None:
+            continue
+        coefs = np.zeros((p, top))  # column a-1: the a-component fit's coef
         for a in range(1, top + 1):
             try:
-                pred = pls_predict(fit.first(a), x[test_idx])
+                coefs[:, a - 1] = fit.first(a).coef
             except NumericError:  # P^T W is singular: `a` exceeds the rank of X
                 sse[a - 1] = np.inf
-            else:
-                sse[a - 1] += float(((pred - y[test_idx]) ** 2).sum())
+        e = x[test_idx] - fit.x_mean
+        e /= fit.x_scale
+        resid = e @ coefs + fit.y_mean - y[test_idx, None]
+        sse[:top] += (resid * resid).sum(axis=0)
     best_a, best_mse = 1, np.inf
     for a, mse in enumerate(sse / n, start=1):
         if mse < best_mse - 1e-15:

@@ -128,9 +128,10 @@ def load_csv(path, target_column: str, groups_path=None) -> Dataset:
 
 def _raise_bad_row(path, header, problem: str) -> None:
     """Read `path` again with `csv.reader` and raise a DataError naming its
-    first row whose width is not the header's or first non-numeric cell, or
+    first row whose width is not the header's, or its first cell that is not
+    an ASCII number, by file row (the header is row 1) and column name; or
     else `problem`, what `load_csv`'s parse found. Blank rows are skipped, as
-    `np.loadtxt` skips them."""
+    `np.loadtxt` skips them, but counted."""
     with open_text(path, DataError) as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -148,6 +149,11 @@ def _raise_bad_row(path, header, problem: str) -> None:
                         f"{path}: non-numeric cell at row {r}, "
                         f"column {header[c]!r}"
                     ) from None
+                if not cell.isascii() or "_" in cell:  # float() reads it, numpy not
+                    raise DataError(
+                        f"{path}: could not convert string '{cell}' to float64 "
+                        f"at row {r}, column {header[c]!r}"
+                    )
     raise DataError(f"{path}: {problem}")
 
 

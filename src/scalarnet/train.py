@@ -43,7 +43,8 @@ class Adam:
     The model owns the parameters (`model.flat`) and their gradients
     (`model.grad_flat`); Adam keeps its moments `m` and `v`, the step count
     `t` and `lr`, and updates `model.flat` in place with a few whole-buffer
-    array operations, reading the gradients where backward left them.
+    array operations into two buffers of its own, reading the gradients where
+    backward left them.
     `params` names the model's parameters, to report a missing gradient.
     """
 
@@ -56,6 +57,8 @@ class Adam:
         self.t = 0
         self.m = np.zeros(self.flat.size)
         self.v = np.zeros(self.flat.size)
+        # a step's temporaries: grad_flat is not written, its views are the .grads
+        self._g, self._u = np.empty(self.flat.size), np.empty(self.flat.size)
 
     def step(self, clip_norm: float, reached):
         """Update from the gradients of the backward that reached the leaves
@@ -68,15 +71,24 @@ class Adam:
         g = self.grad_flat
         total = math.sqrt(float(g @ g))
         if total > clip_norm:
-            g = g * (clip_norm / total)
+            g = np.multiply(g, clip_norm / total, out=self._g)
         self.t += 1
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
+        u, d = self._u, self._g  # d takes the clipped g's buffer once g is spent
         self.m *= self.BETA1
-        self.m += (1.0 - self.BETA1) * g
+        self.m += np.multiply(g, 1.0 - self.BETA1, out=u)
         self.v *= self.BETA2
-        self.v += (1.0 - self.BETA2) * g * g
-        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.EPS)
+        np.multiply(g, 1.0 - self.BETA2, out=u)
+        self.v += np.multiply(u, g, out=u)
+        # flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps), numerator in u, denominator in d
+        np.divide(self.m, b1c, out=u)
+        u *= self.lr
+        np.divide(self.v, b2c, out=d)
+        np.sqrt(d, out=d)
+        d += self.EPS
+        u /= d
+        self.flat -= u
 
 
 @dataclass

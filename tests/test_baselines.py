@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.baselines import (
@@ -14,6 +17,8 @@ from scalarnet.baselines import (
 from scalarnet.data import split, synth_nonlinear, take
 from scalarnet.errors import ConfigError, ConvergenceError, NumericError
 from scalarnet.losses import metrics
+
+EPS = np.finfo(np.float64).eps
 
 
 def svd_pls_oracle(x, y, n_components):
@@ -47,6 +52,38 @@ def svd_pls_oracle(x, y, n_components):
         return ((np.asarray(xq) - x_mean) / x_std) @ coef + y.mean()
 
     return predict
+
+
+def deflation_pls_reference(x, y, n_components):
+    """PLS1 that deflates X at every component (the loop pls_fit ran before
+    it stopped deflating X). Returns W, P, q and, per component, the norm of
+    the deflated cross-covariance E_a^T f_a the weight is taken from."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    x_mean = x.mean(axis=0)
+    x_scale = x.std(axis=0)
+    x_scale[x_scale == 0.0] = 1.0
+    e = (x - x_mean) / x_scale
+    f = y - y.mean()
+    weights, loadings, y_loads, cov_norms = [], [], [], []
+    for _ in range(n_components):
+        w = e.T @ f / (f @ f)
+        cov_norms.append(np.linalg.norm(e.T @ f))
+        w /= np.linalg.norm(w)
+        t = e @ w
+        pa = e.T @ t / (t @ t)
+        qa = (t @ f) / (t @ t)
+        e = e - np.outer(t, pa)
+        f = f - qa * t
+        weights.append(w)
+        loadings.append(pa)
+        y_loads.append(qa)
+    return (np.column_stack(weights), np.column_stack(loadings),
+            np.asarray(y_loads), np.asarray(cov_norms))
+
+
+def relative_error(got, want):
+    return np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want)
 
 
 class TestPls:
@@ -130,6 +167,59 @@ class TestPls:
             pls_fit(x, y, p).coef
         assert np.abs(pls_fit(x, y, p - 1).coef).max() < 10.0
 
+    # full-rank data: n > p (at (200, 12) the last components' covariance
+    # with y falls to ~1e-10 of the first), n < p, and p = 1
+    @pytest.mark.parametrize("n, p", [(40, 6), (200, 12), (9, 14), (30, 1)])
+    def test_matches_deflation_reference(self, n, p):
+        rng = np.random.default_rng(n + p)
+        for _ in range(5):
+            x = rng.normal(size=(n, p))
+            y = np.tanh(x[:, 0]) + x[:, -1] + 0.3 * rng.normal(size=n)
+            top = min(n - 1, p)
+            fit = pls_fit(x, y, top)
+            w, p_load, q, cov = deflation_pls_reference(x, y, top)
+            for a in range(top):
+                # Andersson (2009): a weight taken from E^T f deflated in
+                # p-space keeps an absolute error of ~eps |E^T f|, so its
+                # relative error grows as E_a^T f_a decays
+                tol = max(1e-10, 100 * EPS * cov[0] / cov[a])
+                assert relative_error(fit.x_weights[:, a], w[:, a]) <= tol, a
+                assert relative_error(fit.x_loadings[:, a], p_load[:, a]) <= tol, a
+                assert relative_error(fit.y_loadings[a], q[a]) <= tol, a
+                want = w[:, : a + 1] @ np.linalg.inv(
+                    p_load[:, : a + 1].T @ w[:, : a + 1]) @ q[: a + 1]
+                assert relative_error(fit.first(a + 1).coef, want) <= 1e-10, a
+
+    def test_memory_does_not_grow_with_components(self):
+        # X is standardized once and never deflated: more components add
+        # only (p, a) blocks, and no second (n, p) array is ever alive
+        rng = np.random.default_rng(10)
+        n, p = 4000, 10
+        x, y = rng.normal(size=(n, p)), rng.normal(size=n)
+
+        def peak(n_components):
+            tracemalloc.start()
+            try:
+                pls_fit(x, y, n_components)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, full = peak(1), peak(p)
+        assert full <= one + 8 * (p * p * 8)
+        assert full < 2 * x.nbytes
+
+    def test_rank_used_up_raises_convergence_error(self):
+        # X = [z, constant] has rank 1: a second component has no direction
+        # left, found as a zero weight or a zero score
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(34, 2))
+            x[:, 1] = 1.5
+            y = np.tanh(x[:, 0]) + 0.3 * rng.normal(size=34)
+            with pytest.raises(NumericError, match="component 2|2 components"):
+                pls_fit(x, y, 2).coef
+
     def test_constant_target_fails_at_once(self):
         x = np.random.default_rng(8).normal(size=(12, 3))
         with warnings.catch_warnings():
@@ -197,6 +287,29 @@ class TestSelectComponents:
         rows = take(ds, split(ds, 5000 / 5800, seed=34).test)
         tr = take(rows, split(rows, 0.2, seed=34).train)
         assert select_components(tr.x, tr.y, seed=34) == 2
+
+    def test_fold_with_rank_used_up_scores_infinite(self):
+        # a fold's fit that runs out of directions leaves its larger counts
+        # at an infinite MSE, as the per-count refit does, instead of raising
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(34, 2))
+            x[:, 1] = 1.5
+            y = np.tanh(x[:, 0]) + 0.3 * rng.normal(size=34)
+            assert select_components(x, y, seed=0) == refit_select_reference(x, y, 0) == 1
+
+    @given(n=st.integers(3, 40), p=st.integers(1, 12),
+           constant_column=st.booleans(), data_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_per_count_refit_on_random_shapes(self, n, p, constant_column,
+                                                      data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        x = rng.normal(size=(n, p))
+        if constant_column:
+            x[:, int(rng.integers(p))] = 1.5
+        y = np.tanh(x[:, 0]) + 0.3 * rng.normal(size=n)
+        assert select_components(x, y, seed=seed) == refit_select_reference(x, y, seed)
 
 
 def ridge_gd_oracle(x, y, lam, lr=1e-3, steps=200_000):

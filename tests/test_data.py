@@ -153,6 +153,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"could not convert string '{cell}'"):
             load_text(tmp_path, f"a,b,y\n1,2,3\n1,{cell},3\n")
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+    def test_numbers_only_python_reads_named_by_file_row(self, tmp_path, cell):
+        # numpy's own message would say row 1, column 2: it counts data rows
+        # from 0 and leaves blank lines out
+        with pytest.raises(DataError, match=f"could not convert string '{cell}' "
+                                            f"to float64 at row 4, column 'b'$"):
+            load_text(tmp_path, f"a,b,y\n1,2,3\n\n1,{cell},3\n")
+
     @given(values=st.lists(FINITE_FLOAT64, min_size=1, max_size=12),
            fmt=st.sampled_from([repr, "%.17g".__mod__, "%.6e".__mod__]))
     @settings(max_examples=100, deadline=None)
