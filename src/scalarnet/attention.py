@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigError
-from .layers import Affine, Mlp2, hidden_width
+from .layers import Affine, Mlp2, Stage, hidden_width, named_tensors
 from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
 
 EPS = 1e-12  # floor on a kernel's norm in kernel_attention
@@ -91,10 +91,6 @@ class KernelAttentionParams:
             phi_p=Affine.init(rng, p_in, p_in, zero=True),
         )
 
-    def tensors(self) -> tuple:
-        """The ten parameters in `kernel_attention`'s order."""
-        return (*self.phi_k.tensors(), *self.phi_w.tensors(), *self.phi_p.tensors())
-
 
 @dataclass
 class AttentionTrace:
@@ -109,19 +105,40 @@ class AttentionTrace:
     z: "Tensor | None"  # (batch, p_in)
 
 
+@dataclass
+class AttentionBucket(Stage):
+    """Groups of one width as one stage record, which `kernel_attention` runs
+    stacked: field j of the groups' records, in `named_tensors` order, is one
+    (G, ...) array, `data[j]`, with gradient `grad[j]` (see `bind`)."""
+
+    cols: tuple  # the groups' (start, stop) column intervals
+    params: tuple  # their KernelAttentionParams, in the same order
+
+    def stacks(self):
+        return zip(*(named_tensors(p, "").values() for p in self.params))
+
+
+def stack_groups(groups, params) -> list:
+    """One AttentionBucket per group width, in order of each width's first
+    group: `params[i]` is the record of the group at column interval
+    `groups[i]`."""
+    by_width = {}
+    for (s, e), prm in zip(groups, params):
+        by_width.setdefault(e - s, []).append(((s, e), prm))
+    return [AttentionBucket(*zip(*members)) for members in by_width.values()]
+
+
 def _stack(arrays) -> np.ndarray:
     """Equal-shape arrays stacked on a new first axis; one array as a view."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 @np.errstate(all="ignore")
-def kernel_attention(x: Tensor, groups, params):
+def kernel_attention(x: Tensor, buckets):
     """Adaptive kernel attention on each column group of x (b, p), as one node.
 
-    `groups` are the (start, stop) column intervals partitioning [0, p) in
-    order; `params[i]` is group i's `KernelAttentionParams`, whose hidden
-    widths depend on its width w alone, so that groups of one width share
-    their parameter shapes. On a group's columns xg (b, w):
+    The groups of the AttentionBuckets `buckets` partition [0, p). On a
+    group's columns xg (b, w):
     raw = phi_k(xg) holds k kernels per row, each L2-normalized by max(norm,
     EPS) into k̂ (b, k, w); the kernel weights w (b, k) are the row softmax of
     phi_w(xg); the mixed kernel is mix = Σ_j w[:, j] · k̂_j (b, w), and the
@@ -130,23 +147,17 @@ def kernel_attention(x: Tensor, groups, params):
 
     The kernel sums (the norms, mix, and backward's k̂_j · u) are einsum
     contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
-    k̂ and mix. Groups of the same width run stacked, as (G, b, w) arrays
-    through batched matmul; each group's arithmetic is the same as running it
-    alone. Returns (the (b, p) Tensor, per-group k̂ and w as views of the
-    stacked ndarrays).
+    k̂ and mix. A bucket's groups run stacked, as (G, b, w) arrays through
+    batched matmul on its (G, ...) arrays; each group's arithmetic is the same
+    as running it alone. Returns (the (b, p) Tensor, per group in column
+    order k̂ and w as views of the stacked ndarrays).
     """
-    param_sets = [gp.tensors() for gp in params]
     xd = x.data
     out = np.empty_like(xd)
-    k_hats, weights = [None] * len(groups), [None] * len(groups)
-    stacks, buckets = [], {}
-    for i, (s, e) in enumerate(groups):
-        buckets.setdefault(e - s, []).append(i)
-    for members in buckets.values():
-        cols = [groups[i] for i in members]
-        xs = _stack([xd[:, s:e] for s, e in cols])  # (G, b, w)
-        prm = [_stack([param_sets[i][j].data for i in members]) for j in range(10)]
-        w1k, b1k, w2k, b2k, w1w, b1w, w2w, b2w, wp, bp = prm
+    rows, saved = {}, []  # start column -> the group's k̂ and w
+    for bucket in buckets:
+        xs = _stack([xd[:, s:e] for s, e in bucket.cols])  # (G, b, w)
+        w1k, b1k, w2k, b2k, w1w, b1w, w2w, b2w, wp, bp = bucket.data
         # backward needs neither the logits nor the raw kernels: neither is kept
         hw = np.tanh(_guard("kernel_attention", xs @ w1w + b1w[:, None]))
         wsm = _softmax_rows(_guard("kernel_attention", hw @ w2w + b2w[:, None]))  # (G, b, k)
@@ -159,16 +170,16 @@ def kernel_attention(x: Tensor, groups, params):
         mix = np.einsum("gbk,gbkw->gbw", wsm, k_hat)  # Σ_j w_j k̂_j
         att = xs * mix
         z = att @ wp + bp[:, None] + xs
-        for j, (i, (s, e)) in enumerate(zip(members, cols)):
+        for j, (s, e) in enumerate(bucket.cols):
             out[:, s:e] = z[j]
-            k_hats[i], weights[i] = k_hat[j], wsm[j]
+            rows[s] = k_hat[j], wsm[j]
         if tensor._grad_enabled:  # only a backward reads these; eval keeps none
-            stacks.append((members, cols, xs, prm, hk, hw, wsm, m, k_hat, mix, att))
+            saved.append((bucket, xs, hk, hw, wsm, m, k_hat, mix, att))
 
     def backward(g):
-        for members, cols, xs, prm, hk, hw, wsm, m, k_hat, mix, att in stacks:
-            w1k, w2k, w1w, w2w, wp = (prm[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
-            gz = _stack([g[:, s:e] for s, e in cols])
+        for bucket, xs, hk, hw, wsm, m, k_hat, mix, att in saved:
+            w1k, w2k, w1w, w2w, wp = (bucket.data[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
+            gz = _stack([g[:, s:e] for s, e in bucket.cols])
             gatt = gz @ wp
             u = gatt * xs  # the gradient wrt mix; k̂_j's is w_j·u
             gw = np.einsum("gbkw,gbw->gbk", k_hat, u)
@@ -188,31 +199,31 @@ def kernel_attention(x: Tensor, groups, params):
                      graw.sum(axis=1), xs_t @ ghw, ghw.sum(axis=1),
                      hw.transpose(0, 2, 1) @ glogits, glogits.sum(axis=1),
                      att.transpose(0, 2, 1) @ gz, gz.sum(axis=1))
-            for j, i in enumerate(members):
-                for t, gt in zip(param_sets[i], grads):
-                    t.grad += gt[j]
+            for acc, gt in zip(bucket.grad, grads):
+                acc += gt
             if x.requires_grad:
                 # the residual, kernel mixing, phi_w and phi_k terms, in the
                 # order a graph of one node per layer would add them
                 gx = gz + gatt * mix
                 gx = gx + ghw @ w1w
                 gx = gx + ghk @ w1k
-                for j, (s, e) in enumerate(cols):
+                for j, (s, e) in enumerate(bucket.cols):
                     x.grad[:, s:e] += gx[j]
 
-    parents = (x, *(t for ps in param_sets for t in ps))
+    parents = (x, *(bucket.leaf for bucket in buckets))
+    k_hats, weights = zip(*(rows[s] for s in sorted(rows)))
     return _node("kernel_attention", out, parents, backward), k_hats, weights
 
 
-def kernel_attention_forward(x: Tensor, params: KernelAttentionParams) -> AttentionTrace:
-    """One kernel attention tier on x (b, params.p_in), as in the global tier."""
-    z, (k_hat,), (w,) = kernel_attention(x, [(0, params.p_in)], [params])
+def kernel_attention_forward(x: Tensor, bucket: AttentionBucket) -> AttentionTrace:
+    """One kernel attention tier on x: `bucket`'s one group, as in the global tier."""
+    z, (k_hat,), (w,) = kernel_attention(x, [bucket])
     return AttentionTrace(k_hat=k_hat, w=w, z=z)
 
 
-def grouped_attention_forward(x: Tensor, spec: FeatureGroupSpec, per_group_params):
-    """Run kernel attention on each column group, every group in one node;
-    returns the (b, p) output, each group's block in its own columns, and the
-    per-group traces."""
-    z, k_hats, ws = kernel_attention(x, spec.groups, per_group_params)
+def grouped_attention_forward(x: Tensor, buckets):
+    """Run kernel attention on each column group of `buckets`, every group in
+    one node; returns the (b, p) output, each group's block in its own
+    columns, and the per-group traces."""
+    z, k_hats, ws = kernel_attention(x, buckets)
     return z, [AttentionTrace(k_hat=k_hat, w=w, z=None) for k_hat, w in zip(k_hats, ws)]

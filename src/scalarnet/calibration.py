@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Affine, Mlp2, hidden_width
+from .layers import Affine, Mlp2, Stage, hidden_width
 from .tensor import Rng, Tensor, _guard, _node
 
 DELTA_RANGE = (0.0, 0.4)  # calibrated dropout rate
@@ -18,7 +18,7 @@ LOG_SIGMA_CLAMP = 10.0  # bound on the encoder's log σ
 
 
 @dataclass
-class CalibrationParams:
+class CalibrationParams(Stage):
     phi_t: Mlp2  # p -> p
     phi_c: Mlp2  # p -> 2, sigmoid-scaled into the delta/gamma ranges
 
@@ -29,7 +29,7 @@ class CalibrationParams:
 
 
 @dataclass
-class VariationalParams:
+class VariationalParams(Stage):
     phi_e: Affine  # p -> ceil(p/2), tanh applied after
     phi_mu: Affine  # ceil(p/2) -> d
     phi_sigma: Affine  # ceil(p/2) -> d
@@ -83,8 +83,7 @@ def self_calibrate(z: Tensor, params: CalibrationParams, rng):
         gz_c = phi_c.backward(z.data, hc, glogits)
         z.grad += g + gz_t + gz_c  # the residual's term, then phi_t's, then phi_c's
 
-    parents = (z, *phi_c.tensors(), *phi_t.tensors())
-    return _node("calibration", s, parents, backward), delta, gamma
+    return _node("calibration", s, (z, params.leaf), backward), delta, gamma
 
 
 @np.errstate(all="ignore")
@@ -105,8 +104,7 @@ def encode(s: Tensor, params: VariationalParams) -> Tensor:
         gh = phi_sigma.backward(h, g_raw) + gh_mu  # h's terms: log σ's, then μ's
         s.grad += phi_e.backward(s.data, gh * (1.0 - h * h))
 
-    parents = (s, *phi_e.tensors(), *phi_mu.tensors(), *phi_sigma.tensors())
-    return _node("encode", out, parents, backward)
+    return _node("encode", out, (s, params.leaf), backward)
 
 
 @np.errstate(all="ignore")
@@ -130,7 +128,7 @@ def decode(latent: Tensor, s: Tensor, params: VariationalParams, rng) -> Tensor:
         if rng is not None:
             latent.grad[1] += gr * eps * sd
 
-    return _node("decode", s.data + out, (latent, s, *phi_d.tensors()), backward)
+    return _node("decode", s.data + out, (latent, s, params.leaf), backward)
 
 
 def variational_encode_decode(s, params, rng):

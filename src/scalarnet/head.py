@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .layers import Mlp2, glorot, hidden_width
+from .layers import Mlp2, Stage, glorot, hidden_width
 from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
 
 
@@ -20,7 +20,7 @@ def default_components(p: int):
 
 
 @dataclass
-class HeadParams:
+class HeadParams(Stage):
     components: tuple  # (c1, c2, c3), strictly decreasing
     w1: Tensor
     w2: Tensor
@@ -78,8 +78,7 @@ def head_forward(g: Tensor, params: HeadParams):
             gg = gg + gp @ tier.data.T  # g's terms: tiers 1, 2, 3, then phi_alpha's
         g.grad += gg + phi_alpha.backward(g.data, ha, _softmax_rows_grad(alpha, galpha))
 
-    parents = (g, *ws, *phi_alpha.tensors(), *phi_y.tensors())
-    return _node("head", y.reshape(-1), parents, backward), alpha
+    return _node("head", y.reshape(-1), (g, params.leaf), backward), alpha
 
 
 def feature_importance(k_hat: np.ndarray, w: np.ndarray):

@@ -1,8 +1,8 @@
-"""Affine layers and the two-layer tanh blocks used by every subnetwork, and
-the dataclass walk that names every parameter. A layer's `__call__` is its
-array-level forward and its `backward` the matching gradient, which the stage
-ops run inside their nodes; a non-finite value raises a NumericError naming
-the stage."""
+"""Affine layers and two-layer tanh blocks, the walk that names parameters,
+and `bind`, which makes a stage's parameters one graph leaf. A layer's
+`__call__` is its array-level forward and its `backward` the matching
+gradient, which the stage ops run inside their nodes; a non-finite value
+raises a NumericError naming the stage."""
 
 from __future__ import annotations
 
@@ -25,6 +25,39 @@ def named_tensors(obj, prefix: str) -> dict:
         elif is_dataclass(value):
             out.update(named_tensors(value, f"{prefix}.{f.name}"))
     return out
+
+
+def bind(stages) -> tuple:
+    """Copy the parameters of `stages` into two fresh flat arrays (data, grad)
+    and return them. Stack j of `stage.stacks()`, equal-shape tensors, fills
+    (G, ...) arrays `stage.data[j]` and `stage.grad[j]`, whose rows its
+    tensors' .data and .grad become; `stage.leaf` spans the stage's slices."""
+    layout = [list(stage.stacks()) for stage in stages]
+    data = np.concatenate([t.data.reshape(-1) for st in layout for ts in st for t in ts])
+    grad, end = np.zeros(data.size), 0
+    for stage, stacks in zip(stages, layout):
+        start, stage.data, stage.grad = end, [], []
+        for ts in stacks:
+            shape, a, end = (len(ts), *ts[0].data.shape), end, end + len(ts) * ts[0].data.size
+            stage.data.append(data[a:end].reshape(shape))
+            stage.grad.append(grad[a:end].reshape(shape))
+            for t, row, grad_row in zip(ts, stage.data[-1], stage.grad[-1]):
+                t.data, t.grad = row, grad_row
+        stage.leaf = Tensor(data[start:end])
+        stage.leaf.grad = grad[start:end]
+    return data, grad
+
+
+class Stage:
+    """A stage op's parameter record: its op's node takes `leaf`, whose data
+    and grad hold the record's tensors, as one graph parent. It is bound on
+    construction; `bind` may lay it out again, in a model's buffers."""
+
+    def __post_init__(self):
+        bind([self])
+
+    def stacks(self):
+        return [(t,) for t in named_tensors(self, "").values()]
 
 
 def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -53,9 +86,6 @@ class Affine:
         self.b.grad += g.sum(axis=0)
         return g @ self.w.data.T
 
-    def tensors(self) -> tuple:
-        return self.w, self.b
-
 
 @dataclass
 class Mlp2:
@@ -77,10 +107,6 @@ class Mlp2:
         """Add the parameter gradients of `self(x)`, given h, its hidden layer,
         and g, the gradient wrt its output. Returns the gradient wrt x."""
         return self.l1.backward(x, self.l2.backward(h, g) * (1.0 - h * h))
-
-    def tensors(self) -> tuple:
-        """(w1, b1, w2, b2)."""
-        return self.l1.w, self.l1.b, self.l2.w, self.l2.b
 
 
 def hidden_width(p_in: int) -> int:

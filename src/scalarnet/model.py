@@ -19,6 +19,7 @@ from .attention import (
     grouped_attention_forward,
     is_int,
     kernel_attention_forward,
+    stack_groups,
 )
 from .calibration import (
     CalibrationParams,
@@ -29,7 +30,7 @@ from .calibration import (
 )
 from .errors import ConfigError
 from .head import HeadParams, default_components, head_forward
-from .layers import named_tensors
+from .layers import bind, named_tensors
 from .losses import LossConfig
 from .tensor import Rng, Tensor, no_grad
 
@@ -125,11 +126,12 @@ class ForwardTrace:
 class ScalarModel:
     """Holds all learnable parameters and runs the end-to-end forward pass.
 
-    The model owns two flat float64 buffers laid out in `named_parameters()`
-    order: `flat` holds every parameter and `grad_flat` their gradients, and
-    each parameter's `.data` and `.grad` are reshaped views of them. Writing
-    into a view (`t.data[...] = a`) updates the buffer; assigning `.data`
-    detaches that parameter from it.
+    The model owns two flat float64 buffers, `flat` for every parameter and
+    `grad_flat` for their gradients, laid out by `layers.bind` as one stage
+    leaf per group width (`AttentionBucket`), cal, var, global and head; each
+    parameter's `.data` and `.grad` are views of them. Writing into a view
+    (`t.data[...] = a`) updates the buffer; assigning `.data` detaches that
+    parameter from it.
     """
 
     def __init__(self, cfg: ModelConfig, p: int):
@@ -146,18 +148,14 @@ class ScalarModel:
         self.var_params = VariationalParams.init(rng, p, self.d)
         self.global_params = KernelAttentionParams.init(rng, p, cfg.k)
         self.head_params = HeadParams.init(rng, p, comps)
-        named = self.named_parameters().values()
-        self.flat = np.concatenate([t.data.reshape(-1) for t in named])
-        self.grad_flat = np.zeros(self.flat.size)
-        offset = 0
-        for t in named:
-            shape, end = t.data.shape, offset + t.data.size
-            t.data = self.flat[offset:end].reshape(shape)
-            t.grad = self.grad_flat[offset:end].reshape(shape)
-            offset = end
+        self.group_buckets = stack_groups(cfg.spec.groups, self.group_params)
+        (self.global_bucket,) = stack_groups([(0, p)], [self.global_params])
+        var = [self.var_params] if cfg.use_variational else []
+        self.flat, self.grad_flat = bind(
+            [*self.group_buckets, self.cal_params, *var, self.global_bucket, self.head_params])
 
     def named_parameters(self) -> dict:
-        """Checkpoint name -> parameter, in the order of `flat`."""
+        """Checkpoint name -> parameter, groups first (not `flat`'s order)."""
         out = {}
         for g, gp in enumerate(self.group_params):
             out.update(named_tensors(gp, f"group{g}"))
@@ -187,12 +185,12 @@ class ScalarModel:
         if xt.data.ndim != 2 or xt.data.shape[1] != self.p:
             raise ConfigError(f"input must be (batch, {self.p}), got shape {xt.data.shape}")
         with no_grad() if mode == "eval" else contextlib.nullcontext():
-            z, group_traces = grouped_attention_forward(xt, self.cfg.spec, self.group_params)
+            z, group_traces = grouped_attention_forward(xt, self.group_buckets)
             s, delta, gamma = self_calibrate(z, self.cal_params, rng)
             v, latent = s, None
             if self.cfg.use_variational:
                 v, latent = variational_encode_decode(s, self.var_params, rng)
-            global_trace = kernel_attention_forward(v, self.global_params)
+            global_trace = kernel_attention_forward(v, self.global_bucket)
             y_hat, alpha = head_forward(global_trace.z, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,

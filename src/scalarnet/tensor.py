@@ -19,10 +19,11 @@ deterministic reverse topological accumulation seeded with 1.
 
 Each backward gives every tensor it reaches exactly that backward's gradient,
 and returns the leaves it reached. A reached leaf that already holds a
-gradient array of its shape has it zero-filled in place, so a gradient that
-views a flat buffer stays a view; every other reached tensor gets a new zero
-array. A leaf the backward does not reach keeps whatever gradient it held, so
-a caller that needs every parameter's gradient checks the returned leaves.
+gradient array of its shape keeps it, and the whole buffer that array views
+is zero-filled once, in place: a model's stage leaves all view its one flat
+gradient buffer (`layers.bind`), so a parameter the backward does not reach
+holds an exact zero, not an earlier gradient. Every other reached tensor gets
+a new zero array.
 
 A tensor's `requires_grad` says whether backward gives it a gradient. A leaf
 needs one, unless it was made inside a `no_grad()` block: such a leaf is a
@@ -112,30 +113,29 @@ class Tensor:
 
     def backward(self) -> list:
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
-        Only the nodes that need a gradient get one, and each holds exactly
-        this backward's gradient. Returns the leaves it reached."""
+        Only the nodes that need a gradient get one, and each (with all of a
+        reached leaf's buffer) holds exactly this backward's gradient. Returns
+        the leaves it reached."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         if not self.requires_grad:
             raise NumericError("backward from a constant: nothing needs a gradient")
-        topo = self._toposort()
-        leaves = []
+        topo, buffers = self._toposort(), {}
         for t in topo:
-            if t._prev:
+            if t._prev or t.grad is None or t.grad.shape != t.data.shape:
                 t.grad = np.zeros(t.data.shape)
-                continue
-            leaves.append(t)
-            if t.grad is not None and t.grad.shape == t.data.shape:
-                t.grad.fill(0.0)  # reused in place: it may view a flat buffer
-            else:
-                t.grad = np.zeros(t.data.shape)
+            else:  # reused in place, with all of the buffer it views
+                buf = t.grad if t.grad.base is None else t.grad.base
+                buffers[id(buf)] = buf
+        for buf in buffers.values():
+            buf.fill(0.0)
         self.grad = np.ones(self.data.shape)
         for t in reversed(topo):
             if t._backward is not None:
                 t._backward(t.grad)
-        return leaves
+        return [t for t in topo if not t._prev]
 
     def _toposort(self):
         order, visited = [], set()

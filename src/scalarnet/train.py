@@ -44,8 +44,8 @@ class Adam:
     (`model.grad_flat`); Adam keeps its moments `m` and `v`, the step count
     `t` and `lr`, and updates `model.flat` in place with a few whole-buffer
     array operations into two buffers of its own, reading the gradients where
-    backward left them.
-    `params` names the model's parameters, to report a missing gradient.
+    backward left them: all of `grad_flat` is the latest backward's, zero
+    where it did not reach. `params` names the model's parameters.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -60,16 +60,13 @@ class Adam:
         # a step's temporaries: grad_flat is not written, its views are the .grads
         self._g, self._u = np.empty(self.flat.size), np.empty(self.flat.size)
 
-    def step(self, clip_norm: float, reached):
-        """Update from the gradients of the backward that reached the leaves
-        `reached` (what `Tensor.backward` returns); a parameter it did not
-        reach holds no gradient of that backward, and raises NumericError."""
-        seen = set(map(id, reached))
-        missing = [k for k, p in self.params.items() if id(p) not in seen]
-        if missing:
-            raise NumericError(f"missing gradients for {missing[:3]}")
+    def step(self, clip_norm: float):
+        """Update from the gradients in `grad_flat`, or raise NumericError,
+        changing nothing, if their norm is not finite."""
         g = self.grad_flat
         total = math.sqrt(float(g @ g))
+        if not math.isfinite(total):
+            raise NumericError("non-finite gradient norm")
         if total > clip_norm:
             g = np.multiply(g, clip_norm / total, out=self._g)
         self.t += 1
@@ -187,8 +184,8 @@ def train_step(model: ScalarModel, opt: Adam, x, y, epoch: int, rng: Rng) -> flo
     cfg = model.cfg
     y_hat, trace = model.forward(x, "train", rng)
     total, _ = composite_loss(y, y_hat, trace.latent, epoch, cfg.max_epochs, cfg.loss)
-    reached = total.backward()
-    opt.step(cfg.grad_clip_norm, reached)
+    total.backward()
+    opt.step(cfg.grad_clip_norm)
     return float(total.data)
 
 

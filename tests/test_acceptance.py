@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from scalarnet.attention import (
+    AttentionBucket,
     FeatureGroupSpec,
     KernelAttentionParams,
     kernel_attention_forward,
@@ -82,7 +83,7 @@ def test_02_structural_invariants():
     fresh = ScalarModel(ModelConfig(groups=[[0, 5], [5, 9], [9, 12]], seed=0), 12)
     for name, t in fresh.named_parameters().items():
         if name.startswith(("cal.phi_t", "var.phi_d")) or ".phi_p." in name:
-            t.data = np.zeros_like(t.data)
+            t.data[...] = 0.0
     _, tr0 = fresh.forward(x, "eval")
     if not np.array_equal(tr0.global_trace.z.data, x):
         problems.append("residual identity broken at zero residual branches")
@@ -159,7 +160,8 @@ def test_03_loop_oracle_equivalence():
         t.data = rng.normal(t.data.shape) * 0.3
     x = rng.normal((3, 4))
     att_err = np.abs(
-        kernel_attention_forward(Tensor(x), att).z.data - _attention_loop(x, att)
+        kernel_attention_forward(Tensor(x), AttentionBucket([(0, 4)], [att])).z.data
+        - _attention_loop(x, att)
     ).max()
 
     head = HeadParams.init(rng, 8, (4, 3, 2))

@@ -5,10 +5,12 @@ import pytest
 
 from scalarnet import tensor
 from scalarnet.attention import (
+    AttentionBucket,
     FeatureGroupSpec,
     KernelAttentionParams,
     grouped_attention_forward,
     kernel_attention_forward,
+    stack_groups,
 )
 from scalarnet.errors import ConfigError
 from scalarnet.layers import named_tensors
@@ -64,6 +66,11 @@ def loop_oracle(x, params):
     return z
 
 
+def tier(params):
+    """One kernel attention tier of `params`, a one-group bucket."""
+    return AttentionBucket([(0, params.p_in)], [params])
+
+
 class TestFeatureGroupSpec:
     def test_valid(self):
         spec = FeatureGroupSpec([(0, 2), (2, 5)])
@@ -86,28 +93,28 @@ class TestKernelAttention:
         # phi_p initializes to zero, so the block starts as the identity
         params = KernelAttentionParams.init(Rng(0), p_in=5, k=3)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        trace = kernel_attention_forward(Tensor(x), params)
+        trace = kernel_attention_forward(Tensor(x), tier(params))
         assert np.array_equal(trace.z.data, x)
 
     def test_single_kernel_weight_is_one(self):
         params = KernelAttentionParams.init(Rng(2), p_in=4, k=1)
         x = np.random.default_rng(3).normal(size=(6, 4))
-        trace = kernel_attention_forward(Tensor(x), params)
+        trace = kernel_attention_forward(Tensor(x), tier(params))
         np.testing.assert_array_equal(trace.w, np.ones((6, 1)))
 
     def test_matches_loop_oracle(self):
         params = KernelAttentionParams.init(Rng(4), p_in=4, k=2)
         # make the projection nontrivial
-        params.phi_p.w.data = np.random.default_rng(5).normal(size=(4, 4)) * 0.3
-        params.phi_p.b.data = np.random.default_rng(6).normal(size=4) * 0.1
+        params.phi_p.w.data[...] = np.random.default_rng(5).normal(size=(4, 4)) * 0.3
+        params.phi_p.b.data[...] = np.random.default_rng(6).normal(size=4) * 0.1
         x = np.random.default_rng(7).normal(size=(3, 4))
-        trace = kernel_attention_forward(Tensor(x), params)
+        trace = kernel_attention_forward(Tensor(x), tier(params))
         np.testing.assert_allclose(trace.z.data, loop_oracle(x, params), atol=1e-10)
 
     def test_kernel_unit_norms_and_weight_simplex(self):
         params = KernelAttentionParams.init(Rng(8), p_in=7, k=4)
         x = np.random.default_rng(9).normal(size=(20, 7))
-        trace = kernel_attention_forward(Tensor(x), params)
+        trace = kernel_attention_forward(Tensor(x), tier(params))
         norms = np.linalg.norm(trace.k_hat, axis=2)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
         np.testing.assert_allclose(trace.w.sum(axis=1), 1.0, atol=1e-12)
@@ -117,9 +124,9 @@ class TestKernelAttention:
         params = KernelAttentionParams.init(Rng(10), p_in=4, k=2)
         # zero-initialized phi_p blocks the phi_k/phi_w path by construction;
         # the flow invariant is about a generic projection
-        params.phi_p.w.data = np.random.default_rng(12).normal(size=(4, 4))
+        params.phi_p.w.data[...] = np.random.default_rng(12).normal(size=(4, 4))
         x = np.random.default_rng(11).normal(size=(5, 4))
-        trace = kernel_attention_forward(Tensor(x), params)
+        trace = kernel_attention_forward(Tensor(x), tier(params))
         data = np.random.default_rng(13)
         weighted_sum(trace.z, data.normal(size=5), data.normal(size=4)).backward()
         for name, t in named_tensors(params, "a").items():
@@ -131,18 +138,18 @@ class TestGroupedAttention:
         spec = FeatureGroupSpec([(0, 5)])
         params = KernelAttentionParams.init(Rng(0), p_in=5, k=3)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        z, traces = grouped_attention_forward(Tensor(x), spec, [params])
-        direct = kernel_attention_forward(Tensor(x), params)
+        z, traces = grouped_attention_forward(Tensor(x), stack_groups(spec.groups, [params]))
+        direct = kernel_attention_forward(Tensor(x), tier(params))
         assert np.array_equal(z.data, direct.z.data)
         assert len(traces) == 1
 
     def test_identical_groups_identical_blocks(self):
         spec = FeatureGroupSpec([(0, 3), (3, 6)])
         params = KernelAttentionParams.init(Rng(5), p_in=3, k=2)
-        params.phi_p.w.data = np.random.default_rng(6).normal(size=(3, 3))
+        params.phi_p.w.data[...] = np.random.default_rng(6).normal(size=(3, 3))
         half = np.random.default_rng(7).normal(size=(4, 3))
         x = np.concatenate([half, half], axis=1)
-        z, _ = grouped_attention_forward(Tensor(x), spec, [params, params])
+        z, _ = grouped_attention_forward(Tensor(x), stack_groups(spec.groups, [params, params]))
         assert np.array_equal(z.data[:, :3], z.data[:, 3:])
 
     def test_processing_order_irrelevant(self):
@@ -155,13 +162,13 @@ class TestGroupedAttention:
             KernelAttentionParams.init(rng, 4, 2),
         ]
         for prm in plist:
-            prm.phi_p.w.data = np.random.default_rng(13).normal(size=prm.phi_p.w.data.shape)
+            prm.phi_p.w.data[...] = np.random.default_rng(13).normal(size=prm.phi_p.w.data.shape)
         x = np.random.default_rng(14).normal(size=(5, 6))
-        z, _ = grouped_attention_forward(Tensor(x), spec, plist)
+        z, _ = grouped_attention_forward(Tensor(x), stack_groups(spec.groups, plist))
         blocks = {}
         for g in (1, 0):  # reversed processing order
             s, e = spec.groups[g]
-            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), plist[g]).z.data
+            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), tier(plist[g])).z.data
         reassembled = np.concatenate([blocks[0], blocks[1]], axis=1)
         assert np.array_equal(z.data, reassembled)
 
@@ -185,7 +192,7 @@ def random_group_params(widths, k, seed):
     rng = Rng(seed)
     plist = [KernelAttentionParams.init(rng, w, k) for w in widths]
     for prm in plist:  # a nonzero projection, so every parameter gets a gradient
-        prm.phi_p.w.data = rng.normal(prm.phi_p.w.data.shape) * 0.5
+        prm.phi_p.w.data[...] = rng.normal(prm.phi_p.w.data.shape) * 0.5
     return plist
 
 
@@ -205,14 +212,14 @@ class TestFusedGroups:
         u, w = c[:, 0], c[0]  # the upstream gradient is u wᵀ
         with no_grad():
             xt = Tensor(x)
-        z, traces = grouped_attention_forward(xt, spec, plist)
+        z, traces = grouped_attention_forward(xt, stack_groups(spec.groups, plist))
         weighted_sum(z, u, w).backward()
         fused = [{n: t.grad.copy() for n, t in named_tensors(prm, "a").items()}
                  for prm in plist]
         for g, ((s, e), prm) in enumerate(zip(spec.groups, plist)):
             with no_grad():
                 xg = Tensor(x[:, s:e])
-            alone = kernel_attention_forward(xg, prm)
+            alone = kernel_attention_forward(xg, tier(prm))
             assert np.array_equal(z.data[:, s:e], alone.z.data)
             assert np.array_equal(traces[g].k_hat, alone.k_hat)
             assert np.array_equal(traces[g].w, alone.w)

@@ -150,13 +150,15 @@ class TestBaselineSynthGradcheck:
 
     def test_baseline_pls_constant_column(self, tmp_path, capsys):
         # CV must skip the counts above the rank of X instead of failing
-        rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls"])
+        with pytest.warns(UserWarning, match="no groups file"):
+            rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["n_components"] <= 5
 
     def test_baseline_pls_count_above_rank_exits_3(self, tmp_path, capsys):
-        rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls",
-                  "--components", "6"])
+        with pytest.warns(UserWarning, match="no groups file"):
+            rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls",
+                      "--components", "6"])
         assert rc == 3
         assert "singular at 6 components" in capsys.readouterr().err
 

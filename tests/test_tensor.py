@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalarnet
 from scalarnet import tensor
-from scalarnet.attention import EPS, KernelAttentionParams, kernel_attention
+from scalarnet.attention import EPS, KernelAttentionParams, kernel_attention, stack_groups
 from scalarnet.calibration import (
     CalibrationParams,
     VariationalParams,
@@ -42,9 +42,14 @@ def unit_row_attention(m, k, phi_k2, phi_k2_bias, phi_w_bias):
     params = [Tensor(np.zeros((m, 1))), Tensor(np.array([20.0])), wrap[0], wrap[1],
               Tensor(np.zeros((m, 1))), Tensor(np.zeros(1)), Tensor(np.zeros((1, k))), wrap[2],
               Tensor(np.eye(m)), Tensor(np.zeros(m))]
-    out, (k_hat,), (w,) = kernel_attention(Tensor(np.ones((1, m))), [(0, m)],
-                                           [attention_params(params)])
+    out, (k_hat,), (w,) = attend(Tensor(np.ones((1, m))), [(0, m)], [attention_params(params)])
     return out, k_hat[0], w[0]
+
+
+def attend(x, groups, params):
+    """kernel_attention on x's column intervals `groups`, `params[i]` group
+    i's record, the groups stacked by width (see `stack_groups`)."""
+    return kernel_attention(x, stack_groups(groups, params))
 
 
 def normalize_rows(t):
@@ -292,8 +297,9 @@ class TestGradients:
             ("tanh", lambda t: kl(enc(s=t))),
             ("sigmoid", lambda t: cal(z=t, train=False)),
             ("softmax", lambda t: hd(g=t)),
-            ("l2_normalize", lambda t: normalize_rows(  # of one decoded row
-                dec(latent=LATENT[:, :1], s=Z[:1], d2=t, train=False))[0]),
+            ("l2_normalize", lambda t: attend(  # the kernels of one decoded row
+                dec(latent=LATENT[:, :1], s=Z[:1], d2=t, train=False), [(0, 4)],
+                [attention_params(attention_set(4, 2))])[0]),
             ("abs", lambda t: regress(hd(g=t), 0.0, 0.5)),
             # log σ straddles the clamp at -10, where the KL stays moderate
             ("clamp", lambda t: kl(enc(s=t, sigma=[PHI_SIGMA[0] * 4.0, PHI_SIGMA[1] - 10.0]))),
@@ -303,11 +309,11 @@ class TestGradients:
             ("mlp2", lambda t: cal(z=t, train=False)),  # phi_c and phi_t
             (
                 "kernel_attention_dx",  # one group, k=2 kernels over p=4 features
-                lambda t: kernel_attention(t, [(0, 4)], [attention_params(attention_set(4, 2))])[0],
+                lambda t: attend(t, [(0, 4)], [attention_params(attention_set(4, 2))])[0],
             ),
             (
                 "kernel_attention_mixed_widths",  # widths 5, 4, 3, 1 with k=1; d/dx
-                lambda t: kernel_attention(
+                lambda t: attend(
                     decode(Tensor(np.stack([Z[:, :3], T[:, 1:]])), Tensor(np.zeros((3, 13))),
                            variational_params([t, np.zeros(4), np.linspace(-1, 1, 52).reshape(
                                4, 13), np.zeros(13)]), None),  # phi_d: d = 3 -> 4 -> 13
@@ -316,7 +322,7 @@ class TestGradients:
             ),
             (
                 "kernel_attention_dphi_k",  # two stacked 3-wide groups; t is group 0's w1
-                lambda t: kernel_attention(
+                lambda t: attend(
                     Tensor(np.linspace(-1.5, 1.4, 18).reshape(3, 6)), [(0, 3), (3, 6)],
                     [attention_params([t, *attention_set(3, 2, h=4)[1:]]),
                      attention_params(attention_set(3, 2, h=4, seed=1))])[0],
@@ -413,14 +419,14 @@ class TestInvariantsProperties:
         x0[r0, 3:6] = [1.0, -1.0, 0.0]
         arrays = [x0, *(a for ps in sets for a in ps)]
 
-        def attend(ts):
-            return kernel_attention(ts[0], groups, [attention_params(ts[1 + 10 * g : 11 + 10 * g])
-                                                    for g in range(3)])
+        def attend_all(ts):
+            return attend(ts[0], groups, [attention_params(ts[1 + 10 * g : 11 + 10 * g])
+                                          for g in range(3)])
 
         # upstream gradient on row r0's first group-1 column alone: every other
         # row's raw gradient is exactly 0, so phi_k's b2 gradient is row r0's
         ts = [Tensor(a) for a in arrays]
-        z, k_hats, weights = attend(ts)
+        z, k_hats, weights = attend_all(ts)
         c = np.zeros((5, 9))
         c[r0, 3] = 1.0
         weighted(z, c).backward()
@@ -441,11 +447,11 @@ class TestInvariantsProperties:
         c = np.random.default_rng(6).normal(size=(5, 9))
         c[r0] = 0.0
         ts = [Tensor(a) for a in arrays]
-        weighted(attend(ts)[0], c).backward()
+        weighted(attend_all(ts)[0], c).backward()
         for i, t in enumerate(ts):
             def fn(a, i=i):
-                return float((c * attend([Tensor(a) if j == i else Tensor(b)
-                                          for j, b in enumerate(arrays)])[0].data).sum())
+                return float((c * attend_all([Tensor(a) if j == i else Tensor(b)
+                                              for j, b in enumerate(arrays)])[0].data).sum())
 
             num = numeric_grad(fn, arrays[i].copy(), h=1e-5)
             denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-3)
@@ -454,7 +460,7 @@ class TestInvariantsProperties:
 
 # each stage op fed a (3, 4) array holding an inf
 NONFINITE_INPUT = {
-    "kernel_attention": lambda a: kernel_attention(
+    "kernel_attention": lambda a: attend(
         Tensor(a), [(0, 4)], [attention_params(attention_set(4, 2))]),
     "calibration": lambda a: cal(z=a, train=False),
     "encode": lambda a: enc(s=a),
@@ -623,11 +629,13 @@ class TestNodeConstructor:
         with no_grad():
             a = Tensor(Z)
             tiers_alpha_y = wrap([*TIER_W, *PHI_ALPHA, *PHI_Y])
-        assert not any(t.requires_grad for t in [a, *tiers_alpha_y])
-        out = encode(a, variational_params())
-        assert out.requires_grad and len(out._prev) == 6  # the layers, not the constant
-        c = head_forward(a, head_params(*tiers_alpha_y[:3], tiers_alpha_y[3:7],
-                                        tiers_alpha_y[7:]))[0]
+            constant_head = head_params(*tiers_alpha_y[:3], tiers_alpha_y[3:7],
+                                        tiers_alpha_y[7:])
+        assert not any(t.requires_grad for t in [a, *tiers_alpha_y, constant_head.leaf])
+        params = variational_params()
+        out = encode(a, params)
+        assert out.requires_grad and out._prev == (params.leaf,)  # the record, not the constant
+        c = head_forward(a, constant_head)[0]
         assert not c.requires_grad and c._prev == () and c._backward is None
         with pytest.raises(NumericError, match="constant"):
             loss(c, np.zeros(3), None, 1.0, 1.0, 0.0)[0].backward()

@@ -78,7 +78,7 @@ class TestGradcheck:
         model = ScalarModel(cfg, 6)
         for name, t in model.named_parameters().items():
             if name.startswith(("cal.phi_t", "var.phi_d")) or ".phi_p." in name:
-                t.data = np.zeros_like(t.data)
+                t.data[...] = 0.0
         from scalarnet.losses import composite_loss
 
         rng = Rng(6)
@@ -116,7 +116,9 @@ class TestGradcheck:
             y_hat, trace = model.forward(x, "train", noise)
             return composite_loss(y, y_hat, trace.latent, 5, 10, cfg.loss)[0]
 
-        assert len(loss_at(0.0).backward()) == len(model.named_parameters())
+        leaves = loss_at(0.0).backward()  # a bucket per width, cal, var, global and head
+        assert len(leaves) == len(set(widths)) + 3 + variational
+        assert sum(t.data.size for t in leaves) == model.flat.size
         g, h, worst = model.grad_flat.copy(), 1e-5, 0.0
         for _ in range(8):
             v = r.normal(size=theta.size)
@@ -167,16 +169,25 @@ class TestAdam:
                 ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (
                     np.sqrt(v[k] / (1.0 - b2**t)) + eps
                 )
-            opt.step(clip, list(named.values()))
+            opt.step(clip)
         assert clipped == 5
         for k, p in named.items():
             np.testing.assert_allclose(p.data, ref[k], rtol=1e-12, atol=0.0)
             assert np.shares_memory(p.data, model.flat), k
 
-    def test_missing_gradient_raises(self):
-        opt = Adam(ScalarModel(quick_cfg(), 8), 1e-3)
-        with pytest.raises(NumericError, match="missing gradients"):
-            opt.step(5.0, [])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_gradient_raises_and_changes_nothing(self, bad):
+        model = ScalarModel(quick_cfg(), 8)
+        opt = Adam(model, 3e-3)
+        data, noise = Rng(1), Rng(2)
+        train_step(model, opt, data.normal((16, 8)), data.normal(16), 0, noise)
+        before = [a.copy() for a in (model.flat, opt.m, opt.v)]
+        model.grad_flat[7] = bad
+        with pytest.raises(NumericError, match="non-finite gradient norm"):
+            opt.step(5.0)
+        assert opt.t == 1
+        for a, b in zip((model.flat, opt.m, opt.v), before):
+            assert a.tobytes() == b.tobytes()
 
 
 def batch_loss(model, x, y, rng):
@@ -189,7 +200,8 @@ def batch_loss(model, x, y, rng):
 
 class TestFlatBuffers:
     """The model owns one flat parameter buffer and one flat gradient buffer;
-    every parameter's data and gradient view them."""
+    each stage record is one graph leaf over a slice of them, and every
+    parameter's data and gradient view them."""
 
     @staticmethod
     def assert_views(model):
@@ -198,6 +210,17 @@ class TestFlatBuffers:
         for k, t in named.items():
             assert np.shares_memory(t.data, model.flat), k
             assert np.shares_memory(t.grad, model.grad_flat), k
+        buckets = [*model.group_buckets, model.global_bucket]
+        stages = [*buckets, model.cal_params, model.head_params]
+        if model.cfg.use_variational:
+            stages.append(model.var_params)
+        for stage in stages:
+            assert np.shares_memory(stage.leaf.data, model.flat)
+            assert np.shares_memory(stage.leaf.grad, model.grad_flat)
+        for bucket in buckets:
+            for data, grad in zip(bucket.data, bucket.grad):
+                assert np.shares_memory(data, model.flat)
+                assert np.shares_memory(grad, model.grad_flat)
 
     def test_views_survive_training_steps(self):
         model = ScalarModel(quick_cfg(), 8)
@@ -221,9 +244,10 @@ class TestFlatBuffers:
         for k, t in fresh.named_parameters().items():
             assert np.array_equal(named[k].grad, t.grad), k
 
-    def test_parameter_the_latest_backward_missed_raises(self):
-        """A stale gradient from an earlier backward does not count: the KL
-        term alone never reaches the decoder, the global tier or the head."""
+    def test_parameters_the_latest_backward_missed_hold_zero(self):
+        """A stale gradient from an earlier backward does not survive: the KL
+        term alone never reaches the decoder, the global tier or the head, so
+        after a full step their gradients are exactly zero."""
         model = ScalarModel(quick_cfg(), 8)
         opt = Adam(model, 3e-3)
         data, noise = Rng(1), Rng(2)
@@ -231,14 +255,27 @@ class TestFlatBuffers:
         train_step(model, opt, x, y, 0, noise)  # reaches every parameter
         _, trace = model.forward(x, "train", noise)
         kl, *_ = loss(Tensor(np.zeros(16)), np.zeros(16), trace.latent, 1.0, 1.0, 1.0)
-        reached = kl.backward()
-        with pytest.raises(NumericError, match=r"missing gradients for \['var\.phi_d\.l1\.w'"):
-            opt.step(5.0, reached)
+        kl.backward()
+        named = model.named_parameters()
+        missed = [k for k in named if k.startswith(("var.phi_d.", "global.", "head."))]
+        assert len(missed) == 4 + 10 + 11
+        for k in missed:
+            assert not named[k].grad.any(), k
+        for k in ("var.phi_e.w", "cal.phi_t.l1.w", "group0.phi_k.l1.w"):
+            assert named[k].grad.any(), k
 
     def test_checkpoint_model_views_its_flat_buffer(self, acceptance_ckpt):
+        """A bucket per width (its groups' ten fields, each stacked over the
+        groups), then cal, var, the global tier and head, each in name order."""
         model = acceptance_ckpt.build_model()
         self.assert_views(model)
-        expected = [np.ravel(acceptance_ckpt.params[k]) for k in model.named_parameters()]
+        params, names = acceptance_ckpt.params, list(model.named_parameters())
+        widths = {}
+        for g, (s, e) in enumerate(model.cfg.spec.groups):
+            widths.setdefault(e - s, []).append(g)
+        expected = [np.ravel([params[f"group{g}.{n}"] for g in members])
+                    for members in widths.values() for n in KA]
+        expected += [np.ravel(params[k]) for k in names if not k.startswith("group")]
         assert np.array_equal(model.flat, np.concatenate(expected))
 
 
@@ -256,7 +293,7 @@ HEAD = ["w1", "w2", "w3"] + [f"phi_alpha.{n}" for n in MLP] + [f"phi_y.{n}" for 
 
 
 class TestParameterNames:
-    """Names are the checkpoint keys and their order is Adam's flat layout."""
+    """Names are the checkpoint keys, in a pinned order."""
 
     @pytest.mark.parametrize("use_variational", [True, False])
     def test_names_and_order_are_pinned(self, use_variational):
@@ -272,13 +309,16 @@ class TestParameterNames:
         )
         assert list(ScalarModel(cfg, 6).named_parameters()) == expected
 
-    def test_train_names_epoch_and_batch_of_missing_gradient(self, monkeypatch):
-        named = ScalarModel.named_parameters
-        monkeypatch.setattr(
-            ScalarModel, "named_parameters",
-            lambda self: {**named(self), "unused": Tensor(np.zeros(1))},
-        )
-        with pytest.raises(NumericError, match=r"epoch 0, batch 0: missing gradients"):
+    def test_train_names_epoch_and_batch_of_nonfinite_gradient(self, monkeypatch):
+        backward = Tensor.backward
+
+        def poisoned(self):
+            leaves = backward(self)
+            leaves[0].grad[0] = np.inf
+            return leaves
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(NumericError, match=r"epoch 0, batch 0: non-finite gradient norm"):
             train(standardize(tiny_dataset()), quick_cfg())
 
 
@@ -591,8 +631,8 @@ class TestChunkedEval:
 
 
 def ref_mlp2(x, net):
-    """The two-layer tanh net tanh(x @ w1 + b1) @ w2 + b2 of net's arrays."""
-    w1, b1, w2, b2 = (t.data for t in net)
+    """The two-layer tanh net tanh(x @ w1 + b1) @ w2 + b2 of the Mlp2 net."""
+    w1, b1, w2, b2 = net.l1.w.data, net.l1.b.data, net.l2.w.data, net.l2.b.data
     return np.tanh(x @ w1 + b1) @ w2 + b2
 
 
@@ -642,7 +682,7 @@ class TestStageOpsOverConfigs:
             zt, gt = Tensor(z), Tensor(g)
 
         cal = model.cal_params
-        t, c = ref_mlp2(z, cal.phi_t.tensors()), ref_sigmoid(ref_mlp2(z, cal.phi_c.tensors()))
+        t, c = ref_mlp2(z, cal.phi_t), ref_sigmoid(ref_mlp2(z, cal.phi_c))
         delta, gamma = c[:, 0:1] * (0.4 - 0.0) + 0.0, c[:, 1:2] * (1.0 - 0.5) + 0.5
         mask = Rng(seed).bernoulli(1.0 - delta, z.shape)
         s, delta_op, gamma_op = self_calibrate(zt, cal, Rng(seed))
@@ -659,19 +699,19 @@ class TestStageOpsOverConfigs:
             draw = mu + Rng(seed).normal(mu.shape) * np.exp(log_sigma)
             v, latent = variational_encode_decode(s, var, Rng(seed))
             assert np.array_equal(latent.data, np.stack([mu, log_sigma]))
-            assert np.array_equal(v.data, sv + ref_mlp2(draw, var.phi_d.tensors()))
+            assert np.array_equal(v.data, sv + ref_mlp2(draw, var.phi_d))
             v_eval, _ = variational_encode_decode(s, var, None)
-            assert np.array_equal(v_eval.data, sv + ref_mlp2(mu, var.phi_d.tensors()))
+            assert np.array_equal(v_eval.data, sv + ref_mlp2(mu, var.phi_d))
 
         hp = model.head_params
-        logits = ref_mlp2(g, hp.phi_alpha.tensors())
+        logits = ref_mlp2(g, hp.phi_alpha)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         alpha = e / e.sum(axis=-1, keepdims=True)
         blocks = np.concatenate([alpha[:, i : i + 1] * (g @ w.data)
                                  for i, w in enumerate((hp.w1, hp.w2, hp.w3))], axis=1)
         y_hat, alpha_op = head_forward(gt, hp)
         assert np.array_equal(alpha_op, alpha)
-        assert np.array_equal(y_hat.data, ref_mlp2(blocks, hp.phi_y.tensors()).reshape(-1))
+        assert np.array_equal(y_hat.data, ref_mlp2(blocks, hp.phi_y).reshape(-1))
 
         lc = cfg.loss
         r = y_hat.data - y
@@ -708,9 +748,9 @@ class TestGraphScope:
         inputs = []
         grouped = model_module.grouped_attention_forward
 
-        def capture(xt, spec, params):
+        def capture(xt, buckets):
             inputs.append(xt)
-            return grouped(xt, spec, params)
+            return grouped(xt, buckets)
 
         monkeypatch.setattr(model_module, "grouped_attention_forward", capture)
 
