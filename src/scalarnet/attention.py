@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigError
-from .layers import Affine, Mlp2, Stage, hidden_width, named_tensors
+from .layers import Affine, Mlp2, hidden_width
 from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
 
 EPS = 1e-12  # floor on a kernel's norm in kernel_attention
@@ -106,16 +106,14 @@ class AttentionTrace:
 
 
 @dataclass
-class AttentionBucket(Stage):
+class AttentionBucket:
     """Groups of one width as one stage record, which `kernel_attention` runs
-    stacked: field j of the groups' records, in `named_tensors` order, is one
-    (G, ...) array, `data[j]`, with gradient `grad[j]` (see `bind`)."""
+    stacked: once laid out (`model.bind`), field j of the groups' records, in
+    `named_tensors` order, is one (G, ...) array, `data[j]`, with gradient
+    `grad[j]`."""
 
     cols: tuple  # the groups' (start, stop) column intervals
     params: tuple  # their KernelAttentionParams, in the same order
-
-    def stacks(self):
-        return zip(*(named_tensors(p, "").values() for p in self.params))
 
 
 def stack_groups(groups, params) -> list:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Affine, Mlp2, Stage, hidden_width
+from .layers import Affine, Mlp2, hidden_width
 from .tensor import Rng, Tensor, _guard, _node
 
 DELTA_RANGE = (0.0, 0.4)  # calibrated dropout rate
@@ -18,7 +18,7 @@ LOG_SIGMA_CLAMP = 10.0  # bound on the encoder's log σ
 
 
 @dataclass
-class CalibrationParams(Stage):
+class CalibrationParams:
     phi_t: Mlp2  # p -> p
     phi_c: Mlp2  # p -> 2, sigmoid-scaled into the delta/gamma ranges
 
@@ -29,7 +29,7 @@ class CalibrationParams(Stage):
 
 
 @dataclass
-class VariationalParams(Stage):
+class VariationalParams:
     phi_e: Affine  # p -> ceil(p/2), tanh applied after
     phi_mu: Affine  # ceil(p/2) -> d
     phi_sigma: Affine  # ceil(p/2) -> d

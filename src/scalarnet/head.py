@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .layers import Mlp2, Stage, glorot, hidden_width
+from .layers import Mlp2, glorot, hidden_width
 from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
 
 
@@ -20,7 +20,7 @@ def default_components(p: int):
 
 
 @dataclass
-class HeadParams(Stage):
+class HeadParams:
     components: tuple  # (c1, c2, c3), strictly decreasing
     w1: Tensor
     w2: Tensor

@@ -13,6 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .attention import (
+    AttentionBucket,
     AttentionTrace,
     FeatureGroupSpec,
     KernelAttentionParams,
@@ -30,7 +31,7 @@ from .calibration import (
 )
 from .errors import ConfigError
 from .head import HeadParams, default_components, head_forward
-from .layers import bind, named_tensors
+from .layers import named_tensors
 from .losses import LossConfig
 from .tensor import Rng, Tensor, no_grad
 
@@ -123,15 +124,44 @@ class ForwardTrace:
     alpha: np.ndarray  # (batch, 3)
 
 
+def bind(records) -> tuple:
+    """Lay the stage records `records` out in two fresh flat arrays (data,
+    grad), returned: each tensor's .data and .grad become views of them. A
+    bucket stacks its groups' records field by field; any other record's
+    tensors are stacks of one. Stack j fills the (G, ...) arrays
+    `record.data[j]` and `record.grad[j]`, and `record.leaf`, its op's one
+    parameter parent, spans the record's slices. A tensor already laid out
+    (its .grad set), or given twice, raises ValueError."""
+    layout = [list(zip(*(named_tensors(p, "").values() for p in r.params)))
+              if isinstance(r, AttentionBucket) else
+              [(t,) for t in named_tensors(r, "").values()] for r in records]
+    tensors = [t for stacks in layout for ts in stacks for t in ts]
+    if len({id(t) for t in tensors}) < len(tensors) or any(t.grad is not None for t in tensors):
+        raise ValueError("a parameter tensor can be laid out only once")
+    data = np.concatenate([t.data.reshape(-1) for t in tensors])
+    grad, end = np.zeros(data.size), 0
+    for record, stacks in zip(records, layout):
+        start, record.data, record.grad = end, [], []
+        for ts in stacks:
+            shape, a, end = (len(ts), *ts[0].data.shape), end, end + len(ts) * ts[0].data.size
+            record.data.append(data[a:end].reshape(shape))
+            record.grad.append(grad[a:end].reshape(shape))
+            for t, row, grad_row in zip(ts, record.data[-1], record.grad[-1]):
+                t.data, t.grad = row, grad_row
+        record.leaf = Tensor(data[start:end])
+        record.leaf.grad = grad[start:end]
+    return data, grad
+
+
 class ScalarModel:
     """Holds all learnable parameters and runs the end-to-end forward pass.
 
     The model owns two flat float64 buffers, `flat` for every parameter and
-    `grad_flat` for their gradients, laid out by `layers.bind` as one stage
-    leaf per group width (`AttentionBucket`), cal, var, global and head; each
-    parameter's `.data` and `.grad` are views of them. Writing into a view
-    (`t.data[...] = a`) updates the buffer; assigning `.data` detaches that
-    parameter from it.
+    `grad_flat` for their gradients. Its one `bind` call lays them out as one
+    stage leaf per group width (`AttentionBucket`), cal, var (when used),
+    global and head; each parameter's `.data` and `.grad` are views of them.
+    Writing into a view (`t.data[...] = a`) updates the buffer; assigning
+    `.data` detaches that parameter from it.
     """
 
     def __init__(self, cfg: ModelConfig, p: int):

@@ -21,7 +21,7 @@ Each backward gives every tensor it reaches exactly that backward's gradient,
 and returns the leaves it reached. A reached leaf that already holds a
 gradient array of its shape keeps it, and the whole buffer that array views
 is zero-filled once, in place: a model's stage leaves all view its one flat
-gradient buffer (`layers.bind`), so a parameter the backward does not reach
+gradient buffer (`model.bind`), so a parameter the backward does not reach
 holds an exact zero, not an earlier gradient. Every other reached tensor gets
 a new zero array.
 

@@ -22,7 +22,7 @@ from scalarnet.data import split, standardize, synth_nonlinear, take
 from scalarnet.head import HeadParams, feature_importance, head_forward
 from scalarnet.layers import named_tensors
 from scalarnet.losses import concordance_index, kl_weight, loss, metrics
-from scalarnet.model import ModelConfig, ScalarModel
+from scalarnet.model import ModelConfig, ScalarModel, bind
 from scalarnet.tensor import Rng, Tensor
 from scalarnet.train import Checkpoint, gradcheck, predict, train
 
@@ -90,6 +90,12 @@ def test_02_structural_invariants():
     elapsed = time.perf_counter() - t0
     report(2, "structural invariants", not problems and elapsed < 10.0,
            "; ".join(problems) or f"{elapsed:.1f}s")
+
+
+def laid_out(record):
+    """`record`, laid out alone in fresh buffers as a model lays out its own."""
+    bind([record])
+    return record
 
 
 def _attention_loop(x, params):
@@ -160,11 +166,11 @@ def test_03_loop_oracle_equivalence():
         t.data = rng.normal(t.data.shape) * 0.3
     x = rng.normal((3, 4))
     att_err = np.abs(
-        kernel_attention_forward(Tensor(x), AttentionBucket([(0, 4)], [att])).z.data
+        kernel_attention_forward(Tensor(x), laid_out(AttentionBucket([(0, 4)], [att]))).z.data
         - _attention_loop(x, att)
     ).max()
 
-    head = HeadParams.init(rng, 8, (4, 3, 2))
+    head = laid_out(HeadParams.init(rng, 8, (4, 3, 2)))
     g = rng.normal((5, 8))
     y_vec, _ = head_forward(Tensor(g), head)
     head_err = np.abs(y_vec.data - _head_loop(g, head)).max()

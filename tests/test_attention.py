@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from scalarnet.attention import (
 from scalarnet.errors import ConfigError
 from scalarnet.layers import named_tensors
 from scalarnet.losses import composite_loss
-from scalarnet.model import ModelConfig, ScalarModel
+from scalarnet.model import ModelConfig, ScalarModel, bind
 from scalarnet.tensor import Rng, Tensor, no_grad
 
 
@@ -66,9 +67,15 @@ def loop_oracle(x, params):
     return z
 
 
+def laid_out(buckets):
+    """`buckets`, laid out in fresh buffers as a model lays out its own."""
+    bind(buckets)
+    return buckets
+
+
 def tier(params):
     """One kernel attention tier of `params`, a one-group bucket."""
-    return AttentionBucket([(0, params.p_in)], [params])
+    return laid_out([AttentionBucket([(0, params.p_in)], [params])])[0]
 
 
 class TestFeatureGroupSpec:
@@ -137,9 +144,11 @@ class TestGroupedAttention:
     def test_single_group_reduces_to_plain_forward(self):
         spec = FeatureGroupSpec([(0, 5)])
         params = KernelAttentionParams.init(Rng(0), p_in=5, k=3)
+        alone = copy.deepcopy(params)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        z, traces = grouped_attention_forward(Tensor(x), stack_groups(spec.groups, [params]))
-        direct = kernel_attention_forward(Tensor(x), tier(params))
+        z, traces = grouped_attention_forward(Tensor(x), laid_out(stack_groups(spec.groups,
+                                                                               [params])))
+        direct = kernel_attention_forward(Tensor(x), tier(alone))
         assert np.array_equal(z.data, direct.z.data)
         assert len(traces) == 1
 
@@ -149,7 +158,9 @@ class TestGroupedAttention:
         params.phi_p.w.data[...] = np.random.default_rng(6).normal(size=(3, 3))
         half = np.random.default_rng(7).normal(size=(4, 3))
         x = np.concatenate([half, half], axis=1)
-        z, _ = grouped_attention_forward(Tensor(x), stack_groups(spec.groups, [params, params]))
+        twin = copy.deepcopy(params)
+        z, _ = grouped_attention_forward(Tensor(x), laid_out(stack_groups(spec.groups,
+                                                                          [params, twin])))
         assert np.array_equal(z.data[:, :3], z.data[:, 3:])
 
     def test_processing_order_irrelevant(self):
@@ -163,12 +174,13 @@ class TestGroupedAttention:
         ]
         for prm in plist:
             prm.phi_p.w.data[...] = np.random.default_rng(13).normal(size=prm.phi_p.w.data.shape)
+        alone = copy.deepcopy(plist)
         x = np.random.default_rng(14).normal(size=(5, 6))
-        z, _ = grouped_attention_forward(Tensor(x), stack_groups(spec.groups, plist))
+        z, _ = grouped_attention_forward(Tensor(x), laid_out(stack_groups(spec.groups, plist)))
         blocks = {}
         for g in (1, 0):  # reversed processing order
             s, e = spec.groups[g]
-            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), tier(plist[g])).z.data
+            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), tier(alone[g])).z.data
         reassembled = np.concatenate([blocks[0], blocks[1]], axis=1)
         assert np.array_equal(z.data, reassembled)
 
@@ -207,16 +219,17 @@ class TestFusedGroups:
         bounds = np.cumsum((0,) + widths)
         spec = FeatureGroupSpec(list(zip(bounds[:-1], bounds[1:])))
         plist = random_group_params(widths, 3, seed=len(widths))
+        copies = copy.deepcopy(plist)  # each group's record, laid out alone below
         data = np.random.default_rng(rows)
         x, c = data.normal(size=(2, rows, bounds[-1]))
         u, w = c[:, 0], c[0]  # the upstream gradient is u wᵀ
         with no_grad():
             xt = Tensor(x)
-        z, traces = grouped_attention_forward(xt, stack_groups(spec.groups, plist))
+        z, traces = grouped_attention_forward(xt, laid_out(stack_groups(spec.groups, plist)))
         weighted_sum(z, u, w).backward()
         fused = [{n: t.grad.copy() for n, t in named_tensors(prm, "a").items()}
                  for prm in plist]
-        for g, ((s, e), prm) in enumerate(zip(spec.groups, plist)):
+        for g, ((s, e), prm) in enumerate(zip(spec.groups, copies)):
             with no_grad():
                 xg = Tensor(x[:, s:e])
             alone = kernel_attention_forward(xg, tier(prm))

@@ -12,7 +12,14 @@ from scalarnet.calibration import (
 from scalarnet.errors import NumericError
 from scalarnet.layers import named_tensors
 from scalarnet.losses import loss
+from scalarnet.model import bind
 from scalarnet.tensor import Rng, Tensor
+
+
+def laid_out(record):
+    """`record`, laid out alone in fresh buffers as a model lays out its own."""
+    bind([record])
+    return record
 
 
 def zeroed(net):
@@ -32,7 +39,7 @@ class TestSelfCalibrate:
     def test_forced_zero_delta_train_equals_eval(self):
         # drive the delta logit to -inf territory: sigmoid ~ 4e-18, so
         # 1/(1 - delta) rounds to exactly 1 and the mask is all ones a.s.
-        params = CalibrationParams.init(Rng(0), p=5)
+        params = laid_out(CalibrationParams.init(Rng(0), p=5))
         params.phi_c.l2.w.data[:] = 0.0
         params.phi_c.l2.b.data[:] = np.array([-40.0, 0.0])
         z = Tensor(np.random.default_rng(1).normal(size=(6, 5)))
@@ -41,14 +48,14 @@ class TestSelfCalibrate:
         assert np.array_equal(s_train.data, s_eval.data)
 
     def test_zero_transform_is_identity(self):
-        params = CalibrationParams.init(Rng(3), p=4)
+        params = laid_out(CalibrationParams.init(Rng(3), p=4))
         zeroed(params.phi_t)
         z = np.random.default_rng(4).normal(size=(5, 4))
         s, _, _ = self_calibrate(Tensor(z), params, None)
         assert np.array_equal(s.data, z)
 
     def test_train_mask_mean_converges_to_eval(self):
-        params = CalibrationParams.init(Rng(5), p=4)
+        params = laid_out(CalibrationParams.init(Rng(5), p=4))
         z = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
         s_eval, delta, _ = self_calibrate(z, params, None)
         rng = Rng(7)
@@ -64,7 +71,7 @@ class TestSelfCalibrate:
         assert (np.abs(mean - s_eval.data) <= 3 * se + 1e-12).all()
 
     def test_delta_gamma_ranges(self):
-        params = CalibrationParams.init(Rng(8), p=6)
+        params = laid_out(CalibrationParams.init(Rng(8), p=6))
         z = Tensor(np.random.default_rng(9).normal(size=(10_000, 6)) * 5)
         _, delta, gamma = self_calibrate(z, params, None)
         assert delta.shape == gamma.shape == (10_000, 1)
@@ -73,7 +80,7 @@ class TestSelfCalibrate:
 
     def test_train_mask_is_bernoulli_of_keep_probability(self):
         # the mask is rng.bernoulli(1 - delta, z.shape), drawn once per call
-        params = CalibrationParams.init(Rng(12), p=4)
+        params = laid_out(CalibrationParams.init(Rng(12), p=4))
         z = Tensor(np.random.default_rng(13).normal(size=(5, 4)))
         s, delta, gamma = self_calibrate(z, params, Rng(3))
         mask = Rng(3).bernoulli(1.0 - delta, (5, 4))
@@ -82,7 +89,7 @@ class TestSelfCalibrate:
         np.testing.assert_array_equal(s.data, expected)
 
     def test_train_deterministic_given_seed(self):
-        params = CalibrationParams.init(Rng(10), p=4)
+        params = laid_out(CalibrationParams.init(Rng(10), p=4))
         z = Tensor(np.random.default_rng(11).normal(size=(5, 4)))
         a, _, _ = self_calibrate(z, params, Rng(1))
         b, _, _ = self_calibrate(z, params, Rng(1))
@@ -91,7 +98,7 @@ class TestSelfCalibrate:
 
 class TestVariational:
     def test_zero_decoder_eval_identity(self):
-        params = VariationalParams.init(Rng(0), p=6, d=2)
+        params = laid_out(VariationalParams.init(Rng(0), p=6, d=2))
         zeroed(params.phi_d)
         s = np.random.default_rng(1).normal(size=(4, 6))
         v, _ = variational_encode_decode(Tensor(s), params, None)
@@ -100,7 +107,7 @@ class TestVariational:
     def test_small_sigma_train_close_to_eval(self):
         # clamp log sigma near the floor via the phi_sigma bias; with a fixed
         # linear decoder the train/eval deviation stays below 0.01 per element
-        params = VariationalParams.init(Rng(2), p=6, d=2)
+        params = laid_out(VariationalParams.init(Rng(2), p=6, d=2))
         params.phi_sigma.w.data[:] = 0.0
         params.phi_sigma.b.data[:] = -10.0
         zeroed(params.phi_d)
@@ -120,7 +127,7 @@ class TestVariational:
     def test_reparameterized_variance(self, log_sigma):
         """The draw's variance is σ² = exp(2 log σ), the variance the KL in
         `loss` charges for."""
-        params = VariationalParams.init(Rng(6), p=2, d=1)
+        params = laid_out(VariationalParams.init(Rng(6), p=2, d=1))
         # mu = 0 and log sigma fixed, regardless of input
         params.phi_mu.w.data[:] = 0.0
         params.phi_mu.b.data[:] = 0.0
@@ -136,15 +143,15 @@ class TestVariational:
         assert 0.98 < var / np.exp(2.0 * log_sigma) < 1.02
 
     def test_eval_deterministic(self):
-        params = VariationalParams.init(Rng(8), p=5, d=2)
+        params = laid_out(VariationalParams.init(Rng(8), p=5, d=2))
         s = Tensor(np.random.default_rng(9).normal(size=(4, 5)))
         v1, *_ = variational_encode_decode(s, params, None)
         v2, *_ = variational_encode_decode(s, params, None)
         assert np.array_equal(v1.data, v2.data)
 
     def test_whole_module_identity_when_zeroed(self):
-        cal = CalibrationParams.init(Rng(10), p=4)
-        var = VariationalParams.init(Rng(11), p=4, d=2)
+        cal = laid_out(CalibrationParams.init(Rng(10), p=4))
+        var = laid_out(VariationalParams.init(Rng(11), p=4, d=2))
         zeroed(cal.phi_t)
         zeroed(var.phi_d)
         z = np.random.default_rng(12).normal(size=(6, 4))

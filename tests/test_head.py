@@ -7,7 +7,14 @@ from scalarnet.errors import ConfigError, DataError
 from scalarnet.head import HeadParams, default_components, feature_importance, head_forward
 from scalarnet.layers import named_tensors
 from scalarnet.losses import loss
+from scalarnet.model import bind
 from scalarnet.tensor import Rng, Tensor
+
+
+def laid_out(record):
+    """`record`, laid out alone in fresh buffers as a model lays out its own."""
+    bind([record])
+    return record
 
 
 def loop_oracle(g, params):
@@ -47,7 +54,7 @@ def loop_oracle(g, params):
 
 class TestHeadForward:
     def test_equal_logits_give_uniform_alpha(self):
-        params = HeadParams.init(Rng(0), 6, default_components(6))
+        params = laid_out(HeadParams.init(Rng(0), 6, default_components(6)))
         for t in named_tensors(params.phi_alpha, "a").values():
             t.data = np.zeros_like(t.data)
         g = np.random.default_rng(1).normal(size=(4, 6))
@@ -56,7 +63,7 @@ class TestHeadForward:
         assert y.data.shape == (4,)
 
     def test_zero_projections_constant_output(self):
-        params = HeadParams.init(Rng(2), 5, default_components(5))
+        params = laid_out(HeadParams.init(Rng(2), 5, default_components(5)))
         for w in (params.w1, params.w2, params.w3):
             w.data = np.zeros_like(w.data)
         g = np.random.default_rng(3).normal(size=(6, 5))
@@ -64,20 +71,20 @@ class TestHeadForward:
         np.testing.assert_allclose(y.data, y.data[0], atol=1e-15)
 
     def test_matches_loop_oracle(self):
-        params = HeadParams.init(Rng(4), p=8, components=(4, 3, 2))
+        params = laid_out(HeadParams.init(Rng(4), p=8, components=(4, 3, 2)))
         g = np.random.default_rng(5).normal(size=(5, 8))
         y, _ = head_forward(Tensor(g), params)
         np.testing.assert_allclose(y.data, loop_oracle(g, params), atol=1e-10)
 
     def test_alpha_simplex(self):
-        params = HeadParams.init(Rng(6), 7, default_components(7))
+        params = laid_out(HeadParams.init(Rng(6), 7, default_components(7)))
         g = np.random.default_rng(7).normal(size=(30, 7))
         _, alpha = head_forward(Tensor(g), params)
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert (alpha >= 0).all()
 
     def test_gradients_reach_all_parameters(self):
-        params = HeadParams.init(Rng(8), 6, default_components(6))
+        params = laid_out(HeadParams.init(Rng(8), 6, default_components(6)))
         g = np.random.default_rng(9).normal(size=(5, 6))
         y, _ = head_forward(Tensor(g), params)
         loss(y, np.zeros(5), None, 1.0, 1.0, 0.0)[0].backward()  # mean(y^2)

@@ -21,6 +21,7 @@ from scalarnet.errors import NumericError, ShapeError
 from scalarnet.head import HeadParams, head_forward
 from scalarnet.layers import Affine, Mlp2
 from scalarnet.losses import loss
+from scalarnet.model import bind
 from scalarnet.tensor import Rng, Tensor, no_grad
 
 
@@ -49,7 +50,9 @@ def unit_row_attention(m, k, phi_k2, phi_k2_bias, phi_w_bias):
 def attend(x, groups, params):
     """kernel_attention on x's column intervals `groups`, `params[i]` group
     i's record, the groups stacked by width (see `stack_groups`)."""
-    return kernel_attention(x, stack_groups(groups, params))
+    buckets = stack_groups(groups, params)
+    bind(buckets)
+    return kernel_attention(x, buckets)
 
 
 def normalize_rows(t):
@@ -173,7 +176,14 @@ def mlp(arrays):
     return Mlp2(aff(arrays[:2]), aff(arrays[2:]))
 
 
-# the parameter record each stage op takes, of arrays or Tensors
+# the parameter record each stage op takes, of arrays or Tensors, laid out alone
+# (kernel_attention's by `attend`)
+
+
+def laid_out(record):
+    """`record`, laid out alone in fresh buffers as a model lays out its own."""
+    bind([record])
+    return record
 
 
 def attention_params(arrays):
@@ -185,18 +195,19 @@ def attention_params(arrays):
 
 def calibration_params(c, t):
     """phi_c's and phi_t's (w1, b1, w2, b2)."""
-    return CalibrationParams(phi_t=mlp(t), phi_c=mlp(c))
+    return laid_out(CalibrationParams(phi_t=mlp(t), phi_c=mlp(c)))
 
 
 def variational_params(d=PHI_D, e=PHI_E, mu=PHI_MU, sigma=PHI_SIGMA):
     """phi_d's (w1, b1, w2, b2) and phi_e's, phi_mu's and phi_sigma's (w, b)."""
-    return VariationalParams(phi_e=aff(e), phi_mu=aff(mu), phi_sigma=aff(sigma), phi_d=mlp(d))
+    return laid_out(VariationalParams(phi_e=aff(e), phi_mu=aff(mu), phi_sigma=aff(sigma),
+                                      phi_d=mlp(d)))
 
 
 def head_params(w1, w2, w3, alpha, y):
     """The three tier weights and phi_alpha's and phi_y's (w1, b1, w2, b2)."""
     ws = wrap([w1, w2, w3])
-    return HeadParams(tuple(w.data.shape[1] for w in ws), *ws, mlp(alpha), mlp(y))
+    return laid_out(HeadParams(tuple(w.data.shape[1] for w in ws), *ws, mlp(alpha), mlp(y)))
 
 
 def cal(z=Z, t2=PHI_T[2], train=True):
@@ -642,10 +653,11 @@ class TestNodeConstructor:
 
     def test_no_grad_records_nothing_and_restores_grad_mode(self):
         params = variational_params()
+        d2 = Tensor(PHI_D[2])  # params.phi_d.l2.w's values, in a tensor of its own
         inf_latent = np.stack([LATENT[0], np.full((3, 2), np.inf)])
         with pytest.raises(NumericError, match="'decode'"):
             with no_grad():
-                out = dec(d2=params.phi_d.l2.w)
+                out = dec(d2=d2)
                 decode(Tensor(inf_latent), Tensor(Z), params, FixedDraws())  # exp(inf)
         assert not out.requires_grad and out._prev == () and out._backward is None
         assert Tensor(Z).requires_grad  # grad mode is back on after the error

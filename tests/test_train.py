@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import tracemalloc
 from collections import Counter
@@ -9,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalarnet import model as model_module
-from scalarnet.attention import FeatureGroupSpec
-from scalarnet.calibration import self_calibrate, variational_encode_decode
+from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams, stack_groups
+from scalarnet.calibration import CalibrationParams, self_calibrate, variational_encode_decode
 from scalarnet.data import Dataset, standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
-from scalarnet.head import feature_importance, head_forward
-from scalarnet.layers import Affine, Mlp2
+from scalarnet.head import HeadParams, feature_importance, head_forward
+from scalarnet.layers import Affine, Mlp2, named_tensors
 from scalarnet.losses import LossConfig, composite_loss, kl_weight, loss
-from scalarnet.model import ModelConfig, ScalarModel
+from scalarnet.model import ModelConfig, ScalarModel, bind
 from scalarnet.tensor import Rng, Tensor, no_grad
 from scalarnet.train import (
     EVAL_ALIGN,
@@ -277,6 +278,38 @@ class TestFlatBuffers:
                     for members in widths.values() for n in KA]
         expected += [np.ravel(params[k]) for k in names if not k.startswith("group")]
         assert np.array_equal(model.flat, np.concatenate(expected))
+
+    def test_the_model_lays_its_records_out_once(self, monkeypatch):
+        """A record is not laid out until something lays it out: the model,
+        with one `bind` call over every record it uses, or a test."""
+        calls = []
+        monkeypatch.setattr(model_module, "bind", lambda records: calls.append(records)
+                            or bind(records))
+        model = ScalarModel(quick_cfg(use_variational=False), 8)
+        assert calls == [[*model.group_buckets, model.cal_params, model.global_bucket,
+                          model.head_params]]
+        records = [CalibrationParams.init(Rng(0), 8), HeadParams.init(Rng(0), 8, (4, 3, 2))]
+        for record in (model.var_params, *records):  # the variational record goes unused
+            assert not hasattr(record, "leaf")
+            assert all(t.grad is None for t in named_tensors(record, "r").values())
+        bind(records)
+        for record in records:
+            for t in named_tensors(record, "r").values():
+                assert np.shares_memory(t.grad, record.leaf.grad)
+
+    def test_a_tensor_is_laid_out_once(self):
+        groups = [(0, 3), (3, 6)]
+        prm = KernelAttentionParams.init(Rng(0), 3, 2)
+        with pytest.raises(ValueError, match="once"):  # the same record in two groups
+            bind(stack_groups(groups, [prm, prm]))
+        bind(stack_groups(groups, [prm, copy.deepcopy(prm)]))  # nothing was laid out above
+        cal = CalibrationParams.init(Rng(1), 4)
+        bind([cal])
+        shares = CalibrationParams(phi_t=cal.phi_t, phi_c=Mlp2.init(Rng(2), 4, 8, 2))
+        with pytest.raises(ValueError, match="once"):  # a tensor of a laid-out record
+            bind([shares])
+        with pytest.raises(ValueError, match="once"):
+            bind([CalibrationParams.init(Rng(3), 4)] * 2)
 
 
 MLP = ["l1.w", "l1.b", "l2.w", "l2.b"]
