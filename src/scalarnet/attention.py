@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor
 from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width
-from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
+from .tensor import Rng, Tensor, _node, _softmax_rows, _softmax_rows_grad
 
 EPS = 1e-12  # floor on a kernel's norm in kernel_attention
 
@@ -91,6 +91,12 @@ class KernelAttentionParams:
             phi_p=Affine.init(rng, p_in, p_in, zero=True),
         )
 
+    @classmethod
+    def of(cls, p_in: int, k: int, t) -> "KernelAttentionParams":
+        """The record whose ten tensors, in `named_tensors` order, are `t`."""
+        return cls(p_in, k, Mlp2(Affine(*t[0:2]), Affine(*t[2:4])),
+                   Mlp2(Affine(*t[4:6]), Affine(*t[6:8])), Affine(*t[8:10]))
+
 
 @dataclass
 class AttentionTrace:
@@ -108,9 +114,9 @@ class AttentionTrace:
 @dataclass
 class AttentionBucket:
     """Groups of one width as one stage record, which `kernel_attention` runs
-    stacked: once laid out (`model.bind`), field j of the groups' records, in
-    `named_tensors` order, is one (G, ...) array, `data[j]`, with gradient
-    `grad[j]`."""
+    stacked: once laid out (`model.bind`), `stack` is one KernelAttentionParams
+    whose tensors are the (G, ...) stacks of the groups' tensors, each group's
+    tensor a row of its stack."""
 
     cols: tuple  # the groups' (start, stop) column intervals
     params: tuple  # their KernelAttentionParams, in the same order
@@ -145,40 +151,38 @@ def kernel_attention(x: Tensor, buckets):
 
     The kernel sums (the norms, mix, and backward's k̂_j · u) are einsum
     contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
-    k̂ and mix. A bucket's groups run stacked, as (G, b, w) arrays through
-    batched matmul on its (G, ...) arrays; each group's arithmetic is the same
-    as running it alone. Returns (the (b, p) Tensor, per group in column
-    order k̂ and w as views of the stacked ndarrays).
+    k̂ and mix. A bucket's groups run stacked, as (G, b, w) arrays through the
+    layers of its `stack` record; each group's arithmetic is the same as
+    running it alone. Returns (the (b, p) Tensor, per group in column order k̂
+    and w as views of the stacked ndarrays).
     """
     xd = x.data
     out = np.empty_like(xd)
     rows, saved = {}, []  # start column -> the group's k̂ and w
     for bucket in buckets:
+        prm = bucket.stack
         xs = _stack([xd[:, s:e] for s, e in bucket.cols])  # (G, b, w)
-        w1k, b1k, w2k, b2k, w1w, b1w, w2w, b2w, wp, bp = bucket.data
         # backward needs neither the logits nor the raw kernels: neither is kept
-        hw = np.tanh(_guard("kernel_attention", xs @ w1w + b1w[:, None]))
-        wsm = _softmax_rows(_guard("kernel_attention", hw @ w2w + b2w[:, None]))  # (G, b, k)
-        hk = np.tanh(_guard("kernel_attention", xs @ w1k + b1k[:, None]))
-        # the raw kernels, normalized in place into k̂ (G, b, k, w)
-        k_hat = _guard("kernel_attention", hk @ w2k + b2k[:, None]).reshape(wsm.shape + (-1,))
+        hw, logits = prm.phi_w(xs, "kernel_attention")
+        wsm = _softmax_rows(logits)  # (G, b, k)
+        hk, raw = prm.phi_k(xs, "kernel_attention")
+        k_hat = raw.reshape(wsm.shape + (-1,))  # normalized in place into k̂ (G, b, k, w)
         norm = np.sqrt(np.einsum("gbkw,gbkw->gbk", k_hat, k_hat))  # np.linalg.norm
         m = np.maximum(norm, EPS)[..., None]  # at EPS exactly where norm <= EPS
         k_hat /= m
         mix = np.einsum("gbk,gbkw->gbw", wsm, k_hat)  # Σ_j w_j k̂_j
         att = xs * mix
-        z = att @ wp + bp[:, None] + xs
+        z = prm.phi_p(att, "kernel_attention") + xs
         for j, (s, e) in enumerate(bucket.cols):
             out[:, s:e] = z[j]
             rows[s] = k_hat[j], wsm[j]
         if tensor._grad_enabled:  # only a backward reads these; eval keeps none
-            saved.append((bucket, xs, hk, hw, wsm, m, k_hat, mix, att))
+            saved.append((bucket.cols, prm, xs, hk, hw, wsm, m, k_hat, mix, att))
 
     def backward(g):
-        for bucket, xs, hk, hw, wsm, m, k_hat, mix, att in saved:
-            w1k, w2k, w1w, w2w, wp = (bucket.data[j].transpose(0, 2, 1) for j in (0, 2, 4, 6, 8))
-            gz = _stack([g[:, s:e] for s, e in bucket.cols])
-            gatt = gz @ wp
+        for cols, prm, xs, hk, hw, wsm, m, k_hat, mix, att in saved:
+            gz = _stack([g[:, s:e] for s, e in cols])
+            gatt = prm.phi_p.backward(att, gz)
             u = gatt * xs  # the gradient wrt mix; k̂_j's is w_j·u
             gw = np.einsum("gbkw,gbw->gbk", k_hat, u)
             # through k̂ = raw / m: (w_j·u − k̂_j (k̂_j · w_j·u)) / m, where k̂_j · u =
@@ -188,24 +192,13 @@ def kernel_attention(x: Tensor, buckets):
             graw *= wsm[..., None] / m
             if (m == EPS).any():  # there k̂ = raw / EPS: w_j·u passes through scaled
                 graw = np.where(m > EPS, graw, wsm[..., None] * u[:, :, None] / EPS)
-            graw = graw.reshape(hk.shape[:2] + (-1,))
-            glogits = _softmax_rows_grad(wsm, gw)
-            ghw = (glogits @ w2w) * (1.0 - hw * hw)
-            ghk = (graw @ w2k) * (1.0 - hk * hk)
-            xs_t = xs.transpose(0, 2, 1)
-            grads = (xs_t @ ghk, ghk.sum(axis=1), hk.transpose(0, 2, 1) @ graw,
-                     graw.sum(axis=1), xs_t @ ghw, ghw.sum(axis=1),
-                     hw.transpose(0, 2, 1) @ glogits, glogits.sum(axis=1),
-                     att.transpose(0, 2, 1) @ gz, gz.sum(axis=1))
-            for acc, gt in zip(bucket.grad, grads):
-                acc += gt
+            gx_w = prm.phi_w.backward(xs, hw, _softmax_rows_grad(wsm, gw))
+            gx_k = prm.phi_k.backward(xs, hk, graw.reshape(hk.shape[:2] + (-1,)))
             if x.requires_grad:
                 # the residual, kernel mixing, phi_w and phi_k terms, in the
                 # order a graph of one node per layer would add them
-                gx = gz + gatt * mix
-                gx = gx + ghw @ w1w
-                gx = gx + ghk @ w1k
-                for j, (s, e) in enumerate(bucket.cols):
+                gx = gz + gatt * mix + gx_w + gx_k
+                for j, (s, e) in enumerate(cols):
                     x.grad[:, s:e] += gx[j]
 
     parents = (x, *(bucket.leaf for bucket in buckets))

@@ -1,7 +1,9 @@
 """Affine layers and two-layer tanh blocks, and the walk that names
 parameters. A layer's `__call__` is its array-level forward and its
 `backward` the matching gradient, which the stage ops run inside their nodes;
-a non-finite value raises a NumericError naming the stage."""
+a non-finite value raises a NumericError naming the stage. Both take leading
+stack axes: on x (..., b, in), w (..., in, out) and b (..., out), each stack
+member's arithmetic is that of its own 2-D call."""
 
 from __future__ import annotations
 
@@ -42,15 +44,15 @@ class Affine:
         return cls(Tensor(w), Tensor(np.zeros(fan_out)))
 
     def __call__(self, x: np.ndarray, op: str) -> np.ndarray:
-        """x @ w + b on the 2-D array x, inside the stage op `op`."""
-        return _guard(op, x @ self.w.data + self.b.data)
+        """x @ w + b on the (..., b, in) array x, inside the stage op `op`."""
+        return _guard(op, x @ self.w.data + self.b.data[..., None, :])
 
     def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Add the gradients of w and b in `self(x)`, given g, the output's;
         returns the gradient wrt x."""
-        self.w.grad += x.T @ g
-        self.b.grad += g.sum(axis=0)
-        return g @ self.w.data.T
+        self.w.grad += x.swapaxes(-1, -2) @ g
+        self.b.grad += g.sum(axis=-2)
+        return g @ self.w.data.swapaxes(-1, -2)
 
 
 @dataclass

@@ -127,9 +127,9 @@ class ForwardTrace:
 def bind(records) -> tuple:
     """Lay the stage records `records` out in two fresh flat arrays (data,
     grad), returned: each tensor's .data and .grad become views of them. A
-    bucket stacks its groups' records field by field; any other record's
-    tensors are stacks of one. Stack j fills the (G, ...) arrays
-    `record.data[j]` and `record.grad[j]`, and `record.leaf`, its op's one
+    bucket stacks its groups' records field by field into `bucket.stack`, a
+    record like theirs whose tensors are (G, ...) stacks of the groups'; any
+    other record's tensors are stacks of one. `record.leaf`, its op's one
     parameter parent, spans the record's slices. A tensor already laid out
     (its .grad set), or given twice, raises ValueError."""
     layout = [list(zip(*(named_tensors(p, "").values() for p in r.params)))
@@ -141,13 +141,16 @@ def bind(records) -> tuple:
     data = np.concatenate([t.data.reshape(-1) for t in tensors])
     grad, end = np.zeros(data.size), 0
     for record, stacks in zip(records, layout):
-        start, record.data, record.grad = end, [], []
+        start, stacked = end, []
         for ts in stacks:
             shape, a, end = (len(ts), *ts[0].data.shape), end, end + len(ts) * ts[0].data.size
-            record.data.append(data[a:end].reshape(shape))
-            record.grad.append(grad[a:end].reshape(shape))
-            for t, row, grad_row in zip(ts, record.data[-1], record.grad[-1]):
+            stacked.append(Tensor(data[a:end].reshape(shape)))
+            stacked[-1].grad = grad[a:end].reshape(shape)
+            for t, row, grad_row in zip(ts, stacked[-1].data, stacked[-1].grad):
                 t.data, t.grad = row, grad_row
+        if isinstance(record, AttentionBucket):
+            first = record.params[0]
+            record.stack = KernelAttentionParams.of(first.p_in, first.k, stacked)
         record.leaf = Tensor(data[start:end])
         record.leaf.grad = grad[start:end]
     return data, grad

@@ -14,7 +14,7 @@ from scalarnet.attention import (
     stack_groups,
 )
 from scalarnet.errors import ConfigError
-from scalarnet.layers import named_tensors
+from scalarnet.layers import Affine, Mlp2, named_tensors
 from scalarnet.losses import composite_loss
 from scalarnet.model import ModelConfig, ScalarModel, bind
 from scalarnet.tensor import Rng, Tensor, no_grad
@@ -188,6 +188,50 @@ class TestGroupedAttention:
         model = ScalarModel(ModelConfig(groups=[[0, 2], [2, 4]], k=2), 4)
         with pytest.raises(ConfigError, match=r"\(batch, 4\)"):
             model.forward(np.zeros((2, 5)), "eval")
+
+
+class TestStackedLayers:
+    """`Affine` and `Mlp2` on a (G, b, in) stack with (G, ...) parameters, as
+    every attention tier runs them, give each stack member exactly what its
+    own 2-D call gives: outputs, parameter-gradient rows and input gradient."""
+
+    @classmethod
+    def stacked(cls, layers):
+        """The layers as one layer of (G, ...) tensors, with zero gradients."""
+        if isinstance(layers[0], Mlp2):
+            return Mlp2(cls.stacked([n.l1 for n in layers]), cls.stacked([n.l2 for n in layers]))
+        w, b = (Tensor(np.stack([getattr(a, f).data for a in layers])) for f in "wb")
+        w.grad, b.grad = np.zeros_like(w.data), np.zeros_like(b.data)
+        return Affine(w, b)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: Affine.init(rng, 4, 3),
+        lambda rng: Mlp2.init(rng, 4, 8, 3)], ids=["Affine", "Mlp2"])
+    def test_stack_equals_each_member_alone(self, make):
+        rng, data = Rng(3), np.random.default_rng(4)
+        layers = [make(rng) for _ in range(5)]
+        for layer in layers:
+            for t in named_tensors(layer, "").values():
+                t.grad = np.zeros_like(t.data)
+        stack = self.stacked(layers)
+        xs, gs = data.normal(size=(5, 7, 4)), data.normal(size=(5, 7, 3))
+        if isinstance(stack, Mlp2):
+            h, out = stack(xs, "test")
+            gx = stack.backward(xs, h, gs)
+        else:
+            out, gx = stack(xs, "test"), stack.backward(xs, gs)
+        stacked = named_tensors(stack, "")
+        for g, layer in enumerate(layers):
+            if isinstance(layer, Mlp2):
+                h_g, out_g = layer(xs[g], "test")
+                gx_g = layer.backward(xs[g], h_g, gs[g])
+                assert np.array_equal(h[g], h_g)
+            else:
+                out_g, gx_g = layer(xs[g], "test"), layer.backward(xs[g], gs[g])
+            assert np.array_equal(out[g], out_g), g
+            assert np.array_equal(gx[g], gx_g), g
+            for name, t in named_tensors(layer, "").items():
+                assert t.grad.any() and np.array_equal(stacked[name].grad[g], t.grad), (g, name)
 
 
 def weighted_sum(z, u, w):
