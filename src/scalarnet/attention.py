@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigError
-from .layers import Affine, Mlp2, hidden_width
+from .layers import Affine, Mlp2, hidden_width, stacked
 from .tensor import Rng, Tensor, _node, _softmax_rows, _softmax_rows_grad
 
 EPS = 1e-12  # floor on a kernel's norm in kernel_attention
@@ -70,32 +70,27 @@ class FeatureGroupSpec:
 
 @dataclass
 class KernelAttentionParams:
-    """phi_k: p_in -> k*p_in, phi_w: p_in -> k (both two-layer tanh nets);
-    phi_p: affine p_in -> p_in, zero-initialized so training starts at the
-    residual identity."""
+    """Kernel attention of the groups of one width w as (G, ...) stacks, row j
+    the group at cols[j]: phi_k: w -> k*w, phi_w: w -> k (two-layer tanh nets);
+    phi_p: affine w -> w, zero at init so training starts at the residual identity."""
 
-    p_in: int
-    k: int
+    cols: tuple  # the groups' (start, stop) column intervals
     phi_k: Mlp2
     phi_w: Mlp2
     phi_p: Affine
 
     @classmethod
-    def init(cls, rng: Rng, p_in: int, k: int) -> "KernelAttentionParams":
-        h = hidden_width(p_in)
-        return cls(
-            p_in=p_in,
-            k=k,
-            phi_k=Mlp2.init(rng, p_in, h, k * p_in),
-            phi_w=Mlp2.init(rng, p_in, h, k),
-            phi_p=Affine.init(rng, p_in, p_in, zero=True),
-        )
-
-    @classmethod
-    def of(cls, p_in: int, k: int, t) -> "KernelAttentionParams":
-        """The record whose ten tensors, in `named_tensors` order, are `t`."""
-        return cls(p_in, k, Mlp2(Affine(*t[0:2]), Affine(*t[2:4])),
-                   Mlp2(Affine(*t[4:6]), Affine(*t[6:8])), Affine(*t[8:10]))
+    def init(cls, rng: Rng, groups, k: int) -> list:
+        """One record per group width, in order of each width's first group;
+        each group's layers are drawn from `rng` in column order."""
+        by_width = {}
+        for s, e in groups:
+            w, h = e - s, hidden_width(e - s)
+            by_width.setdefault(w, []).append(((s, e), Mlp2.init(rng, w, h, k * w),
+                                               Mlp2.init(rng, w, h, k),
+                                               Affine.init(rng, w, w, zero=True)))
+        return [cls(cols, *map(stacked, layers))
+                for cols, *layers in (zip(*members) for members in by_width.values())]
 
 
 @dataclass
@@ -106,30 +101,9 @@ class AttentionTrace:
     feature group's trace has no z: its block is columns of the grouped output.
     """
 
-    k_hat: np.ndarray  # (batch, k, p_in), unit rows up to the eps guard
+    k_hat: np.ndarray  # (batch, k, w) for a group of width w, unit rows up to the eps guard
     w: np.ndarray  # (batch, k), simplex rows
-    z: "Tensor | None"  # (batch, p_in)
-
-
-@dataclass
-class AttentionBucket:
-    """Groups of one width as one stage record, which `kernel_attention` runs
-    stacked: once laid out (`model.bind`), `stack` is one KernelAttentionParams
-    whose tensors are the (G, ...) stacks of the groups' tensors, each group's
-    tensor a row of its stack."""
-
-    cols: tuple  # the groups' (start, stop) column intervals
-    params: tuple  # their KernelAttentionParams, in the same order
-
-
-def stack_groups(groups, params) -> list:
-    """One AttentionBucket per group width, in order of each width's first
-    group: `params[i]` is the record of the group at column interval
-    `groups[i]`."""
-    by_width = {}
-    for (s, e), prm in zip(groups, params):
-        by_width.setdefault(e - s, []).append(((s, e), prm))
-    return [AttentionBucket(*zip(*members)) for members in by_width.values()]
+    z: "Tensor | None"  # (batch, w)
 
 
 def _stack(arrays) -> np.ndarray:
@@ -138,10 +112,10 @@ def _stack(arrays) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def kernel_attention(x: Tensor, buckets):
+def kernel_attention(x: Tensor, records):
     """Adaptive kernel attention on each column group of x (b, p), as one node.
 
-    The groups of the AttentionBuckets `buckets` partition [0, p). On a
+    The groups of the KernelAttentionParams `records` partition [0, p). On a
     group's columns xg (b, w):
     raw = phi_k(xg) holds k kernels per row, each L2-normalized by max(norm,
     EPS) into k̂ (b, k, w); the kernel weights w (b, k) are the row softmax of
@@ -151,17 +125,16 @@ def kernel_attention(x: Tensor, buckets):
 
     The kernel sums (the norms, mix, and backward's k̂_j · u) are einsum
     contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
-    k̂ and mix. A bucket's groups run stacked, as (G, b, w) arrays through the
-    layers of its `stack` record; each group's arithmetic is the same as
-    running it alone. Returns (the (b, p) Tensor, per group in column order k̂
-    and w as views of the stacked ndarrays).
+    k̂ and mix. A record's groups run stacked, as (G, b, w) arrays through its
+    layers; each group's arithmetic is the same as running it alone. Returns
+    (the (b, p) Tensor, per group in column order k̂ and w as views of the
+    stacked ndarrays).
     """
     xd = x.data
     out = np.empty_like(xd)
     rows, saved = {}, []  # start column -> the group's k̂ and w
-    for bucket in buckets:
-        prm = bucket.stack
-        xs = _stack([xd[:, s:e] for s, e in bucket.cols])  # (G, b, w)
+    for prm in records:
+        xs = _stack([xd[:, s:e] for s, e in prm.cols])  # (G, b, w)
         # backward needs neither the logits nor the raw kernels: neither is kept
         hw, logits = prm.phi_w(xs, "kernel_attention")
         wsm = _softmax_rows(logits)  # (G, b, k)
@@ -173,15 +146,15 @@ def kernel_attention(x: Tensor, buckets):
         mix = np.einsum("gbk,gbkw->gbw", wsm, k_hat)  # Σ_j w_j k̂_j
         att = xs * mix
         z = prm.phi_p(att, "kernel_attention") + xs
-        for j, (s, e) in enumerate(bucket.cols):
+        for j, (s, e) in enumerate(prm.cols):
             out[:, s:e] = z[j]
             rows[s] = k_hat[j], wsm[j]
         if tensor._grad_enabled:  # only a backward reads these; eval keeps none
-            saved.append((bucket.cols, prm, xs, hk, hw, wsm, m, k_hat, mix, att))
+            saved.append((prm, xs, hk, hw, wsm, m, k_hat, mix, att))
 
     def backward(g):
-        for cols, prm, xs, hk, hw, wsm, m, k_hat, mix, att in saved:
-            gz = _stack([g[:, s:e] for s, e in cols])
+        for prm, xs, hk, hw, wsm, m, k_hat, mix, att in saved:
+            gz = _stack([g[:, s:e] for s, e in prm.cols])
             gatt = prm.phi_p.backward(att, gz)
             u = gatt * xs  # the gradient wrt mix; k̂_j's is w_j·u
             gw = np.einsum("gbkw,gbw->gbk", k_hat, u)
@@ -198,23 +171,23 @@ def kernel_attention(x: Tensor, buckets):
                 # the residual, kernel mixing, phi_w and phi_k terms, in the
                 # order a graph of one node per layer would add them
                 gx = gz + gatt * mix + gx_w + gx_k
-                for j, (s, e) in enumerate(cols):
+                for j, (s, e) in enumerate(prm.cols):
                     x.grad[:, s:e] += gx[j]
 
-    parents = (x, *(bucket.leaf for bucket in buckets))
+    parents = (x, *(prm.leaf for prm in records))
     k_hats, weights = zip(*(rows[s] for s in sorted(rows)))
     return _node("kernel_attention", out, parents, backward), k_hats, weights
 
 
-def kernel_attention_forward(x: Tensor, bucket: AttentionBucket) -> AttentionTrace:
-    """One kernel attention tier on x: `bucket`'s one group, as in the global tier."""
-    z, (k_hat,), (w,) = kernel_attention(x, [bucket])
+def kernel_attention_forward(x: Tensor, prm: KernelAttentionParams) -> AttentionTrace:
+    """One kernel attention tier on x: `prm`'s one group, as in the global tier."""
+    z, (k_hat,), (w,) = kernel_attention(x, [prm])
     return AttentionTrace(k_hat=k_hat, w=w, z=z)
 
 
-def grouped_attention_forward(x: Tensor, buckets):
-    """Run kernel attention on each column group of `buckets`, every group in
+def grouped_attention_forward(x: Tensor, records):
+    """Run kernel attention on each column group of `records`, every group in
     one node; returns the (b, p) output, each group's block in its own
     columns, and the per-group traces."""
-    z, k_hats, ws = kernel_attention(x, buckets)
+    z, k_hats, ws = kernel_attention(x, records)
     return z, [AttentionTrace(k_hat=k_hat, w=w, z=None) for k_hat, w in zip(k_hats, ws)]

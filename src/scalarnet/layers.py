@@ -1,5 +1,5 @@
-"""Affine layers and two-layer tanh blocks, and the walk that names
-parameters. A layer's `__call__` is its array-level forward and its
+"""Affine layers and two-layer tanh blocks, and the walks that name and
+stack parameters. A layer's `__call__` is its array-level forward and its
 `backward` the matching gradient, which the stage ops run inside their nodes;
 a non-finite value raises a NumericError naming the stage. Both take leading
 stack axes: on x (..., b, in), w (..., in, out) and b (..., out), each stack
@@ -26,6 +26,15 @@ def named_tensors(obj, prefix: str) -> dict:
         elif is_dataclass(value):
             out.update(named_tensors(value, f"{prefix}.{f.name}"))
     return out
+
+
+def stacked(records):
+    """The record like each of `records` (a Tensor or a dataclass of them)
+    whose every tensor is the (len(records), ...) stack of theirs."""
+    if isinstance(records[0], Tensor):
+        return Tensor(np.stack([r.data for r in records]))
+    return type(records[0])(*(stacked([getattr(r, f.name) for r in records])
+                              for f in fields(records[0])))
 
 
 def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:

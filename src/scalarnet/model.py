@@ -13,14 +13,12 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .attention import (
-    AttentionBucket,
     AttentionTrace,
     FeatureGroupSpec,
     KernelAttentionParams,
     grouped_attention_forward,
     is_int,
     kernel_attention_forward,
-    stack_groups,
 )
 from .calibration import (
     CalibrationParams,
@@ -126,34 +124,33 @@ class ForwardTrace:
 
 def bind(records) -> tuple:
     """Lay the stage records `records` out in two fresh flat arrays (data,
-    grad), returned: each tensor's .data and .grad become views of them. A
-    bucket stacks its groups' records field by field into `bucket.stack`, a
-    record like theirs whose tensors are (G, ...) stacks of the groups'; any
-    other record's tensors are stacks of one. `record.leaf`, its op's one
-    parameter parent, spans the record's slices. A tensor already laid out
-    (its .grad set), or given twice, raises ValueError."""
-    layout = [list(zip(*(named_tensors(p, "").values() for p in r.params)))
-              if isinstance(r, AttentionBucket) else
-              [(t,) for t in named_tensors(r, "").values()] for r in records]
-    tensors = [t for stacks in layout for ts in stacks for t in ts]
+    grad), returned: each tensor's .data and .grad become views of them, as
+    they are shaped. `record.leaf`, its op's one parameter parent, spans the
+    record's slices. A tensor already laid out (its .grad set), or given
+    twice, raises ValueError."""
+    layout = [list(named_tensors(r, "").values()) for r in records]
+    tensors = [t for ts in layout for t in ts]
     if len({id(t) for t in tensors}) < len(tensors) or any(t.grad is not None for t in tensors):
         raise ValueError("a parameter tensor can be laid out only once")
     data = np.concatenate([t.data.reshape(-1) for t in tensors])
     grad, end = np.zeros(data.size), 0
-    for record, stacks in zip(records, layout):
-        start, stacked = end, []
-        for ts in stacks:
-            shape, a, end = (len(ts), *ts[0].data.shape), end, end + len(ts) * ts[0].data.size
-            stacked.append(Tensor(data[a:end].reshape(shape)))
-            stacked[-1].grad = grad[a:end].reshape(shape)
-            for t, row, grad_row in zip(ts, stacked[-1].data, stacked[-1].grad):
-                t.data, t.grad = row, grad_row
-        if isinstance(record, AttentionBucket):
-            first = record.params[0]
-            record.stack = KernelAttentionParams.of(first.p_in, first.k, stacked)
+    for record, ts in zip(records, layout):
+        start = end
+        for t in ts:
+            a, end = end, end + t.data.size
+            t.data, t.grad = data[a:end].reshape(t.data.shape), grad[a:end].reshape(t.data.shape)
         record.leaf = Tensor(data[start:end])
         record.leaf.grad = grad[start:end]
     return data, grad
+
+
+def _row(prm: KernelAttentionParams, j: int, prefix: str) -> dict:
+    """Name -> a Tensor viewing row j of each of `prm`'s stacks, and of its .grad."""
+    out = {}
+    for name, t in named_tensors(prm, prefix).items():
+        out[name] = Tensor(t.data[j])
+        out[name].grad = t.grad[j]
+    return out
 
 
 class ScalarModel:
@@ -161,10 +158,10 @@ class ScalarModel:
 
     The model owns two flat float64 buffers, `flat` for every parameter and
     `grad_flat` for their gradients. Its one `bind` call lays them out as one
-    stage leaf per group width (`AttentionBucket`), cal, var (when used),
-    global and head; each parameter's `.data` and `.grad` are views of them.
-    Writing into a view (`t.data[...] = a`) updates the buffer; assigning
-    `.data` detaches that parameter from it.
+    stage leaf per group width (a KernelAttentionParams of (G, ...) stacks),
+    cal, var (when used), global and head; each parameter's `.data` and
+    `.grad` are views of them. Writing into a view (`t.data[...] = a`)
+    updates the buffer; assigning `.data` detaches that parameter from it.
     """
 
     def __init__(self, cfg: ModelConfig, p: int):
@@ -174,28 +171,26 @@ class ScalarModel:
         self.d = cfg.d if cfg.d is not None else default_latent_dim(p)
         comps = cfg.components if cfg.components is not None else default_components(p)
         rng = Rng(cfg.seed)
-        self.group_params = [
-            KernelAttentionParams.init(rng, e - s, cfg.k) for s, e in cfg.spec.groups
-        ]
+        self.group_params = KernelAttentionParams.init(rng, cfg.spec.groups, cfg.k)
         self.cal_params = CalibrationParams.init(rng, p)
         self.var_params = VariationalParams.init(rng, p, self.d)
-        self.global_params = KernelAttentionParams.init(rng, p, cfg.k)
+        (self.global_params,) = KernelAttentionParams.init(rng, [(0, p)], cfg.k)
         self.head_params = HeadParams.init(rng, p, comps)
-        self.group_buckets = stack_groups(cfg.spec.groups, self.group_params)
-        (self.global_bucket,) = stack_groups([(0, p)], [self.global_params])
         var = [self.var_params] if cfg.use_variational else []
         self.flat, self.grad_flat = bind(
-            [*self.group_buckets, self.cal_params, *var, self.global_bucket, self.head_params])
+            [*self.group_params, self.cal_params, *var, self.global_params, self.head_params])
 
     def named_parameters(self) -> dict:
-        """Checkpoint name -> parameter, groups first (not `flat`'s order)."""
+        """Checkpoint name -> parameter, groups first (not `flat`'s order). An
+        attention group's parameters are its rows of its record's stacks."""
+        rows = {s: (prm, j) for prm in self.group_params for j, (s, _) in enumerate(prm.cols)}
         out = {}
-        for g, gp in enumerate(self.group_params):
-            out.update(named_tensors(gp, f"group{g}"))
+        for g, s in enumerate(sorted(rows)):
+            out.update(_row(*rows[s], f"group{g}"))
         out.update(named_tensors(self.cal_params, "cal"))
         if self.cfg.use_variational:
             out.update(named_tensors(self.var_params, "var"))
-        out.update(named_tensors(self.global_params, "global"))
+        out.update(_row(self.global_params, 0, "global"))
         out.update(named_tensors(self.head_params, "head"))
         return out
 
@@ -218,12 +213,12 @@ class ScalarModel:
         if xt.data.ndim != 2 or xt.data.shape[1] != self.p:
             raise ConfigError(f"input must be (batch, {self.p}), got shape {xt.data.shape}")
         with no_grad() if mode == "eval" else contextlib.nullcontext():
-            z, group_traces = grouped_attention_forward(xt, self.group_buckets)
+            z, group_traces = grouped_attention_forward(xt, self.group_params)
             s, delta, gamma = self_calibrate(z, self.cal_params, rng)
             v, latent = s, None
             if self.cfg.use_variational:
                 v, latent = variational_encode_decode(s, self.var_params, rng)
-            global_trace = kernel_attention_forward(v, self.global_bucket)
+            global_trace = kernel_attention_forward(v, self.global_params)
             y_hat, alpha = head_forward(global_trace.z, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,

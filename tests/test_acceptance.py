@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from scalarnet.attention import (
-    AttentionBucket,
-    FeatureGroupSpec,
-    KernelAttentionParams,
-    kernel_attention_forward,
-)
+from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams, kernel_attention_forward
 from scalarnet.baselines import pls_fit, pls_predict, ridge_fit, select_components
 from scalarnet.data import split, standardize, synth_nonlinear, take
 from scalarnet.head import HeadParams, feature_importance, head_forward
@@ -99,11 +94,12 @@ def laid_out(record):
 
 
 def _attention_loop(x, params):
+    """The one-group record `params` on x, one scalar at a time."""
     b, p = x.shape
-    k = params.k
+    k = params.phi_w.l2.b.data.shape[-1]
 
     def affine(v, layer):
-        w, bias = layer.w.data, layer.b.data
+        w, bias = layer.w.data[0], layer.b.data[0]
         return [bias[j] + sum(v[i] * w[i, j] for i in range(len(v)))
                 for j in range(w.shape[1])]
 
@@ -161,13 +157,12 @@ def _head_loop(g, params):
 
 def test_03_loop_oracle_equivalence():
     rng = Rng(21)
-    att = KernelAttentionParams.init(rng, 4, 2)
+    (att,) = KernelAttentionParams.init(rng, [(0, 4)], 2)
     for t in named_tensors(att.phi_p, "p").values():  # randomize the zero-init layer
         t.data = rng.normal(t.data.shape) * 0.3
     x = rng.normal((3, 4))
     att_err = np.abs(
-        kernel_attention_forward(Tensor(x), laid_out(AttentionBucket([(0, 4)], [att]))).z.data
-        - _attention_loop(x, att)
+        kernel_attention_forward(Tensor(x), laid_out(att)).z.data - _attention_loop(x, att)
     ).max()
 
     head = laid_out(HeadParams.init(rng, 8, (4, 3, 2)))

@@ -1,36 +1,35 @@
-import copy
 from collections import Counter
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from scalarnet import tensor
 from scalarnet.attention import (
-    AttentionBucket,
     FeatureGroupSpec,
     KernelAttentionParams,
     grouped_attention_forward,
     kernel_attention_forward,
-    stack_groups,
 )
 from scalarnet.errors import ConfigError
-from scalarnet.layers import Affine, Mlp2, named_tensors
+from scalarnet.layers import Affine, Mlp2, hidden_width, named_tensors, stacked
 from scalarnet.losses import composite_loss
 from scalarnet.model import ModelConfig, ScalarModel, bind
 from scalarnet.tensor import Rng, Tensor, no_grad
 
 
 def loop_oracle(x, params):
-    """Straight-line scalar reimplementation of the attention equations:
-    kernels, normalization, softmax weights, weighted kernel-modulated sum,
-    projection + residual. Pure Python loops over every index."""
+    """Straight-line scalar reimplementation of the attention equations on
+    the one-group record `params`: kernels, normalization, softmax weights,
+    weighted kernel-modulated sum, projection + residual. Pure Python loops
+    over every index."""
     import math
 
     b, p = x.shape
-    k = params.k
+    k = params.phi_w.l2.b.data.shape[-1]
 
     def affine(v, layer):
-        w, bias = layer.w.data, layer.b.data
+        w, bias = layer.w.data[0], layer.b.data[0]
         out = [0.0] * w.shape[1]
         for j in range(w.shape[1]):
             acc = bias[j]
@@ -67,15 +66,38 @@ def loop_oracle(x, params):
     return z
 
 
-def laid_out(buckets):
-    """`buckets`, laid out in fresh buffers as a model lays out its own."""
-    bind(buckets)
-    return buckets
+def laid_out(records):
+    """`records`, laid out in fresh buffers as a model lays out its own."""
+    bind(records)
+    return records
 
 
-def tier(params):
-    """One kernel attention tier of `params`, a one-group bucket."""
-    return laid_out([AttentionBucket([(0, params.p_in)], [params])])[0]
+def tier(rng, width, k):
+    """A one-group kernel attention record over columns [0, width), laid out."""
+    return laid_out(KernelAttentionParams.init(rng, [(0, width)], k))[0]
+
+
+def rows(value, index):
+    """`value` (a record, a Tensor or `cols`) with only rows `index` of each
+    stack, as fresh arrays."""
+    if isinstance(value, Tensor):
+        return Tensor(value.data[index].copy())
+    if is_dataclass(value):
+        return type(value)(*(rows(getattr(value, f.name), index) for f in fields(value)))
+    return value[index]
+
+
+def taken_out(prm, j):
+    """Group j of the stacked record `prm`: its rows taken out as a one-group
+    record over columns [0, its width), laid out in fresh buffers."""
+    s, e = prm.cols[j]
+    return laid_out([replace(rows(prm, slice(j, j + 1)), cols=((0, e - s),))])[0]
+
+
+def by_column(records):
+    """(record, row) of each group of `records`, in column order."""
+    at = {s: (prm, j) for prm in records for j, (s, _) in enumerate(prm.cols)}
+    return [at[s] for s in sorted(at)]
 
 
 class TestFeatureGroupSpec:
@@ -98,42 +120,42 @@ class TestFeatureGroupSpec:
 class TestKernelAttention:
     def test_residual_identity_at_zero_projection(self):
         # phi_p initializes to zero, so the block starts as the identity
-        params = KernelAttentionParams.init(Rng(0), p_in=5, k=3)
+        params = tier(Rng(0), 5, 3)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        trace = kernel_attention_forward(Tensor(x), tier(params))
+        trace = kernel_attention_forward(Tensor(x), params)
         assert np.array_equal(trace.z.data, x)
 
     def test_single_kernel_weight_is_one(self):
-        params = KernelAttentionParams.init(Rng(2), p_in=4, k=1)
+        params = tier(Rng(2), 4, 1)
         x = np.random.default_rng(3).normal(size=(6, 4))
-        trace = kernel_attention_forward(Tensor(x), tier(params))
+        trace = kernel_attention_forward(Tensor(x), params)
         np.testing.assert_array_equal(trace.w, np.ones((6, 1)))
 
     def test_matches_loop_oracle(self):
-        params = KernelAttentionParams.init(Rng(4), p_in=4, k=2)
+        params = tier(Rng(4), 4, 2)
         # make the projection nontrivial
         params.phi_p.w.data[...] = np.random.default_rng(5).normal(size=(4, 4)) * 0.3
         params.phi_p.b.data[...] = np.random.default_rng(6).normal(size=4) * 0.1
         x = np.random.default_rng(7).normal(size=(3, 4))
-        trace = kernel_attention_forward(Tensor(x), tier(params))
+        trace = kernel_attention_forward(Tensor(x), params)
         np.testing.assert_allclose(trace.z.data, loop_oracle(x, params), atol=1e-10)
 
     def test_kernel_unit_norms_and_weight_simplex(self):
-        params = KernelAttentionParams.init(Rng(8), p_in=7, k=4)
+        params = tier(Rng(8), 7, 4)
         x = np.random.default_rng(9).normal(size=(20, 7))
-        trace = kernel_attention_forward(Tensor(x), tier(params))
+        trace = kernel_attention_forward(Tensor(x), params)
         norms = np.linalg.norm(trace.k_hat, axis=2)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
         np.testing.assert_allclose(trace.w.sum(axis=1), 1.0, atol=1e-12)
         assert (trace.w >= 0).all()
 
     def test_gradients_reach_all_parameters(self):
-        params = KernelAttentionParams.init(Rng(10), p_in=4, k=2)
+        params = tier(Rng(10), 4, 2)
         # zero-initialized phi_p blocks the phi_k/phi_w path by construction;
         # the flow invariant is about a generic projection
         params.phi_p.w.data[...] = np.random.default_rng(12).normal(size=(4, 4))
         x = np.random.default_rng(11).normal(size=(5, 4))
-        trace = kernel_attention_forward(Tensor(x), tier(params))
+        trace = kernel_attention_forward(Tensor(x), params)
         data = np.random.default_rng(13)
         weighted_sum(trace.z, data.normal(size=5), data.normal(size=4)).backward()
         for name, t in named_tensors(params, "a").items():
@@ -143,46 +165,61 @@ class TestKernelAttention:
 class TestGroupedAttention:
     def test_single_group_reduces_to_plain_forward(self):
         spec = FeatureGroupSpec([(0, 5)])
-        params = KernelAttentionParams.init(Rng(0), p_in=5, k=3)
-        alone = copy.deepcopy(params)
+        (params,) = laid_out(KernelAttentionParams.init(Rng(0), spec.groups, 3))
         x = np.random.default_rng(1).normal(size=(4, 5))
-        z, traces = grouped_attention_forward(Tensor(x), laid_out(stack_groups(spec.groups,
-                                                                               [params])))
-        direct = kernel_attention_forward(Tensor(x), tier(alone))
+        z, traces = grouped_attention_forward(Tensor(x), [params])
+        direct = kernel_attention_forward(Tensor(x), params)
         assert np.array_equal(z.data, direct.z.data)
         assert len(traces) == 1
 
     def test_identical_groups_identical_blocks(self):
         spec = FeatureGroupSpec([(0, 3), (3, 6)])
-        params = KernelAttentionParams.init(Rng(5), p_in=3, k=2)
-        params.phi_p.w.data[...] = np.random.default_rng(6).normal(size=(3, 3))
+        (params,) = laid_out(KernelAttentionParams.init(Rng(5), spec.groups, 2))
+        params.phi_p.w.data[0] = np.random.default_rng(6).normal(size=(3, 3))
+        for t in named_tensors(params, "a").values():  # group 1, group 0's twin
+            t.data[1] = t.data[0]
         half = np.random.default_rng(7).normal(size=(4, 3))
         x = np.concatenate([half, half], axis=1)
-        twin = copy.deepcopy(params)
-        z, _ = grouped_attention_forward(Tensor(x), laid_out(stack_groups(spec.groups,
-                                                                          [params, twin])))
+        z, _ = grouped_attention_forward(Tensor(x), [params])
         assert np.array_equal(z.data[:, :3], z.data[:, 3:])
 
     def test_processing_order_irrelevant(self):
         # concatenation is by spec position; running groups in any order and
         # reassembling gives bit-identical output
         spec = FeatureGroupSpec([(0, 2), (2, 6)])
-        rng = Rng(12)
-        plist = [
-            KernelAttentionParams.init(rng, 2, 2),
-            KernelAttentionParams.init(rng, 4, 2),
-        ]
-        for prm in plist:
-            prm.phi_p.w.data[...] = np.random.default_rng(13).normal(size=prm.phi_p.w.data.shape)
-        alone = copy.deepcopy(plist)
+        records = laid_out(KernelAttentionParams.init(Rng(12), spec.groups, 2))
+        for prm in records:
+            prm.phi_p.w.data[0] = np.random.default_rng(13).normal(size=prm.phi_p.w.data.shape[1:])
         x = np.random.default_rng(14).normal(size=(5, 6))
-        z, _ = grouped_attention_forward(Tensor(x), laid_out(stack_groups(spec.groups, plist)))
+        z, _ = grouped_attention_forward(Tensor(x), records)
         blocks = {}
         for g in (1, 0):  # reversed processing order
             s, e = spec.groups[g]
-            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), tier(alone[g])).z.data
+            alone = taken_out(*by_column(records)[g])
+            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), alone).z.data
         reassembled = np.concatenate([blocks[0], blocks[1]], axis=1)
         assert np.array_equal(z.data, reassembled)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_init_draws_group_by_group_in_column_order(self, seed):
+        """A checkpoint's bytes rest on the draw order: each group's phi_k,
+        phi_w and (zero, no draw) phi_p, one group after another in column
+        order, from the model's one Rng; widths are stacked only after."""
+        widths, k = (1, 6, 6, 3, 1), 2
+        bounds = np.cumsum((0,) + widths)
+        groups = [[int(s), int(e)] for s, e in zip(bounds[:-1], bounds[1:])]
+        model = ScalarModel(ModelConfig(groups=groups, k=k, seed=seed), int(bounds[-1]))
+        named = model.named_parameters()
+        rng, expected = Rng(seed), {}
+        for g, w in enumerate(widths):
+            h = hidden_width(w)
+            for field, layer in (("phi_k", Mlp2.init(rng, w, h, k * w)),
+                                 ("phi_w", Mlp2.init(rng, w, h, k)),
+                                 ("phi_p", Affine.init(rng, w, w, zero=True))):
+                expected.update(named_tensors(layer, f"group{g}.{field}"))
+        assert list(expected) == [n for n in named if n.startswith("group")]
+        for name, t in expected.items():
+            assert np.array_equal(named[name].data, t.data), name
 
     def test_spec_not_covering_data(self):
         model = ScalarModel(ModelConfig(groups=[[0, 2], [2, 4]], k=2), 4)
@@ -195,32 +232,23 @@ class TestStackedLayers:
     every attention tier runs them, give each stack member exactly what its
     own 2-D call gives: outputs, parameter-gradient rows and input gradient."""
 
-    @classmethod
-    def stacked(cls, layers):
-        """The layers as one layer of (G, ...) tensors, with zero gradients."""
-        if isinstance(layers[0], Mlp2):
-            return Mlp2(cls.stacked([n.l1 for n in layers]), cls.stacked([n.l2 for n in layers]))
-        w, b = (Tensor(np.stack([getattr(a, f).data for a in layers])) for f in "wb")
-        w.grad, b.grad = np.zeros_like(w.data), np.zeros_like(b.data)
-        return Affine(w, b)
-
     @pytest.mark.parametrize("make", [
         lambda rng: Affine.init(rng, 4, 3),
         lambda rng: Mlp2.init(rng, 4, 8, 3)], ids=["Affine", "Mlp2"])
     def test_stack_equals_each_member_alone(self, make):
         rng, data = Rng(3), np.random.default_rng(4)
         layers = [make(rng) for _ in range(5)]
-        for layer in layers:
+        stack = stacked(layers)  # the layers as one layer of (G, ...) tensors
+        for layer in (*layers, stack):
             for t in named_tensors(layer, "").values():
                 t.grad = np.zeros_like(t.data)
-        stack = self.stacked(layers)
         xs, gs = data.normal(size=(5, 7, 4)), data.normal(size=(5, 7, 3))
         if isinstance(stack, Mlp2):
             h, out = stack(xs, "test")
             gx = stack.backward(xs, h, gs)
         else:
             out, gx = stack(xs, "test"), stack.backward(xs, gs)
-        stacked = named_tensors(stack, "")
+        stacked_tensors = named_tensors(stack, "")
         for g, layer in enumerate(layers):
             if isinstance(layer, Mlp2):
                 h_g, out_g = layer(xs[g], "test")
@@ -231,7 +259,7 @@ class TestStackedLayers:
             assert np.array_equal(out[g], out_g), g
             assert np.array_equal(gx[g], gx_g), g
             for name, t in named_tensors(layer, "").items():
-                assert t.grad.any() and np.array_equal(stacked[name].grad[g], t.grad), (g, name)
+                assert t.grad.any() and np.array_equal(stacked_tensors[name].grad[g], t.grad), (g, name)
 
 
 def weighted_sum(z, u, w):
@@ -244,12 +272,14 @@ def weighted_sum(z, u, w):
     return tensor._node("weighted_sum", u @ z.data @ w, (z,), backward)
 
 
-def random_group_params(widths, k, seed):
+def random_group_params(groups, k, seed):
+    """The laid-out records of `groups`, each group's projection nonzero, so
+    every parameter gets a gradient."""
     rng = Rng(seed)
-    plist = [KernelAttentionParams.init(rng, w, k) for w in widths]
-    for prm in plist:  # a nonzero projection, so every parameter gets a gradient
-        prm.phi_p.w.data[...] = rng.normal(prm.phi_p.w.data.shape) * 0.5
-    return plist
+    records = laid_out(KernelAttentionParams.init(rng, groups, k))
+    for prm, j in by_column(records):
+        prm.phi_p.w.data[j] = rng.normal(prm.phi_p.w.data.shape[1:]) * 0.5
+    return records
 
 
 class TestFusedGroups:
@@ -262,27 +292,27 @@ class TestFusedGroups:
     def test_stacked_groups_equal_each_group_alone(self, widths, rows):
         bounds = np.cumsum((0,) + widths)
         spec = FeatureGroupSpec(list(zip(bounds[:-1], bounds[1:])))
-        plist = random_group_params(widths, 3, seed=len(widths))
-        copies = copy.deepcopy(plist)  # each group's record, laid out alone below
+        records = random_group_params(spec.groups, 3, seed=len(widths))
         data = np.random.default_rng(rows)
         x, c = data.normal(size=(2, rows, bounds[-1]))
         u, w = c[:, 0], c[0]  # the upstream gradient is u wᵀ
         with no_grad():
             xt = Tensor(x)
-        z, traces = grouped_attention_forward(xt, laid_out(stack_groups(spec.groups, plist)))
+        z, traces = grouped_attention_forward(xt, records)
         weighted_sum(z, u, w).backward()
-        fused = [{n: t.grad.copy() for n, t in named_tensors(prm, "a").items()}
-                 for prm in plist]
-        for g, ((s, e), prm) in enumerate(zip(spec.groups, copies)):
+        fused = [{n: t.grad[j].copy() for n, t in named_tensors(prm, "a").items()}
+                 for prm, j in by_column(records)]
+        for g, (s, e) in enumerate(spec.groups):
             with no_grad():
                 xg = Tensor(x[:, s:e])
-            alone = kernel_attention_forward(xg, tier(prm))
+            prm = taken_out(*by_column(records)[g])
+            alone = kernel_attention_forward(xg, prm)
             assert np.array_equal(z.data[:, s:e], alone.z.data)
             assert np.array_equal(traces[g].k_hat, alone.k_hat)
             assert np.array_equal(traces[g].w, alone.w)
             weighted_sum(alone.z, u, w[s:e]).backward()
             for name, t in named_tensors(prm, "a").items():
-                assert np.array_equal(fused[g][name], t.grad), (g, name)
+                assert np.array_equal(fused[g][name], t.grad[0]), (g, name)
 
     def test_loss_graph_size_does_not_grow_with_groups(self):
         """The train-mode loss graph has one node per attention tier and per

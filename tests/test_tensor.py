@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalarnet
 from scalarnet import tensor
-from scalarnet.attention import EPS, KernelAttentionParams, kernel_attention, stack_groups
+from scalarnet.attention import EPS, KernelAttentionParams, kernel_attention
 from scalarnet.calibration import (
     CalibrationParams,
     VariationalParams,
@@ -19,7 +19,7 @@ from scalarnet.calibration import (
 )
 from scalarnet.errors import NumericError, ShapeError
 from scalarnet.head import HeadParams, head_forward
-from scalarnet.layers import Affine, Mlp2
+from scalarnet.layers import Affine, Mlp2, named_tensors, stacked
 from scalarnet.losses import loss
 from scalarnet.model import bind
 from scalarnet.tensor import Rng, Tensor, no_grad
@@ -49,10 +49,21 @@ def unit_row_attention(m, k, phi_k2, phi_k2_bias, phi_w_bias):
 
 def attend(x, groups, params):
     """kernel_attention on x's column intervals `groups`, `params[i]` group
-    i's record, the groups stacked by width (see `stack_groups`)."""
-    buckets = stack_groups(groups, params)
-    bind(buckets)
-    return kernel_attention(x, buckets)
+    i's layers (phi_k, phi_w, phi_p), stacked by width as
+    `KernelAttentionParams.init` stacks them and laid out; then each of the
+    groups' tensors views its row of its stack, data and gradient."""
+    by_width = {}
+    for cols, layers in zip(groups, params):
+        by_width.setdefault(cols[1] - cols[0], []).append((cols, *layers))
+    records = [KernelAttentionParams(cols, *map(stacked, layers))
+               for cols, *layers in (zip(*members) for members in by_width.values())]
+    bind(records)
+    for prm, members in zip(records, by_width.values()):
+        for j, (_, *layers) in enumerate(members):
+            lone = [t for layer in layers for t in named_tensors(layer, "").values()]
+            for t, stack in zip(lone, named_tensors(prm, "").values()):
+                t.data, t.grad = stack.data[j], stack.grad[j]
+    return kernel_attention(x, records)
 
 
 def normalize_rows(t):
@@ -187,10 +198,10 @@ def laid_out(record):
 
 
 def attention_params(arrays):
-    """kernel_attention's ten parameters: phi_k's four, phi_w's four, phi_p's two."""
+    """One group's (phi_k, phi_w, phi_p) of kernel_attention's ten parameters:
+    phi_k's four, phi_w's four, phi_p's two."""
     ts = wrap(arrays)
-    return KernelAttentionParams(p_in=ts[0].data.shape[0], k=ts[6].data.shape[1],
-                                 phi_k=mlp(ts[:4]), phi_w=mlp(ts[4:8]), phi_p=aff(ts[8:]))
+    return mlp(ts[:4]), mlp(ts[4:8]), aff(ts[8:])
 
 
 def calibration_params(c, t):

@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import dataclasses
 import tracemalloc
 from collections import Counter
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalarnet import model as model_module
-from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams, stack_groups
+from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams
 from scalarnet.calibration import CalibrationParams, self_calibrate, variational_encode_decode
 from scalarnet.data import Dataset, standardize, synth_nonlinear
 from scalarnet.errors import ConfigError, NumericError
@@ -93,7 +92,7 @@ class TestGradcheck:
     @pytest.mark.parametrize("widths,batch,variational", [
         ((6, 6), 32, True),  # the train_small benchmark workload
         ((6,) * 8, 128, True),  # train_wide
-        ((1, 6, 6, 3, 1), 32, True),  # mixed-width buckets, one- and two-group
+        ((1, 6, 6, 3, 1), 32, True),  # mixed-width records, one- and two-group
         ((3,) * 16, 1, True),  # 16 stacked groups, a one-row batch
         ((6, 6), 32, False),  # no variational block
     ])
@@ -117,7 +116,7 @@ class TestGradcheck:
             y_hat, trace = model.forward(x, "train", noise)
             return composite_loss(y, y_hat, trace.latent, 5, 10, cfg.loss)[0]
 
-        leaves = loss_at(0.0).backward()  # a bucket per width, cal, var, global and head
+        leaves = loss_at(0.0).backward()  # a record per width, cal, var, global and head
         assert len(leaves) == len(set(widths)) + 3 + variational
         assert sum(t.data.size for t in leaves) == model.flat.size
         g, h, worst = model.grad_flat.copy(), 1e-5, 0.0
@@ -222,15 +221,15 @@ class TestFlatBuffers:
         for k, t in named.items():
             assert np.shares_memory(t.data, model.flat), k
             assert np.shares_memory(t.grad, model.grad_flat), k
-        buckets = [*model.group_buckets, model.global_bucket]
-        stages = [*buckets, model.cal_params, model.head_params]
+        tiers = [*model.group_params, model.global_params]
+        stages = [*tiers, model.cal_params, model.head_params]
         if model.cfg.use_variational:
             stages.append(model.var_params)
         for stage in stages:
             assert np.shares_memory(stage.leaf.data, model.flat)
             assert np.shares_memory(stage.leaf.grad, model.grad_flat)
-        for bucket in buckets:
-            for t in named_tensors(bucket.stack, "stack").values():
+        for prm in tiers:  # each group's named tensors are rows of these stacks
+            for t in named_tensors(prm, "stack").values():
                 assert np.shares_memory(t.data, model.flat)
                 assert np.shares_memory(t.grad, model.grad_flat)
 
@@ -277,7 +276,7 @@ class TestFlatBuffers:
             assert named[k].grad.any(), k
 
     def test_checkpoint_model_views_its_flat_buffer(self, acceptance_ckpt):
-        """A bucket per width (its groups' ten fields, each stacked over the
+        """A record per width (its groups' ten fields, each stacked over the
         groups), then cal, var, the global tier and head, each in name order."""
         model = acceptance_ckpt.build_model()
         self.assert_views(model)
@@ -297,7 +296,7 @@ class TestFlatBuffers:
         monkeypatch.setattr(model_module, "bind", lambda records: calls.append(records)
                             or bind(records))
         model = ScalarModel(quick_cfg(use_variational=False), 8)
-        assert calls == [[*model.group_buckets, model.cal_params, model.global_bucket,
+        assert calls == [[*model.group_params, model.cal_params, model.global_params,
                           model.head_params]]
         records = [CalibrationParams.init(Rng(0), 8), HeadParams.init(Rng(0), 8, (4, 3, 2))]
         for record in (model.var_params, *records):  # the variational record goes unused
@@ -309,11 +308,10 @@ class TestFlatBuffers:
                 assert np.shares_memory(t.grad, record.leaf.grad)
 
     def test_a_tensor_is_laid_out_once(self):
-        groups = [(0, 3), (3, 6)]
-        prm = KernelAttentionParams.init(Rng(0), 3, 2)
-        with pytest.raises(ValueError, match="once"):  # the same record in two groups
-            bind(stack_groups(groups, [prm, prm]))
-        bind(stack_groups(groups, [prm, copy.deepcopy(prm)]))  # nothing was laid out above
+        (prm,) = KernelAttentionParams.init(Rng(0), [(0, 3), (3, 6)], 2)
+        with pytest.raises(ValueError, match="once"):  # the same record given twice
+            bind([prm, prm])
+        bind([prm])  # nothing was laid out above
         cal = CalibrationParams.init(Rng(1), 4)
         bind([cal])
         shares = CalibrationParams(phi_t=cal.phi_t, phi_c=Mlp2.init(Rng(2), 4, 8, 2))
@@ -435,10 +433,10 @@ class TestGraphSize:
 
 
 class TestTraining:
-    # two 4-wide groups stack into one bucket of the grouped tier; widths
+    # two 4-wide groups stack into one record of the grouped tier; widths
     # (1, 6, 6, 3, 1) into three
     @pytest.mark.parametrize("widths,epochs", [((4, 4), 10), ((1, 6, 6, 3, 1), 4)],
-                             ids=["one_bucket", "three_buckets"])
+                             ids=["one_record", "three_records"])
     def test_two_runs_bit_identical(self, widths, epochs):
         bounds = np.cumsum((0,) + widths).tolist()
         groups = [[s, e] for s, e in zip(bounds[:-1], bounds[1:])]
@@ -791,9 +789,9 @@ class TestGraphScope:
         inputs = []
         grouped = model_module.grouped_attention_forward
 
-        def capture(xt, buckets):
+        def capture(xt, records):
             inputs.append(xt)
-            return grouped(xt, buckets)
+            return grouped(xt, records)
 
         monkeypatch.setattr(model_module, "grouped_attention_forward", capture)
 
