@@ -165,8 +165,10 @@ def kernel_attention(x: Tensor, records):
             graw *= wsm[..., None] / m
             if (m == EPS).any():  # there k̂ = raw / EPS: w_j·u passes through scaled
                 graw = np.where(m > EPS, graw, wsm[..., None] * u[:, :, None] / EPS)
-            gx_w = prm.phi_w.backward(xs, hw, _softmax_rows_grad(wsm, gw))
-            gx_k = prm.phi_k.backward(xs, hk, graw.reshape(hk.shape[:2] + (-1,)))
+            # on the grouped tier x is a constant: no g @ wᵀ into it
+            gx_w = prm.phi_w.backward(xs, hw, _softmax_rows_grad(wsm, gw), x.requires_grad)
+            gx_k = prm.phi_k.backward(xs, hk, graw.reshape(hk.shape[:2] + (-1,)),
+                                      x.requires_grad)
             if x.requires_grad:
                 # the residual, kernel mixing, phi_w and phi_k terms, in the
                 # order a graph of one node per layer would add them

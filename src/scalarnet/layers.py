@@ -54,14 +54,16 @@ class Affine:
 
     def __call__(self, x: np.ndarray, op: str) -> np.ndarray:
         """x @ w + b on the (..., b, in) array x, inside the stage op `op`."""
-        return _guard(op, x @ self.w.data + self.b.data[..., None, :])
+        out = x @ self.w.data
+        out += self.b.data[..., None, :]  # in place: no second (..., b, out) array
+        return _guard(op, out)
 
-    def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def backward(self, x: np.ndarray, g: np.ndarray, wrt_x: bool = True):
         """Add the gradients of w and b in `self(x)`, given g, the output's;
-        returns the gradient wrt x."""
+        returns the gradient wrt x, or None when not `wrt_x`."""
         self.w.grad += x.swapaxes(-1, -2) @ g
         self.b.grad += g.sum(axis=-2)
-        return g @ self.w.data.swapaxes(-1, -2)
+        return g @ self.w.data.swapaxes(-1, -2) if wrt_x else None
 
 
 @dataclass
@@ -80,10 +82,11 @@ class Mlp2:
         h = np.tanh(self.l1(x, op))
         return h, self.l2(h, op)
 
-    def backward(self, x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def backward(self, x: np.ndarray, h: np.ndarray, g: np.ndarray, wrt_x: bool = True):
         """Add the parameter gradients of `self(x)`, given h, its hidden layer,
-        and g, the gradient wrt its output. Returns the gradient wrt x."""
-        return self.l1.backward(x, self.l2.backward(h, g) * (1.0 - h * h))
+        and g, the gradient wrt its output. Returns the gradient wrt x, or
+        None when not `wrt_x`."""
+        return self.l1.backward(x, self.l2.backward(h, g) * (1.0 - h * h), wrt_x)
 
 
 def hidden_width(p_in: int) -> int:

@@ -29,6 +29,10 @@ from .tensor import Rng
 
 CHECKPOINT_VERSION = 1
 EVAL_ROWS = 4096  # most rows in one eval-mode forward of predict and importance
+# An eval forward's widest arrays, the attention tiers' k̂, hold k·p cells a
+# row; a chunk holds at most EVAL_CELLS of them, so models with k·p <= 48 run
+# EVAL_ROWS-row chunks and wider ones fewer rows.
+EVAL_CELLS = EVAL_ROWS * 48
 # Eval chunks start on multiples of EVAL_ALIGN rows. OpenBLAS (0.3.31) rounds
 # some rows of a one-column product, such as phi_y's last layer, differently
 # when a call starts at an unaligned row; aligned chunks give the bits of one
@@ -254,10 +258,11 @@ def train(ds: Dataset, cfg: ModelConfig):
 
 def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
     """Eval-mode forwards of the checkpoint's model on raw, unstandardized
-    data, over ceil(n / EVAL_ROWS) near-equal row chunks (sizes differ by at
-    most EVAL_ALIGN rows). `keep(y_hat, trace)` picks row-major arrays from
-    each chunk's forward; returns (the checked scaler, those arrays filled
-    for all n rows).
+    data, over ceil(n / rows) near-equal row chunks (sizes differ by at most
+    EVAL_ALIGN rows). `rows` is the largest multiple of EVAL_ALIGN with
+    rows·k·p <= EVAL_CELLS, kept within [EVAL_ALIGN, EVAL_ROWS]. `keep(y_hat,
+    trace)` picks row-major arrays from each chunk's forward; returns (the
+    checked scaler, those arrays filled for all n rows).
     """
     scaler = ckpt.get_scaler()
     if ds_raw.p != len(scaler.x_mean):
@@ -266,7 +271,9 @@ def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
         )
     model = ckpt.build_model()
     n = ds_raw.n
-    chunks = max(1, -(-n // EVAL_ROWS))
+    rows = EVAL_CELLS // (model.cfg.k * model.p) // EVAL_ALIGN * EVAL_ALIGN
+    rows = min(EVAL_ROWS, max(EVAL_ALIGN, rows))
+    chunks = max(1, -(-n // rows))
     # the near-equal cuts i·n/chunks, each rounded up to a multiple of EVAL_ALIGN
     bounds = [min(n, -(-(i * n // chunks) // EVAL_ALIGN) * EVAL_ALIGN)
               for i in range(chunks + 1)]

@@ -602,6 +602,21 @@ def eval_rows(n, seed=5):
     return synth_nonlinear(n, FeatureGroupSpec(ACCEPTANCE_GROUPS), 0.1, seed=seed)
 
 
+WIDE_GROUPS = [[6 * g, 6 * g + 6] for g in range(8)]
+
+
+@pytest.fixture(scope="module")
+def wide_ckpt():
+    """A one-epoch checkpoint on 48 features in eight groups of 6, k = 4: its
+    k·p = 192 cells a row give 1024-row eval chunks."""
+    ds = synth_nonlinear(128, FeatureGroupSpec(WIDE_GROUPS), 0.1, seed=3)
+    return train(standardize(ds), ModelConfig(groups=WIDE_GROUPS, max_epochs=1, seed=0))[0]
+
+
+def wide_eval_rows(n, seed=5):
+    return synth_nonlinear(n, FeatureGroupSpec(WIDE_GROUPS), 0.1, seed=seed)
+
+
 class TestChunkedEval:
     """predict and importance_scores run in row chunks of at most EVAL_ROWS
     without a graph, and give the bits of one full-batch forward."""
@@ -642,20 +657,39 @@ class TestChunkedEval:
         assert max(sizes) <= EVAL_ROWS and min(sizes) > n // chunks - EVAL_ALIGN
         assert all(s % EVAL_ALIGN == 0 for s in sizes[:-1])  # aligned starts
 
-    def test_wide_config_matches_full_batch_to_rounding(self):
+    @pytest.mark.parametrize("n", [2, 1024, 1025, 4000, EVAL_ROWS + 1])
+    @pytest.mark.parametrize("score", [predict, importance_scores])
+    def test_wide_chunks_are_aligned_and_cover_every_row(self, wide_ckpt, n, score,
+                                                         monkeypatch):
+        """48 features, k = 4: chunks of at most EVAL_CELLS / 192 = 1024 rows."""
+        sizes = []
+        forward = ScalarModel.forward
+
+        def spy(model, x, mode="train", rng=None):
+            sizes.append(len(x))
+            return forward(model, x, mode, rng)
+
+        monkeypatch.setattr(ScalarModel, "forward", spy)
+        score(wide_ckpt, wide_eval_rows(n))
+        assert len(sizes) == -(-n // 1024) and sum(sizes) == n
+        assert max(sizes) <= 1024
+        assert all(s % EVAL_ALIGN == 0 for s in sizes[:-1])  # aligned starts
+
+    def test_wide_config_matches_full_batch_to_rounding(self, wide_ckpt):
         """On 48 features OpenBLAS picks other gemm kernels for a chunk's row
         count than for the full batch, so chunks agree to rounding only."""
-        groups = [[6 * g, 6 * g + 6] for g in range(8)]
-        spec = FeatureGroupSpec(groups)
-        ckpt, _ = train(standardize(synth_nonlinear(128, spec, 0.1, seed=3)),
-                        ModelConfig(groups=groups, max_epochs=1, seed=0))
-        ds_raw = synth_nonlinear(EVAL_ROWS + 1, spec, 0.1, seed=5)
-        scaler = ckpt.get_scaler()
-        y_hat, _ = ckpt.build_model().forward((ds_raw.x - scaler.x_mean) / scaler.x_std,
-                                              "eval")
-        np.testing.assert_allclose(predict(ckpt, ds_raw),
+        ds_raw = wide_eval_rows(EVAL_ROWS + 1)
+        scaler = wide_ckpt.get_scaler()
+        y_hat, trace = wide_ckpt.build_model().forward(
+            (ds_raw.x - scaler.x_mean) / scaler.x_std, "eval")
+        np.testing.assert_allclose(predict(wide_ckpt, ds_raw),
                                    y_hat.data * scaler.y_std + scaler.y_mean,
                                    rtol=1e-9, atol=1e-12)
+        raw, normalized = importance_scores(wide_ckpt, ds_raw)
+        ref_raw, ref_normalized = feature_importance(trace.global_trace.k_hat,
+                                                     trace.global_trace.w)
+        np.testing.assert_allclose(raw, ref_raw, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(normalized, ref_normalized, rtol=1e-9, atol=1e-12)
 
     def test_memory_per_row_is_bounded(self, acceptance_ckpt):
         """Traced peak below 2 KB per row on 20k rows; a kept graph costs
@@ -669,6 +703,18 @@ class TestChunkedEval:
             finally:
                 tracemalloc.stop()
             assert peak / ds_raw.n < 2048, (score.__name__, peak / ds_raw.n)
+
+    def test_wide_memory_per_row_is_bounded(self, wide_ckpt):
+        """Traced peak of predict on 4000 rows of 48 features below 3 KB per
+        row (~2.1 KB in 1024-row chunks, ~8.1 KB in one 4000-row chunk)."""
+        ds_raw = wide_eval_rows(4000)
+        tracemalloc.start()
+        try:
+            predict(wide_ckpt, ds_raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ds_raw.n < 3072, peak / ds_raw.n
 
 
 def ref_mlp2(x, net):
