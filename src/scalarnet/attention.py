@@ -176,7 +176,7 @@ def kernel_attention(x: Tensor, records):
                 for j, (s, e) in enumerate(prm.cols):
                     x.grad[:, s:e] += gx[j]
 
-    parents = (x, *(prm.leaf for prm in records))
+    parents = (x, records[0].leaf)  # every record's leaf is the model's one leaf
     k_hats, weights = zip(*(rows[s] for s in sorted(rows)))
     return _node("kernel_attention", out, parents, backward), k_hats, weights
 

@@ -222,7 +222,8 @@ def main(argv=None) -> int:
             args.func(args)
     # an unreadable or unwritable path (a missing file, a directory) is a
     # usage error too; a file that is not UTF-8 text or not JSON raises one
-    # naming it; so is a size (rows, kernels, bins) too large to allocate
+    # naming it; so is a size (rows, kernels, bins) too large to allocate,
+    # one too large for numpy to describe included (errors.check_cells)
     except (ConfigError, DataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import FeatureGroupSpec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_cells
 from .tensor import Rng
 
 
@@ -199,6 +199,7 @@ def synth_nonlinear(
         raise ConfigError("synthetic generator needs at least 2 feature groups")
     rng = Rng(seed)
     p = spec.n_features
+    check_cells(f"{n} rows of {p} features", n * p)
     x = rng.normal((n, p))
     y = np.zeros(n)
     for s, e in spec.groups:

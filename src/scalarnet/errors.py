@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import sys
+
 
 class ShapeError(ValueError):
     """Operand shapes do not conform for the requested operation."""
@@ -19,3 +21,11 @@ class DataError(ValueError):
 
 class ConvergenceError(NumericError):
     """A fit found nothing left to extract, e.g. PLS on a constant target."""
+
+
+def check_cells(what: str, cells: int) -> None:
+    """Raise MemoryError, as numpy does for an array it cannot allocate, when
+    `cells` float64 values are more than one array can describe: there numpy
+    raises ValueError or IndexError instead."""
+    if cells * 8 > sys.maxsize:
+        raise MemoryError(f"{what}: too large to allocate")

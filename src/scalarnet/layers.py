@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
+from .errors import check_cells
 from .tensor import Rng, Tensor, _guard
 
 
@@ -49,6 +50,7 @@ class Affine:
 
     @classmethod
     def init(cls, rng: Rng, fan_in: int, fan_out: int, zero: bool = False) -> "Affine":
+        check_cells(f"a {fan_in} x {fan_out} layer", fan_in * fan_out)
         w = np.zeros((fan_in, fan_out)) if zero else glorot(rng, fan_in, fan_out)
         return cls(Tensor(w), Tensor(np.zeros(fan_out)))
 

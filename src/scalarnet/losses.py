@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_cells
 from .tensor import Tensor, _node
 
 
@@ -172,6 +172,7 @@ def binwise_rmse(y, y_hat, n_bins: int):
     y, y_hat = _targets_and_predictions(y, y_hat)
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    check_cells(f"{n_bins} bins", n_bins + 1)
     edges = np.linspace(y.min(), y.max(), n_bins + 1)
     out = []
     for i in range(n_bins):

@@ -125,22 +125,21 @@ class ForwardTrace:
 def bind(records) -> tuple:
     """Lay the stage records `records` out in two fresh flat arrays (data,
     grad), returned: each tensor's .data and .grad become views of them, as
-    they are shaped. `record.leaf`, its op's one parameter parent, spans the
-    record's slices. A tensor already laid out (its .grad set), or given
-    twice, raises ValueError."""
-    layout = [list(named_tensors(r, "").values()) for r in records]
-    tensors = [t for ts in layout for t in ts]
+    they are shaped. Every record's `leaf`, its op's one parameter parent, is
+    the same graph leaf, whose .data and .grad are the two arrays. A tensor
+    already laid out (its .grad set), or given twice, raises ValueError."""
+    tensors = [t for r in records for t in named_tensors(r, "").values()]
     if len({id(t) for t in tensors}) < len(tensors) or any(t.grad is not None for t in tensors):
         raise ValueError("a parameter tensor can be laid out only once")
     data = np.concatenate([t.data.reshape(-1) for t in tensors])
     grad, end = np.zeros(data.size), 0
-    for record, ts in zip(records, layout):
-        start = end
-        for t in ts:
-            a, end = end, end + t.data.size
-            t.data, t.grad = data[a:end].reshape(t.data.shape), grad[a:end].reshape(t.data.shape)
-        record.leaf = Tensor(data[start:end])
-        record.leaf.grad = grad[start:end]
+    for t in tensors:
+        a, end = end, end + t.data.size
+        t.data, t.grad = data[a:end].reshape(t.data.shape), grad[a:end].reshape(t.data.shape)
+    leaf = Tensor(data)
+    leaf.grad = grad
+    for record in records:
+        record.leaf = leaf
     return data, grad
 
 
@@ -157,11 +156,12 @@ class ScalarModel:
     """Holds all learnable parameters and runs the end-to-end forward pass.
 
     The model owns two flat float64 buffers, `flat` for every parameter and
-    `grad_flat` for their gradients. Its one `bind` call lays them out as one
-    stage leaf per group width (a KernelAttentionParams of (G, ...) stacks),
-    cal, var (when used), global and head; each parameter's `.data` and
-    `.grad` are views of them. Writing into a view (`t.data[...] = a`)
-    updates the buffer; assigning `.data` detaches that parameter from it.
+    `grad_flat` for their gradients, and one graph leaf over both. Its one
+    `bind` call lays them out as a record per group width (a
+    KernelAttentionParams of (G, ...) stacks), cal, var (when used), global
+    and head; each parameter's `.data` and `.grad` are views of them. Writing
+    into a view (`t.data[...] = a`) updates the buffer; assigning `.data`
+    detaches that parameter from it.
     """
 
     def __init__(self, cfg: ModelConfig, p: int):

@@ -19,11 +19,10 @@ deterministic reverse topological accumulation seeded with 1.
 
 Each backward gives every tensor it reaches exactly that backward's gradient,
 and returns the leaves it reached. A reached leaf that already holds a
-gradient array of its shape keeps it, and the whole buffer that array views
-is zero-filled once, in place: a model's stage leaves all view its one flat
+gradient array of its shape keeps it, zero-filled in place; every other
+reached tensor gets a new zero array. A model's one leaf holds its whole flat
 gradient buffer (`model.bind`), so a parameter the backward does not reach
-holds an exact zero, not an earlier gradient. Every other reached tensor gets
-a new zero array.
+holds an exact zero, not an earlier gradient.
 
 A tensor's `requires_grad` says whether backward gives it a gradient. A leaf
 needs one, unless it was made inside a `no_grad()` block: such a leaf is a
@@ -113,24 +112,20 @@ class Tensor:
 
     def backward(self) -> list:
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
-        Only the nodes that need a gradient get one, and each (with all of a
-        reached leaf's buffer) holds exactly this backward's gradient. Returns
-        the leaves it reached."""
+        Only the nodes that need a gradient get one, and each holds exactly
+        this backward's gradient. Returns the leaves it reached."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
         if not self.requires_grad:
             raise NumericError("backward from a constant: nothing needs a gradient")
-        topo, buffers = self._toposort(), {}
+        topo = self._toposort()
         for t in topo:
             if t._prev or t.grad is None or t.grad.shape != t.data.shape:
                 t.grad = np.zeros(t.data.shape)
-            else:  # reused in place, with all of the buffer it views
-                buf = t.grad if t.grad.base is None else t.grad.base
-                buffers[id(buf)] = buf
-        for buf in buffers.values():
-            buf.fill(0.0)
+            else:  # a leaf's own gradient array, reused in place
+                t.grad.fill(0.0)
         self.grad = np.ones(self.data.shape)
         for t in reversed(topo):
             if t._backward is not None:

@@ -55,7 +55,7 @@ class Adam:
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, model: ScalarModel, lr: float):
-        if not model.head_params.leaf.requires_grad:  # the leaves of one bind call
+        if not model.head_params.leaf.requires_grad:  # the model's one leaf
             raise ConfigError("a ScalarModel built inside no_grad() cannot train")
         self.params = model.named_parameters()
         self.flat, self.grad_flat = model.flat, model.grad_flat

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalarnet import cli
 from scalarnet.attention import FeatureGroupSpec
@@ -286,6 +291,14 @@ def _bad_checkpoint(edit):
     return argv
 
 
+def _bad_importance_checkpoint(edit):
+    """`importance` with a freshly trained checkpoint whose JSON `edit` has changed."""
+    def argv(tmp, common, config):
+        return ["importance", *_bad_checkpoint(edit)(tmp, common, config)[1:],
+                "--out", tmp / "imp.csv"]
+    return argv
+
+
 def _bad_groups(text):
     """`baseline` with a malformed groups file."""
     return lambda tmp, common, config: [
@@ -403,6 +416,26 @@ BAD_INPUTS = {
     "eval_bins_too_large": lambda tmp, common, config: [
         "eval", *common, "--ckpt", _trained_checkpoint(tmp, common, config),
         "--bins", str(10**15)],
+    # each size's array holds more than 2**63 bytes, which numpy cannot describe
+    "config_k_beyond_array_limit": _bad_config(k=2**62),
+    "config_k_beyond_int64": _bad_config(k=10**30),
+    "config_d_beyond_array_limit": _bad_config(d=2**62),
+    "checkpoint_k_beyond_array_limit": _bad_checkpoint(lambda raw: raw["config"].update(k=2**62)),
+    "checkpoint_d_beyond_array_limit": _bad_checkpoint(lambda raw: raw["config"].update(d=2**62)),
+    "importance_checkpoint_k_beyond_array_limit": _bad_importance_checkpoint(
+        lambda raw: raw["config"].update(k=2**62)),
+    "importance_checkpoint_d_beyond_array_limit": _bad_importance_checkpoint(
+        lambda raw: raw["config"].update(d=2**62)),
+    "synth_rows_beyond_array_limit": _synth("--n", str(2**62)),
+    "synth_groups_beyond_array_limit": lambda tmp, common, config: [
+        "synth", "--n", "10", "--groups", _write(tmp / "g.json", f"[[0, 4], [4, {2**62}]]"),
+        "--out", tmp / "s.csv"],
+    "eval_bins_beyond_array_limit": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _trained_checkpoint(tmp, common, config),
+        "--bins", str(2**62)],
+    "eval_bins_beyond_int64": lambda tmp, common, config: [
+        "eval", *common, "--ckpt", _trained_checkpoint(tmp, common, config),
+        "--bins", str(2**63)],
     "checkpoint_param_numeric_string": _bad_checkpoint(
         lambda raw: raw["params"].update(
             {"head.w1": [["0.5"] * len(row) for row in raw["params"]["head.w1"]]})),
@@ -438,10 +471,14 @@ def test_bad_input_exits_2_without_traceback(case, workspace, capsys, monkeypatc
     if case.endswith("_out_directory"):  # --out is checked before training or scoring
         monkeypatch.setattr(cli, "train", _work_started)
         monkeypatch.setattr(cli, "importance_scores", _work_started)
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    existed = out is not None and out.exists()
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    if out is not None:  # the command removed the --out its check created
+        assert out.exists() == existed
     if case in NAMED_FILE:
         assert str(tmp / NAMED_FILE[case]) in err
 
@@ -514,3 +551,111 @@ def test_stage_overflow_names_stage_epoch_and_batch(workspace, capsys):
     capsys.readouterr()
     assert run(argv) == 3
     assert re.search(message, capsys.readouterr().err)
+
+
+# The generated input contract: one field of a valid input file takes a value
+# from MENU, and each subcommand that reads the file runs through `cli.main`.
+DELETED = object()  # the mutation that deletes the field
+MENU = [2**62, 2**63, 10**30, -1, -(2**62), True, False, "x", [1, 2], None, DELETED]
+VALID_CONFIG = {"max_epochs": 1, "batch_size": 16, "patience": 1, "k": 2, "d": 2,
+                "components": [4, 3, 2], "learning_rate": 3e-3, "grad_clip_norm": 5.0,
+                "val_fraction": 0.25, "use_variational": True, "seed": 0,
+                "loss": {"omega_mse": 0.7, "huber_delta": 1.0, "beta0": 1e-3,
+                         "warmup_fraction": 0.1}}
+# a field path in each input file; max_epochs is left out, as any count it
+# accepts is a valid run, only a longer one
+CONTRACT_FIELDS = {
+    "config": [(key,) for key in VALID_CONFIG if key != "max_epochs"]
+    + [("components", 0), ("loss", "huber_delta"), ("loss", "warmup_fraction")],
+    "groups": [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)],
+    "checkpoint": [(key,) for key in ("format_version", "config", "params", "scaler",
+                                      "best_val_loss", "epoch")]
+    + [("config", key) for key in ("groups", "k", "d", "components", "use_variational")]
+    + [("scaler", "x_std"), ("scaler", "x_std", 0), ("scaler", "y_mean"),
+       ("params", "head.w1"), ("params", "head.w1", 0, 0)],
+    "csv": [(0, 0), (0, -1), (1, 0), (1, -1), (5, 3)],  # (row, cell); row 0 is the header
+}
+CONTRACT_COMMANDS = {  # each subcommand that reads an input file, and the files it reads
+    "train": ("csv", "groups", "config"),
+    "ablate": ("csv", "groups", "config"),
+    "eval": ("csv", "groups", "checkpoint"),
+    "importance": ("csv", "groups", "checkpoint"),
+    "baseline": ("csv", "groups"),
+    "synth": ("groups",),
+}
+CONTRACT_CASES = [(command, kind, path) for command, kinds in CONTRACT_COMMANDS.items()
+                  for kind in kinds for path in CONTRACT_FIELDS[kind]]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """kind -> a valid input file's contents: JSON values, or the CSV's rows."""
+    tmp = tmp_path_factory.mktemp("valid")
+    write_csv(synth_nonlinear(48, FeatureGroupSpec([(0, 4), (4, 8)]), 0.1, seed=2),
+              tmp / "data.csv")
+    inputs = {"config": VALID_CONFIG, "groups": [[0, 4], [4, 8]]}
+    _write_inputs(tmp, inputs)
+    with open(tmp / "data.csv", newline="", encoding="utf-8") as fh:
+        inputs["csv"] = list(csv.reader(fh))
+    assert run(_contract_argv("train", tmp)) == 0
+    inputs["checkpoint"] = json.loads((tmp / "out").read_text(encoding="utf-8"))
+    return inputs
+
+
+def _write_inputs(tmp, inputs):
+    names = {"config": "config.json", "groups": "groups.json", "checkpoint": "ckpt.json"}
+    for kind, value in inputs.items():
+        if kind == "csv":
+            with open(tmp / "data.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(value)
+        else:
+            _write(tmp / names[kind], json.dumps(value))
+
+
+def _contract_argv(command, tmp):
+    common = ["--data", tmp / "data.csv", "--target", "y", "--groups", tmp / "groups.json"]
+    return {
+        "train": ["train", *common, "--config", tmp / "config.json", "--out", tmp / "out"],
+        "ablate": ["ablate", *common, "--config", tmp / "config.json", "--fractions", "1.0"],
+        "eval": ["eval", *common, "--ckpt", tmp / "ckpt.json"],
+        "importance": ["importance", *common, "--ckpt", tmp / "ckpt.json", "--out", tmp / "out"],
+        "baseline": ["baseline", *common, "--method", "pls"],
+        "synth": ["synth", "--n", "10", "--groups", tmp / "groups.json", "--out", tmp / "out"],
+    }[command]
+
+
+def _mutated(value, path, new):
+    """A copy of the JSON value or CSV rows `value` whose field at `path` is
+    `new`, or is deleted when `new` is DELETED."""
+    value = parent = json.loads(json.dumps(value))
+    *parents, last = path
+    for key in parents:
+        parent = parent[key]
+    if new is DELETED:
+        del parent[last]
+    else:
+        parent[last] = new
+    return value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(CONTRACT_CASES), new=st.sampled_from(MENU))
+def test_mutated_input_exits_0_2_or_3(valid_inputs, case, new):
+    """Every subcommand that reads a config, groups file, checkpoint or CSV,
+    with one field of it mutated, exits 0, 2 or 3. A failure prints one line
+    on stderr and leaves no --out it created. gradcheck reads no input file."""
+    command, kind, path = case
+    if kind == "csv" and new is not DELETED and not isinstance(new, str):
+        new = json.dumps(new)  # a CSV cell holds text
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        _write_inputs(tmp, {**valid_inputs, kind: _mutated(valid_inputs[kind], path, new)})
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(_contract_argv(command, tmp))
+        assert rc in (0, 2, 3)
+        if rc:  # the CLI prints each warning on stderr too
+            assert err.getvalue().count("\n") + len(caught) == 1, err.getvalue()
+            assert not (tmp / "out").exists()

@@ -398,6 +398,17 @@ class TestGradients:
         loss_.backward()
         assert np.array_equal(g1[0], x.grad) and np.array_equal(g1[1], w.grad)
 
+    def test_backward_zero_fills_only_the_leafs_own_gradient_view(self):
+        """A reached leaf whose gradient array views a larger array keeps that
+        view and zero-fills it alone: the view ends with exactly this
+        backward's gradient, and the rest of the larger array is untouched."""
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        buf = np.full(10, 7.0)
+        x.grad = buf[2:8].reshape(2, 3)
+        (leaf,) = weighted(x, np.full((2, 3), 0.5)).backward()
+        assert leaf is x and np.shares_memory(x.grad, buf)
+        np.testing.assert_array_equal(buf, [7.0, 7.0, *[0.5] * 6, 7.0, 7.0])
+
 
 class TestInvariantsProperties:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))

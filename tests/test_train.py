@@ -116,9 +116,8 @@ class TestGradcheck:
             y_hat, trace = model.forward(x, "train", noise)
             return composite_loss(y, y_hat, trace.latent, 5, 10, cfg.loss)[0]
 
-        leaves = loss_at(0.0).backward()  # a record per width, cal, var, global and head
-        assert len(leaves) == len(set(widths)) + 3 + variational
-        assert sum(t.data.size for t in leaves) == model.flat.size
+        (leaf,) = loss_at(0.0).backward()  # the model's one leaf, every record's
+        assert leaf.data is model.flat and leaf.grad is model.grad_flat
         g, h, worst = model.grad_flat.copy(), 1e-5, 0.0
         for _ in range(8):
             v = r.normal(size=theta.size)
@@ -190,7 +189,7 @@ class TestAdam:
             assert a.tobytes() == b.tobytes()
 
     def test_a_model_built_without_grad_mode_cannot_train_but_evaluates(self):
-        """A model built inside no_grad() has constant stage leaves: Adam
+        """A model built inside no_grad() has a constant leaf: Adam
         names the cause instead of a first step failing inside backward."""
         with no_grad():
             model = ScalarModel(quick_cfg(), 8)
@@ -211,8 +210,8 @@ def batch_loss(model, x, y, rng):
 
 class TestFlatBuffers:
     """The model owns one flat parameter buffer and one flat gradient buffer;
-    each stage record is one graph leaf over a slice of them, and every
-    parameter's data and gradient view them."""
+    one graph leaf holds both, every stage record's, and every parameter's
+    data and gradient view them."""
 
     @staticmethod
     def assert_views(model):
@@ -225,9 +224,8 @@ class TestFlatBuffers:
         stages = [*tiers, model.cal_params, model.head_params]
         if model.cfg.use_variational:
             stages.append(model.var_params)
-        for stage in stages:
-            assert np.shares_memory(stage.leaf.data, model.flat)
-            assert np.shares_memory(stage.leaf.grad, model.grad_flat)
+        for stage in stages:  # one leaf
+            assert stage.leaf.data is model.flat and stage.leaf.grad is model.grad_flat
         for prm in tiers:  # each group's named tensors are rows of these stacks
             for t in named_tensors(prm, "stack").values():
                 assert np.shares_memory(t.data, model.flat)
@@ -303,6 +301,7 @@ class TestFlatBuffers:
             assert not hasattr(record, "leaf")
             assert all(t.grad is None for t in named_tensors(record, "r").values())
         bind(records)
+        assert records[0].leaf is records[1].leaf
         for record in records:
             for t in named_tensors(record, "r").values():
                 assert np.shares_memory(t.grad, record.leaf.grad)
