@@ -95,15 +95,12 @@ class KernelAttentionParams:
 
 @dataclass
 class AttentionTrace:
-    """Intermediates kept for the KL-free diagnostics and feature importance.
-
-    k_hat and w are plain arrays outside the graph; z stays in the graph. A
-    feature group's trace has no z: its block is columns of the grouped output.
-    """
+    """Intermediates kept for diagnostics and feature importance: k_hat and w
+    are plain arrays; z, the global tier's output node, is None on a group's."""
 
     k_hat: np.ndarray  # (batch, k, w) for a group of width w, unit rows up to the eps guard
     w: np.ndarray  # (batch, k), simplex rows
-    z: "Tensor | None"  # (batch, w)
+    z: "Tensor | None" = None  # (batch, w)
 
 
 def _stack(arrays) -> np.ndarray:
@@ -127,12 +124,12 @@ def kernel_attention(x: Tensor, records):
     contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
     k̂ and mix. A record's groups run stacked, as (G, b, w) arrays through its
     layers; each group's arithmetic is the same as running it alone. Returns
-    (the (b, p) Tensor, per group in column order k̂ and w as views of the
-    stacked ndarrays).
+    (the (b, p) Tensor, per group in column order an AttentionTrace of k̂ and
+    w, views of the stacked ndarrays).
     """
     xd = x.data
     out = np.empty_like(xd)
-    rows, saved = {}, []  # start column -> the group's k̂ and w
+    traces, saved = {}, []  # start column -> the group's trace
     for prm in records:
         xs = _stack([xd[:, s:e] for s, e in prm.cols])  # (G, b, w)
         # backward needs neither the logits nor the raw kernels: neither is kept
@@ -148,7 +145,7 @@ def kernel_attention(x: Tensor, records):
         z = prm.phi_p(att, "kernel_attention") + xs
         for j, (s, e) in enumerate(prm.cols):
             out[:, s:e] = z[j]
-            rows[s] = k_hat[j], wsm[j]
+            traces[s] = AttentionTrace(k_hat[j], wsm[j])
         if tensor._grad_enabled:  # only a backward reads these; eval keeps none
             saved.append((prm, xs, hk, hw, wsm, m, k_hat, mix, att))
 
@@ -177,19 +174,4 @@ def kernel_attention(x: Tensor, records):
                     x.grad[:, s:e] += gx[j]
 
     parents = (x, records[0].leaf)  # every record's leaf is the model's one leaf
-    k_hats, weights = zip(*(rows[s] for s in sorted(rows)))
-    return _node("kernel_attention", out, parents, backward), k_hats, weights
-
-
-def kernel_attention_forward(x: Tensor, prm: KernelAttentionParams) -> AttentionTrace:
-    """One kernel attention tier on x: `prm`'s one group, as in the global tier."""
-    z, (k_hat,), (w,) = kernel_attention(x, [prm])
-    return AttentionTrace(k_hat=k_hat, w=w, z=z)
-
-
-def grouped_attention_forward(x: Tensor, records):
-    """Run kernel attention on each column group of `records`, every group in
-    one node; returns the (b, p) output, each group's block in its own
-    columns, and the per-group traces."""
-    z, k_hats, ws = kernel_attention(x, records)
-    return z, [AttentionTrace(k_hat=k_hat, w=w, z=None) for k_hat, w in zip(k_hats, ws)]
+    return _node("kernel_attention", out, parents, backward), [traces[s] for s in sorted(traces)]

@@ -12,14 +12,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .attention import (
-    AttentionTrace,
-    FeatureGroupSpec,
-    KernelAttentionParams,
-    grouped_attention_forward,
-    is_int,
-    kernel_attention_forward,
-)
+from .attention import AttentionTrace, FeatureGroupSpec, KernelAttentionParams, is_int
+# one op, a name per tier: the benchmark tracer patches each name to time its tier
+from .attention import kernel_attention as grouped_attention_forward
+from .attention import kernel_attention as kernel_attention_forward
 from .calibration import (
     CalibrationParams,
     VariationalParams,
@@ -218,8 +214,9 @@ class ScalarModel:
             v, latent = s, None
             if self.cfg.use_variational:
                 v, latent = variational_encode_decode(s, self.var_params, rng)
-            global_trace = kernel_attention_forward(v, self.global_params)
-            y_hat, alpha = head_forward(global_trace.z, self.head_params)
+            g, (global_trace,) = kernel_attention_forward(v, [self.global_params])
+            global_trace.z = g
+            y_hat, alpha = head_forward(g, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,
             delta=delta.reshape(-1),

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams, kernel_attention_forward
+from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams, kernel_attention
 from scalarnet.baselines import pls_fit, pls_predict, ridge_fit, select_components
 from scalarnet.data import split, standardize, synth_nonlinear, take
 from scalarnet.head import HeadParams, feature_importance, head_forward
@@ -162,7 +162,7 @@ def test_03_loop_oracle_equivalence():
         t.data = rng.normal(t.data.shape) * 0.3
     x = rng.normal((3, 4))
     att_err = np.abs(
-        kernel_attention_forward(Tensor(x), laid_out(att)).z.data - _attention_loop(x, att)
+        kernel_attention(Tensor(x), [laid_out(att)])[0].data - _attention_loop(x, att)
     ).max()
 
     head = laid_out(HeadParams.init(rng, 8, (4, 3, 2)))

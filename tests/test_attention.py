@@ -8,8 +8,7 @@ from scalarnet import tensor
 from scalarnet.attention import (
     FeatureGroupSpec,
     KernelAttentionParams,
-    grouped_attention_forward,
-    kernel_attention_forward,
+    kernel_attention,
 )
 from scalarnet.errors import ConfigError
 from scalarnet.layers import Affine, Mlp2, hidden_width, named_tensors, stacked
@@ -122,13 +121,13 @@ class TestKernelAttention:
         # phi_p initializes to zero, so the block starts as the identity
         params = tier(Rng(0), 5, 3)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        trace = kernel_attention_forward(Tensor(x), params)
-        assert np.array_equal(trace.z.data, x)
+        z, _ = kernel_attention(Tensor(x), [params])
+        assert np.array_equal(z.data, x)
 
     def test_single_kernel_weight_is_one(self):
         params = tier(Rng(2), 4, 1)
         x = np.random.default_rng(3).normal(size=(6, 4))
-        trace = kernel_attention_forward(Tensor(x), params)
+        _, (trace,) = kernel_attention(Tensor(x), [params])
         np.testing.assert_array_equal(trace.w, np.ones((6, 1)))
 
     def test_matches_loop_oracle(self):
@@ -137,13 +136,13 @@ class TestKernelAttention:
         params.phi_p.w.data[...] = np.random.default_rng(5).normal(size=(4, 4)) * 0.3
         params.phi_p.b.data[...] = np.random.default_rng(6).normal(size=4) * 0.1
         x = np.random.default_rng(7).normal(size=(3, 4))
-        trace = kernel_attention_forward(Tensor(x), params)
-        np.testing.assert_allclose(trace.z.data, loop_oracle(x, params), atol=1e-10)
+        z, _ = kernel_attention(Tensor(x), [params])
+        np.testing.assert_allclose(z.data, loop_oracle(x, params), atol=1e-10)
 
     def test_kernel_unit_norms_and_weight_simplex(self):
         params = tier(Rng(8), 7, 4)
         x = np.random.default_rng(9).normal(size=(20, 7))
-        trace = kernel_attention_forward(Tensor(x), params)
+        _, (trace,) = kernel_attention(Tensor(x), [params])
         norms = np.linalg.norm(trace.k_hat, axis=2)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
         np.testing.assert_allclose(trace.w.sum(axis=1), 1.0, atol=1e-12)
@@ -155,22 +154,22 @@ class TestKernelAttention:
         # the flow invariant is about a generic projection
         params.phi_p.w.data[...] = np.random.default_rng(12).normal(size=(4, 4))
         x = np.random.default_rng(11).normal(size=(5, 4))
-        trace = kernel_attention_forward(Tensor(x), params)
+        z, _ = kernel_attention(Tensor(x), [params])
         data = np.random.default_rng(13)
-        weighted_sum(trace.z, data.normal(size=5), data.normal(size=4)).backward()
+        weighted_sum(z, data.normal(size=5), data.normal(size=4)).backward()
         for name, t in named_tensors(params, "a").items():
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
 
 
 class TestGroupedAttention:
-    def test_single_group_reduces_to_plain_forward(self):
-        spec = FeatureGroupSpec([(0, 5)])
-        (params,) = laid_out(KernelAttentionParams.init(Rng(0), spec.groups, 3))
-        x = np.random.default_rng(1).normal(size=(4, 5))
-        z, traces = grouped_attention_forward(Tensor(x), [params])
-        direct = kernel_attention_forward(Tensor(x), params)
-        assert np.array_equal(z.data, direct.z.data)
-        assert len(traces) == 1
+    def test_one_trace_per_group_in_column_order_without_z(self):
+        # widths 2, 3, 2: the width-2 record runs first, yet traces follow columns
+        spec = FeatureGroupSpec([(0, 2), (2, 5), (5, 7)])
+        records = laid_out(KernelAttentionParams.init(Rng(0), spec.groups, 3))
+        x = np.random.default_rng(1).normal(size=(4, 7))
+        _, traces = kernel_attention(Tensor(x), records)
+        assert [t.k_hat.shape for t in traces] == [(4, 3, e - s) for s, e in spec.groups]
+        assert all(t.w.shape == (4, 3) and t.z is None for t in traces)
 
     def test_identical_groups_identical_blocks(self):
         spec = FeatureGroupSpec([(0, 3), (3, 6)])
@@ -180,7 +179,7 @@ class TestGroupedAttention:
             t.data[1] = t.data[0]
         half = np.random.default_rng(7).normal(size=(4, 3))
         x = np.concatenate([half, half], axis=1)
-        z, _ = grouped_attention_forward(Tensor(x), [params])
+        z, _ = kernel_attention(Tensor(x), [params])
         assert np.array_equal(z.data[:, :3], z.data[:, 3:])
 
     def test_processing_order_irrelevant(self):
@@ -191,12 +190,12 @@ class TestGroupedAttention:
         for prm in records:
             prm.phi_p.w.data[0] = np.random.default_rng(13).normal(size=prm.phi_p.w.data.shape[1:])
         x = np.random.default_rng(14).normal(size=(5, 6))
-        z, _ = grouped_attention_forward(Tensor(x), records)
+        z, _ = kernel_attention(Tensor(x), records)
         blocks = {}
         for g in (1, 0):  # reversed processing order
             s, e = spec.groups[g]
             alone = taken_out(*by_column(records)[g])
-            blocks[g] = kernel_attention_forward(Tensor(x[:, s:e]), alone).z.data
+            blocks[g] = kernel_attention(Tensor(x[:, s:e]), [alone])[0].data
         reassembled = np.concatenate([blocks[0], blocks[1]], axis=1)
         assert np.array_equal(z.data, reassembled)
 
@@ -298,7 +297,7 @@ class TestFusedGroups:
         u, w = c[:, 0], c[0]  # the upstream gradient is u wᵀ
         with no_grad():
             xt = Tensor(x)
-        z, traces = grouped_attention_forward(xt, records)
+        z, traces = kernel_attention(xt, records)
         weighted_sum(z, u, w).backward()
         fused = [{n: t.grad[j].copy() for n, t in named_tensors(prm, "a").items()}
                  for prm, j in by_column(records)]
@@ -306,11 +305,11 @@ class TestFusedGroups:
             with no_grad():
                 xg = Tensor(x[:, s:e])
             prm = taken_out(*by_column(records)[g])
-            alone = kernel_attention_forward(xg, prm)
-            assert np.array_equal(z.data[:, s:e], alone.z.data)
+            z_alone, (alone,) = kernel_attention(xg, [prm])
+            assert np.array_equal(z.data[:, s:e], z_alone.data)
             assert np.array_equal(traces[g].k_hat, alone.k_hat)
             assert np.array_equal(traces[g].w, alone.w)
-            weighted_sum(alone.z, u, w[s:e]).backward()
+            weighted_sum(z_alone, u, w[s:e]).backward()
             for name, t in named_tensors(prm, "a").items():
                 assert np.array_equal(fused[g][name], t.grad[0]), (g, name)
 
