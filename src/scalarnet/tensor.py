@@ -2,14 +2,17 @@
 that the paper's stage ops build their graph nodes on.
 
 Each stage is one graph node, and there are no generic arithmetic ops. Each
-op lives beside the parameter record it takes: `attention.kernel_attention`,
+op lives beside the parameter record it takes: `attention.kernel_attention`
+(both attention tiers; it also returns each group's trace),
 `calibration.self_calibrate`, `calibration.encode`, `calibration.decode`,
 `head.head_forward` and `losses.loss`. An op runs its layers through
 `layers.Affine`/`Mlp2`: `__call__` forward, `backward` for the gradients.
 Shapes are checked where they enter the program (the config, `load_csv`,
 `Checkpoint.load` and the input of `ScalarModel.forward`), not in the ops. A
 non-finite value inside an op raises a NumericError naming it; each op runs
-under one np.errstate, so numpy does not warn first.
+under one np.errstate, so numpy does not warn first. `Tensor.backward` runs
+its closures under one too: a gradient that overflows is not checked there,
+and `train.Adam.step` refuses its non-finite norm.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
 `_node`, the one place that guards the output, records the parents and binds
@@ -110,6 +113,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
+    @np.errstate(all="ignore")
     def backward(self) -> list:
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
         Only the nodes that need a gradient get one, and each holds exactly

@@ -25,10 +25,10 @@ from .errors import ConfigError, NumericError
 from .head import feature_importance
 from .losses import LossConfig, binwise_rmse, composite_loss, metrics
 from .model import ModelConfig, ScalarModel, _check_fields
-from .tensor import Rng
+from .tensor import Rng, Tensor, no_grad
 
 CHECKPOINT_VERSION = 1
-EVAL_ROWS = 4096  # most rows in one eval-mode forward of predict and importance
+EVAL_ROWS = 4096  # most rows in one eval-mode forward: validation, predict, importance
 # An eval forward's widest arrays, the attention tiers' k̂, hold k·p cells a
 # row; a chunk holds at most EVAL_CELLS of them, so models with k·p <= 48 run
 # EVAL_ROWS-row chunks and wider ones fewer rows.
@@ -66,6 +66,7 @@ class Adam:
         # a step's temporaries: grad_flat is not written, its views are the .grads
         self._g, self._u = np.empty(self.flat.size), np.empty(self.flat.size)
 
+    @np.errstate(all="ignore")  # a norm that overflows raises below, unwarned
     def step(self, clip_norm: float):
         """Update from the gradients in `grad_flat`, or raise NumericError,
         changing nothing, if their norm is not finite."""
@@ -195,6 +196,12 @@ def train_step(model: ScalarModel, opt: Adam, x, y, epoch: int, rng: Rng) -> flo
     return float(total.data)
 
 
+def _loss_inputs(y_hat, trace) -> tuple:
+    """The rows the loss reads from an eval forward: y_hat, then μ and log σ
+    of the `encode` node when the model has one."""
+    return (y_hat.data, *(() if trace.latent is None else trace.latent.data))
+
+
 def train(ds: Dataset, cfg: ModelConfig):
     """Mini-batch training per the end-to-end pipeline; returns the
     best-validation checkpoint and the per-epoch history."""
@@ -231,9 +238,12 @@ def train(ds: Dataset, cfg: ModelConfig):
                 ) from exc
             batch_losses.append(loss)
 
-        y_hat_val, trace_val = model.forward(x_val, "eval")
-        val_total, val_parts = composite_loss(
-            y_val, y_hat_val, trace_val.latent, epoch, cfg.max_epochs, cfg.loss)
+        # validation in eval chunks; the loss once, over every validation row
+        y_hat_val, *latent = _eval_rows(model, x_val, _loss_inputs)
+        with no_grad():
+            latent = Tensor(np.stack(latent)) if latent else None
+            val_total, val_parts = composite_loss(
+                y_val, Tensor(y_hat_val), latent, epoch, cfg.max_epochs, cfg.loss)
         val_loss = float(val_total.data)
         history.append(
             {
@@ -256,21 +266,15 @@ def train(ds: Dataset, cfg: ModelConfig):
     return _checkpoint_from(model, ds, best_val, best_epoch), history
 
 
-def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
-    """Eval-mode forwards of the checkpoint's model on raw, unstandardized
-    data, over ceil(n / rows) near-equal row chunks (sizes differ by at most
-    EVAL_ALIGN rows). `rows` is the largest multiple of EVAL_ALIGN with
-    rows·k·p <= EVAL_CELLS, kept within [EVAL_ALIGN, EVAL_ROWS]. `keep(y_hat,
-    trace)` picks row-major arrays from each chunk's forward; returns (the
-    checked scaler, those arrays filled for all n rows).
+def _eval_rows(model: ScalarModel, x: np.ndarray, keep, scaler: Scaler = None) -> list:
+    """Eval-mode forwards of `model` on the rows of x, standardized chunk by
+    chunk by `scaler` when one is given, over ceil(n / rows) near-equal row
+    chunks (sizes differ by at most EVAL_ALIGN rows). `rows` is the largest
+    multiple of EVAL_ALIGN with rows·k·p <= EVAL_CELLS, kept within
+    [EVAL_ALIGN, EVAL_ROWS]. `keep(y_hat, trace)` picks row-major arrays from
+    each chunk's forward; returns those arrays filled for all n rows.
     """
-    scaler = ckpt.get_scaler()
-    if ds_raw.p != len(scaler.x_mean):
-        raise ConfigError(
-            f"data has {ds_raw.p} features, checkpoint expects {len(scaler.x_mean)}"
-        )
-    model = ckpt.build_model()
-    n = ds_raw.n
+    n = len(x)
     rows = EVAL_CELLS // (model.cfg.k * model.p) // EVAL_ALIGN * EVAL_ALIGN
     rows = min(EVAL_ROWS, max(EVAL_ALIGN, rows))
     chunks = max(1, -(-n // rows))
@@ -279,13 +283,24 @@ def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
               for i in range(chunks + 1)]
     out = None
     for a, b in zip(bounds[:-1], bounds[1:]):
-        x_std = (ds_raw.x[a:b] - scaler.x_mean) / scaler.x_std
-        parts = keep(*model.forward(x_std, "eval"))
+        xc = x[a:b] if scaler is None else (x[a:b] - scaler.x_mean) / scaler.x_std
+        parts = keep(*model.forward(xc, "eval"))
         if out is None:
             out = [np.empty((n, *part.shape[1:])) for part in parts]
         for full, part in zip(out, parts):
             full[a:b] = part
-    return scaler, out
+    return out
+
+
+def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
+    """(the checked scaler, `_eval_rows` of the checkpoint's model on raw,
+    unstandardized data)."""
+    scaler = ckpt.get_scaler()
+    if ds_raw.p != len(scaler.x_mean):
+        raise ConfigError(
+            f"data has {ds_raw.p} features, checkpoint expects {len(scaler.x_mean)}"
+        )
+    return scaler, _eval_rows(ckpt.build_model(), ds_raw.x, keep, scaler)
 
 
 def predict(ckpt: Checkpoint, ds_raw: Dataset) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -174,7 +175,8 @@ class TestAdam:
             np.testing.assert_allclose(p.data, ref[k], rtol=1e-12, atol=0.0)
             assert np.shares_memory(p.data, model.flat), k
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    # 1e200 is finite, but the squared norm overflows: NumericError, not a warning
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
     def test_nonfinite_gradient_raises_and_changes_nothing(self, bad):
         model = ScalarModel(quick_cfg(), 8)
         opt = Adam(model, 3e-3)
@@ -361,6 +363,29 @@ class TestParameterNames:
         monkeypatch.setattr(Tensor, "backward", poisoned)
         with pytest.raises(NumericError, match=r"epoch 0, batch 0: non-finite gradient norm"):
             train(standardize(tiny_dataset()), quick_cfg())
+
+    def test_train_names_epoch_and_batch_of_overflowing_backward(self, monkeypatch):
+        """A finite forward (loss ~1e202) whose backward overflows: the
+        gradient norm is refused, naming epoch and batch, with no warning."""
+        init = HeadParams.init
+
+        def huge(rng, p, components):
+            head = init(rng, p, components)
+            for t in (head.w1, head.w2, head.w3):
+                t.data = t.data * 1e200
+            head.phi_y.l1.w.data = np.full_like(head.phi_y.l1.w.data, 1e-300)
+            head.phi_y.l2.w.data = np.full_like(head.phi_y.l2.w.data, 1e200)
+            return head
+
+        monkeypatch.setattr(HeadParams, "init", staticmethod(huge))
+        groups = [[0, 3], [3, 6]]
+        ds = standardize(synth_nonlinear(40, FeatureGroupSpec(groups), 0.05, seed=1))
+        cfg = ModelConfig(groups=groups, k=2, use_variational=False, batch_size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=r"epoch 0, batch 0: non-finite gradient norm"):
+                train(ds, cfg)
 
 
 class TestForwardNoise:
@@ -716,6 +741,22 @@ class TestChunkedEval:
         assert peak / ds_raw.n < 3072, peak / ds_raw.n
 
 
+def test_train_validation_memory_per_row_is_bounded():
+    """train() validates in eval chunks: on 8000 rows of 48 features with
+    val_fraction 0.9 (7200 validation rows, 1024-row chunks), one epoch's
+    traced peak stays below 3 KB per validation row (~1.9 KB; ~7.9 KB with
+    the whole validation set in one forward)."""
+    ds = standardize(wide_eval_rows(8000))
+    cfg = ModelConfig(groups=WIDE_GROUPS, max_epochs=1, val_fraction=0.9, seed=0)
+    tracemalloc.start()
+    try:
+        train(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 7200 < 3072, peak / 7200
+
+
 def ref_mlp2(x, net):
     """The two-layer tanh net tanh(x @ w1 + b1) @ w2 + b2 of the Mlp2 net."""
     w1, b1, w2, b2 = net.l1.w.data, net.l1.b.data, net.l2.w.data, net.l2.b.data
@@ -812,6 +853,25 @@ class TestStageOpsOverConfigs:
 
         _, history = train(ds, cfg)
         assert len(history) == 2 and all(np.isfinite(h["train_loss"]) for h in history)
+
+
+class TestTierBindings:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_forward_calls_each_tier_through_its_own_name(self, mode, monkeypatch):
+        """The benchmark tracer times each attention tier by patching its name
+        in scalarnet.model. Both names bind kernel_attention, so a forward that
+        called the op directly would read 0 for both tiers' times."""
+        calls = {}
+        for name in ("grouped_attention_forward", "kernel_attention_forward"):
+            def counted(x, records, name=name, op=getattr(model_module, name)):
+                calls.setdefault(name, []).append(records)
+                return op(x, records)
+
+            monkeypatch.setattr(model_module, name, counted)
+        model = ScalarModel(quick_cfg(), 8)
+        model.forward(Rng(1).normal((5, 8)), mode, Rng(2))
+        assert calls == {"grouped_attention_forward": [model.group_params],
+                         "kernel_attention_forward": [[model.global_params]]}
 
 
 class TestGraphScope:
