@@ -95,12 +95,10 @@ class KernelAttentionParams:
 
 @dataclass
 class AttentionTrace:
-    """Intermediates kept for diagnostics and feature importance: k_hat and w
-    are plain arrays; z, the global tier's output node, is None on a group's."""
+    """One group's kernels and kernel weights, kept for diagnostics and importance."""
 
     k_hat: np.ndarray  # (batch, k, w) for a group of width w, unit rows up to the eps guard
     w: np.ndarray  # (batch, k), simplex rows
-    z: "Tensor | None" = None  # (batch, w)
 
 
 def _stack(arrays) -> np.ndarray:

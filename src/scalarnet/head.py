@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .layers import Mlp2, glorot, hidden_width
-from .tensor import Rng, Tensor, _guard, _node, _softmax_rows, _softmax_rows_grad
+from .tensor import Rng, Tensor, _node, _softmax_rows, _softmax_rows_grad
 
 
 def default_components(p: int):
@@ -21,7 +21,6 @@ def default_components(p: int):
 
 @dataclass
 class HeadParams:
-    components: tuple  # (c1, c2, c3), strictly decreasing
     w1: Tensor
     w2: Tensor
     w3: Tensor
@@ -39,7 +38,6 @@ class HeadParams:
             raise ConfigError(f"c1={c1} exceeds feature count p={p}")
         total = c1 + c2 + c3
         return cls(
-            components=(c1, c2, c3),
             w1=Tensor(glorot(rng, p, c1)),
             w2=Tensor(glorot(rng, p, c2)),
             w3=Tensor(glorot(rng, p, c3)),
@@ -62,8 +60,7 @@ def head_forward(g: Tensor, params: HeadParams):
     ha, logits = phi_alpha(g.data, "head")
     alpha = _softmax_rows(logits)
     proj = [g.data @ w.data for w in ws]
-    blocks = _guard("head", np.concatenate(
-        [alpha[:, i : i + 1] * pr for i, pr in enumerate(proj)], axis=1))
+    blocks = np.concatenate([alpha[:, i : i + 1] * pr for i, pr in enumerate(proj)], axis=1)
     offsets = np.cumsum([0] + [pr.shape[1] for pr in proj])
     hy, y = phi_y(blocks, "head")
 

@@ -110,11 +110,14 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
+    """What one forward keeps beside y_hat, for diagnostics and importance."""
+
     group_traces: list  # per-group AttentionTrace
     delta: np.ndarray  # (batch,)
     gamma: np.ndarray  # (batch,)
     latent: "Tensor | None"  # the (2, batch, d) encode node: mu and log sigma
     global_trace: AttentionTrace
+    z: Tensor  # (batch, p): the global tier's output node, the head's input
     alpha: np.ndarray  # (batch, 3)
 
 
@@ -215,7 +218,6 @@ class ScalarModel:
             if self.cfg.use_variational:
                 v, latent = variational_encode_decode(s, self.var_params, rng)
             g, (global_trace,) = kernel_attention_forward(v, [self.global_params])
-            global_trace.z = g
             y_hat, alpha = head_forward(g, self.head_params)
         trace = ForwardTrace(
             group_traces=group_traces,
@@ -223,6 +225,7 @@ class ScalarModel:
             gamma=gamma.reshape(-1),
             latent=latent,
             global_trace=global_trace,
+            z=g,
             alpha=alpha,
         )
         return y_hat, trace

@@ -9,16 +9,17 @@ op lives beside the parameter record it takes: `attention.kernel_attention`
 `layers.Affine`/`Mlp2`: `__call__` forward, `backward` for the gradients.
 Shapes are checked where they enter the program (the config, `load_csv`,
 `Checkpoint.load` and the input of `ScalarModel.forward`), not in the ops. A
-non-finite value inside an op raises a NumericError naming it; each op runs
-under one np.errstate, so numpy does not warn first. `Tensor.backward` runs
+non-finite value raises a NumericError naming the op; it is checked only at
+each layer's output (`layers.Affine.__call__`) and each op's (`_node`), under
+the op's one np.errstate, so numpy does not warn first. `Tensor.backward` runs
 its closures under one too: a gradient that overflows is not checked there,
 and `train.Adam.step` refuses its non-finite norm.
 
 `Tensor(data)` makes a leaf. Every op makes its non-leaf node through
-`_node`, the one place that guards the output, records the parents and binds
-the backward closure; a closure receives the node's gradient `g` and adds its
-parents' shares. Graphs are rebuilt every forward pass; backward() runs a
-deterministic reverse topological accumulation seeded with 1.
+`_node`, the one place that guards an op's output, records the parents and
+binds the backward closure; a closure receives the node's gradient `g` and
+adds its parents' shares. Graphs are rebuilt every forward pass; backward()
+runs a deterministic reverse topological accumulation seeded with 1.
 
 Each backward gives every tensor it reaches exactly that backward's gradient,
 and returns the leaves it reached. A reached leaf that already holds a

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -239,11 +239,14 @@ def train(ds: Dataset, cfg: ModelConfig):
             batch_losses.append(loss)
 
         # validation in eval chunks; the loss once, over every validation row
-        y_hat_val, *latent = _eval_rows(model, x_val, _loss_inputs)
-        with no_grad():
-            latent = Tensor(np.stack(latent)) if latent else None
-            val_total, val_parts = composite_loss(
-                y_val, Tensor(y_hat_val), latent, epoch, cfg.max_epochs, cfg.loss)
+        try:
+            y_hat_val, *latent = _eval_rows(model, x_val, _loss_inputs)
+            with no_grad():
+                latent = Tensor(np.stack(latent)) if latent else None
+                val_total, val_parts = composite_loss(
+                    y_val, Tensor(y_hat_val), latent, epoch, cfg.max_epochs, cfg.loss)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}, validation: {exc}") from exc
         val_loss = float(val_total.data)
         history.append(
             {
@@ -351,10 +354,7 @@ def ablation_data_fraction(ds_raw: Dataset, cfg: ModelConfig, fractions):
         sub = standardize(take(train_ds_raw, sub_idx))
         r2 = {}
         for use_var in (True, False):
-            variant_cfg = ModelConfig.from_dict(
-                {**cfg.to_dict(), "use_variational": use_var}
-            )
-            ckpt, _ = train(sub, variant_cfg)
+            ckpt, _ = train(sub, replace(cfg, use_variational=use_var))
             r2[use_var] = metrics(test_ds_raw.y, predict(ckpt, test_ds_raw))["r2"]
         rows.append({"fraction": frac, "r2_variational": r2[True], "r2_ablated": r2[False]})
     return rows

@@ -80,7 +80,7 @@ def test_02_structural_invariants():
         if name.startswith(("cal.phi_t", "var.phi_d")) or ".phi_p." in name:
             t.data[...] = 0.0
     _, tr0 = fresh.forward(x, "eval")
-    if not np.array_equal(tr0.global_trace.z.data, x):
+    if not np.array_equal(tr0.z.data, x):
         problems.append("residual identity broken at zero residual branches")
     elapsed = time.perf_counter() - t0
     report(2, "structural invariants", not problems and elapsed < 10.0,

@@ -6,6 +6,7 @@ import pytest
 
 from scalarnet import tensor
 from scalarnet.attention import (
+    AttentionTrace,
     FeatureGroupSpec,
     KernelAttentionParams,
     kernel_attention,
@@ -169,7 +170,8 @@ class TestGroupedAttention:
         x = np.random.default_rng(1).normal(size=(4, 7))
         _, traces = kernel_attention(Tensor(x), records)
         assert [t.k_hat.shape for t in traces] == [(4, 3, e - s) for s, e in spec.groups]
-        assert all(t.w.shape == (4, 3) and t.z is None for t in traces)
+        assert all(t.w.shape == (4, 3) for t in traces)
+        assert [f.name for f in fields(AttentionTrace)] == ["k_hat", "w"]
 
     def test_identical_groups_identical_blocks(self):
         spec = FeatureGroupSpec([(0, 3), (3, 6)])

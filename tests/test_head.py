@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from scalarnet.errors import ConfigError, DataError
+from scalarnet.errors import ConfigError, DataError, NumericError
 from scalarnet.head import HeadParams, default_components, feature_importance, head_forward
 from scalarnet.layers import named_tensors
 from scalarnet.losses import loss
@@ -21,7 +22,6 @@ def loop_oracle(g, params):
     """Scalar-loop reimplementation of the head: three projections, softmax
     tier weights applied per block, concatenation, final two-layer net."""
     b, p = g.shape
-    c1, c2, c3 = params.components
 
     def affine(v, layer):
         w, bias = layer.w.data, layer.b.data
@@ -90,6 +90,16 @@ class TestHeadForward:
         loss(y, np.zeros(5), None, 1.0, 1.0, 0.0)[0].backward()  # mean(y^2)
         for name, t in named_tensors(params, "h").items():
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
+
+    def test_overflowing_projection_names_the_head(self):
+        # only g @ w1 overflows; phi_y's first layer, which reads the blocks,
+        # raises naming the op, and numpy does not warn first
+        params = laid_out(HeadParams.init(Rng(0), 6, (4, 3, 2)))
+        params.w1.data[...] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'head'"):
+                head_forward(Tensor(np.full((3, 6), 2.0)), params)
 
     def test_c1_exceeding_p_rejected(self):
         with pytest.raises(ConfigError):

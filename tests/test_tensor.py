@@ -218,7 +218,7 @@ def variational_params(d=PHI_D, e=PHI_E, mu=PHI_MU, sigma=PHI_SIGMA):
 def head_params(w1, w2, w3, alpha, y):
     """The three tier weights and phi_alpha's and phi_y's (w1, b1, w2, b2)."""
     ws = wrap([w1, w2, w3])
-    return laid_out(HeadParams(tuple(w.data.shape[1] for w in ws), *ws, mlp(alpha), mlp(y)))
+    return laid_out(HeadParams(*ws, mlp(alpha), mlp(y)))
 
 
 def cal(z=Z, t2=PHI_T[2], train=True):
@@ -638,6 +638,20 @@ def _link_writers(scope, tree, attrs):
     return found
 
 
+def _callers(scope, tree, callee):
+    """Qualified names of the innermost functions under `tree` around each
+    call of `callee`, by name or attribute; "" for a call at module level."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.add(scope)
+        inner = (f"{scope}.{node.name}".lstrip(".")
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope)
+        found |= _callers(inner, node, callee)
+    return found
+
+
 class TestNodeConstructor:
     def test_only_node_builds_graph_links(self):
         """Every op makes its node through `_node`: no other function in the
@@ -648,6 +662,13 @@ class TestNodeConstructor:
             expected = {"_node", "Tensor.__init__"} if name == "tensor" else set()
             assert _link_writers("", tree, GRAPH_LINKS) == expected, name
             assert _link_writers("", tree, {"requires_grad"}) == expected, name
+
+    def test_only_node_and_layers_guard(self):
+        """The package scans for non-finite values in two places: each op's
+        output in `_node` and each layer's in `Affine.__call__`."""
+        callers = {name: found for name, tree in package_trees().items()
+                   if (found := _callers("", tree, "_guard"))}
+        assert callers == {"tensor": {"_node"}, "layers": {"Affine.__call__"}}
 
     def test_node_guards_and_links(self):
         t = Tensor(Z)

@@ -387,6 +387,19 @@ class TestParameterNames:
                                match=r"epoch 0, batch 0: non-finite gradient norm"):
                 train(ds, cfg)
 
+    def test_train_names_epoch_of_failing_validation(self):
+        """A validation row that overflows the grouped tier: the error names
+        the epoch and the validation pass, with no warning."""
+        groups = [[0, 6], [6, 12]]
+        ds = standardize(synth_nonlinear(200, FeatureGroupSpec(groups), 0.1, seed=1))
+        cfg = ModelConfig(groups=groups, max_epochs=2, patience=2, seed=0)
+        ds.x[np.random.default_rng(cfg.seed + 3).permutation(ds.n)[0]] = 1.5e308  # a validation row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"epoch 0, validation: non-finite output "
+                                                   r"in op 'kernel_attention'"):
+                train(ds, cfg)
+
 
 class TestForwardNoise:
     """`forward`'s rng is the only source of noise, and only in train mode."""
@@ -879,7 +892,7 @@ class TestGraphScope:
         cfg = quick_cfg()
         model = ScalarModel(cfg, 8)
         y_hat, trace = model.forward(Rng(1).normal((5, 8)), "eval")
-        for t in (y_hat, trace.latent, trace.global_trace.z):
+        for t in (y_hat, trace.latent, trace.z):
             assert t._prev == () and t._backward is None and not t.requires_grad
         total, _ = composite_loss(np.zeros(5), y_hat, trace.latent,
                                   0, 10, cfg.loss)  # the validation loss in train()
