@@ -134,7 +134,7 @@ def kernel_attention(x: Tensor, records):
         hw, logits = prm.phi_w(xs, "kernel_attention")
         wsm = _softmax_rows(logits)  # (G, b, k)
         hk, raw = prm.phi_k(xs, "kernel_attention")
-        k_hat = raw.reshape(wsm.shape + (-1,))  # normalized in place into k̂ (G, b, k, w)
+        k_hat = raw.reshape(wsm.shape + xs.shape[-1:])  # normalized in place into k̂ (G, b, k, w)
         norm = np.sqrt(np.einsum("gbkw,gbkw->gbk", k_hat, k_hat))  # np.linalg.norm
         m = np.maximum(norm, EPS)[..., None]  # at EPS exactly where norm <= EPS
         k_hat /= m

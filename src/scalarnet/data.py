@@ -21,6 +21,8 @@ from .attention import FeatureGroupSpec
 from .errors import ConfigError, DataError, check_cells
 from .tensor import Rng
 
+CSV_BLOCK_ROWS = 1024  # rows write_csv formats at a time
+
 
 @dataclass
 class Scaler:
@@ -159,11 +161,15 @@ def _raise_bad_row(path, header, problem: str) -> None:
 
 def write_csv(ds: Dataset, path) -> None:
     """`ds` as a CSV with header `feature_names + ["y"]`; each value is
-    written as its float repr, which never needs quoting."""
+    written as its float repr, which never needs quoting. Rows are formatted
+    a block at a time, so memory does not grow with n."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(ds.feature_names) + ["y"])
-        for row in np.column_stack([ds.x, ds.y]).astype(np.float64, copy=False).tolist():
-            fh.write(",".join(map(repr, row)) + "\r\n")
+        for a in range(0, ds.n, CSV_BLOCK_ROWS):
+            rows = slice(a, a + CSV_BLOCK_ROWS)
+            block = np.column_stack([ds.x[rows], ds.y[rows]]).astype(np.float64, copy=False)
+            for row in block.tolist():
+                fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def standardize(ds: Dataset) -> Dataset:

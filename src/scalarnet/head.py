@@ -78,30 +78,42 @@ def head_forward(g: Tensor, params: HeadParams):
     return _node("head", y.reshape(-1), (g, params.leaf), backward), alpha
 
 
-def feature_importance(k_hat: np.ndarray, w: np.ndarray):
+def feature_importance(blocks):
     """Per-feature relevance from the global tier's kernel weights and
-    normalized kernels, min-max scaled to [0, 1].
+    normalized kernels: the mean over rows of |Σ_l w_il k̂_ilj|, min-max
+    scaled to [0, 1].
 
     Parameters
     ----------
-    k_hat: (n, k, p) normalized kernels over the evaluation set.
-    w: (n, k) kernel weights.
+    blocks: iterable of (k_hat, w) row blocks of the evaluation set, in row
+        order: k_hat (b, k, p) normalized kernels, w (b, k) kernel weights.
+        Each block is reduced as it arrives, so memory does not grow with
+        their number.
 
     Returns
     -------
     (raw, normalized): two length-p vectors.
     """
-    k_hat = np.asarray(k_hat, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if k_hat.ndim != 3 or w.ndim != 2 or k_hat.shape[:2] != w.shape:
-        raise DataError(
-            f"trace shapes do not conform: k_hat {k_hat.shape}, w {w.shape}"
-        )
-    if k_hat.shape[0] == 0:
+    total, n = 0.0, 0  # relevance summed over the first n rows; a scalar before any block
+    for k_hat, w in blocks:
+        k_hat = np.asarray(k_hat, dtype=np.float64)
+        w = np.asarray(w, dtype=np.float64)
+        if (k_hat.ndim != 3 or w.ndim != 2 or k_hat.shape[:2] != w.shape
+                or np.ndim(total) and k_hat.shape[2] != len(total)):
+            raise DataError(
+                f"trace shapes do not conform: k_hat {k_hat.shape}, w {w.shape}"
+            )
+        # row 0 carries the sum so far, so rows add in row order, as one
+        # .sum(axis=0) over the whole set would add them
+        rows = np.empty((len(w) + 1, k_hat.shape[2]))
+        rows[0] = total
+        np.abs(np.einsum("il,ilj->ij", w, k_hat, out=rows[1:]), out=rows[1:])
+        total, n = rows.sum(axis=0), n + len(w)
+    if n == 0:
         raise DataError("empty trace set")
-    if k_hat.shape[2] < 2:
+    if len(total) < 2:
         raise DataError("feature importance needs p >= 2")
-    raw = np.abs(np.einsum("il,ilj->ij", w, k_hat)).mean(axis=0)
+    raw = total / n
     lo, hi = raw.min(), raw.max()
     if hi == lo:
         raise DataError("degenerate importance: all features scored equally")

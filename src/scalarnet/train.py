@@ -240,7 +240,7 @@ def train(ds: Dataset, cfg: ModelConfig):
 
         # validation in eval chunks; the loss once, over every validation row
         try:
-            y_hat_val, *latent = _eval_rows(model, x_val, _loss_inputs)
+            y_hat_val, *latent = _eval_rows(_eval_chunks(model, x_val, _loss_inputs), n_val)
             with no_grad():
                 latent = Tensor(np.stack(latent)) if latent else None
                 val_total, val_parts = composite_loss(
@@ -269,13 +269,14 @@ def train(ds: Dataset, cfg: ModelConfig):
     return _checkpoint_from(model, ds, best_val, best_epoch), history
 
 
-def _eval_rows(model: ScalarModel, x: np.ndarray, keep, scaler: Scaler = None) -> list:
+def _eval_chunks(model: ScalarModel, x: np.ndarray, keep, scaler: Scaler = None):
     """Eval-mode forwards of `model` on the rows of x, standardized chunk by
     chunk by `scaler` when one is given, over ceil(n / rows) near-equal row
     chunks (sizes differ by at most EVAL_ALIGN rows). `rows` is the largest
     multiple of EVAL_ALIGN with rows·k·p <= EVAL_CELLS, kept within
-    [EVAL_ALIGN, EVAL_ROWS]. `keep(y_hat, trace)` picks row-major arrays from
-    each chunk's forward; returns those arrays filled for all n rows.
+    [EVAL_ALIGN, EVAL_ROWS]. Yields, per chunk in row order, `keep(y_hat,
+    trace)`: the row-major arrays picked from its forward; zero rows make one
+    empty chunk.
     """
     n = len(x)
     rows = EVAL_CELLS // (model.cfg.k * model.p) // EVAL_ALIGN * EVAL_ALIGN
@@ -284,31 +285,39 @@ def _eval_rows(model: ScalarModel, x: np.ndarray, keep, scaler: Scaler = None) -
     # the near-equal cuts i·n/chunks, each rounded up to a multiple of EVAL_ALIGN
     bounds = [min(n, -(-(i * n // chunks) // EVAL_ALIGN) * EVAL_ALIGN)
               for i in range(chunks + 1)]
-    out = None
     for a, b in zip(bounds[:-1], bounds[1:]):
         xc = x[a:b] if scaler is None else (x[a:b] - scaler.x_mean) / scaler.x_std
-        parts = keep(*model.forward(xc, "eval"))
+        yield keep(*model.forward(xc, "eval"))
+
+
+def _eval_rows(chunks, n: int) -> list:
+    """The arrays each chunk of `_eval_chunks` yields, filled for all n rows."""
+    out, a = None, 0
+    for parts in chunks:
         if out is None:
             out = [np.empty((n, *part.shape[1:])) for part in parts]
+        b = a + len(parts[0])
         for full, part in zip(out, parts):
             full[a:b] = part
+        a = b
     return out
 
 
 def _forward_eval(ckpt: Checkpoint, ds_raw: Dataset, keep):
-    """(the checked scaler, `_eval_rows` of the checkpoint's model on raw,
+    """(the checked scaler, `_eval_chunks` of the checkpoint's model on raw,
     unstandardized data)."""
     scaler = ckpt.get_scaler()
     if ds_raw.p != len(scaler.x_mean):
         raise ConfigError(
             f"data has {ds_raw.p} features, checkpoint expects {len(scaler.x_mean)}"
         )
-    return scaler, _eval_rows(ckpt.build_model(), ds_raw.x, keep, scaler)
+    return scaler, _eval_chunks(ckpt.build_model(), ds_raw.x, keep, scaler)
 
 
 def predict(ckpt: Checkpoint, ds_raw: Dataset) -> np.ndarray:
     """Deterministic eval-mode predictions on the original target scale."""
-    scaler, (y_hat,) = _forward_eval(ckpt, ds_raw, lambda y_hat, trace: (y_hat.data,))
+    scaler, chunks = _forward_eval(ckpt, ds_raw, lambda y_hat, trace: (y_hat.data,))
+    (y_hat,) = _eval_rows(chunks, ds_raw.n)
     return destandardize_predictions(y_hat, scaler)
 
 
@@ -327,10 +336,11 @@ def evaluate(ckpt: Checkpoint, ds_raw: Dataset, n_bins: int = 5) -> dict:
 
 
 def importance_scores(ckpt: Checkpoint, ds_raw: Dataset):
-    """Global-tier feature importance over the whole evaluation set."""
-    _, (k_hat, w) = _forward_eval(
+    """Global-tier feature importance over the whole evaluation set, reduced
+    chunk by chunk."""
+    _, chunks = _forward_eval(
         ckpt, ds_raw, lambda y_hat, trace: (trace.global_trace.k_hat, trace.global_trace.w))
-    return feature_importance(k_hat, w)
+    return feature_importance(chunks)
 
 
 def ablation_data_fraction(ds_raw: Dataset, cfg: ModelConfig, fractions):

@@ -367,7 +367,7 @@ def test_11_importance_contract():
     logits = rng.normal((b, k))
     w = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     k_hat = rng.normal((b, k, p))
-    raw, normalized = feature_importance(k_hat, w)
+    raw, normalized = feature_importance([(k_hat, w)])
 
     loop = np.zeros(p)
     for j in range(p):
@@ -379,8 +379,8 @@ def test_11_importance_contract():
     loop_norm = (loop - lo) / (loop.max() - lo)
     oracle_err = np.abs(normalized - loop_norm).max()
 
-    _, dup = feature_importance(np.concatenate([k_hat, k_hat]),
-                                np.concatenate([w, w]))
+    _, dup = feature_importance([(np.concatenate([k_hat, k_hat]),
+                                 np.concatenate([w, w]))])
     dup_err = np.abs(dup - normalized).max()
     ok = (normalized.min() == 0.0 and normalized.max() == 1.0
           and np.all((normalized >= 0) & (normalized <= 1))

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scalarnet.attention import FeatureGroupSpec
 from scalarnet.baselines import pls_fit, pls_predict, ridge_fit, ridge_predict, select_components
 from scalarnet.data import (
+    Dataset,
     destandardize_predictions,
     load_csv,
     split,
@@ -195,10 +197,39 @@ class TestLoadCsv:
         assert np.array_equal(back.y, ds.y)
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+    def test_bytes_are_each_rows_reprs(self, tmp_path, n):
+        """Each row is its values' reprs joined by commas and ended by CRLF,
+        across the 1024-row blocks, for signed zeros, subnormals and huge
+        values too."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        y = rng.normal(size=n)
+        x.flat[:3] = -0.0, 5e-324, 1e300
+        y[-1] = -1e300
+        write_csv(Dataset(x=x, y=y, feature_names=["a", "b", "c"],
+                          spec=FeatureGroupSpec([(0, 3)])), tmp_path / "d.csv")
+        expected = "a,b,c,y\r\n" + "".join(
+            ",".join(map(repr, row)) + "\r\n" for row in np.column_stack([x, y]).tolist())
+        assert (tmp_path / "d.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_memory_per_row_is_bounded(self, tmp_path):
+        """Traced peak below 128 B per row on 20k rows of 12 features (~31 B:
+        one 1024-row block of float objects); a float list of the whole table
+        costs ~580 B per row."""
+        ds = synth_nonlinear(20_000, FeatureGroupSpec([(0, 6), (6, 12)]), 0.1, seed=0)
+        tracemalloc.start()
+        try:
+            write_csv(ds, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ds.n < 128, peak / ds.n
+
+
 class TestStandardize:
     def test_hand_computed_column(self):
-        from scalarnet.data import Dataset
-
         ds = Dataset(
             x=np.array([[1.0], [2.0], [3.0]]),
             y=np.array([0.0, 1.0, 2.0]),
@@ -211,8 +242,6 @@ class TestStandardize:
         np.testing.assert_allclose(out.x[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_column_no_division_by_zero(self):
-        from scalarnet.data import Dataset
-
         ds = Dataset(
             x=np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]),
             y=np.array([1.0, 2.0, 3.0]),

@@ -117,7 +117,7 @@ class TestHeadForward:
 
 class TestFeatureImportance:
     def test_single_sample_single_kernel(self):
-        raw, norm = feature_importance(np.array([[[0.6, 0.8]]]), np.array([[1.0]]))
+        raw, norm = feature_importance([(np.array([[[0.6, 0.8]]]), np.array([[1.0]]))])
         np.testing.assert_allclose(raw, [0.6, 0.8], atol=1e-15)
         np.testing.assert_allclose(norm, [0.0, 1.0], atol=1e-15)
 
@@ -125,9 +125,9 @@ class TestFeatureImportance:
         rng = np.random.default_rng(0)
         k_hat = rng.normal(size=(5, 3, 4))
         w = rng.random((5, 3))
-        _, norm1 = feature_importance(k_hat, w)
+        _, norm1 = feature_importance([(k_hat, w)])
         _, norm2 = feature_importance(
-            np.concatenate([k_hat, k_hat]), np.concatenate([w, w])
+            [(np.concatenate([k_hat, k_hat]), np.concatenate([w, w]))]
         )
         np.testing.assert_allclose(norm1, norm2, atol=1e-14)
 
@@ -136,7 +136,7 @@ class TestFeatureImportance:
         rng = np.random.default_rng(1)
         k_hat = rng.normal(size=(4, 2, 5))
         w = rng.random((4, 2))
-        raw, norm = feature_importance(k_hat, w)
+        raw, norm = feature_importance([(k_hat, w)])
         scaled = 7.3 * raw
         np.testing.assert_allclose(
             (scaled - scaled.min()) / (scaled.max() - scaled.min()), norm, atol=1e-12
@@ -147,7 +147,7 @@ class TestFeatureImportance:
         n, k, p = 3, 2, 4
         k_hat = rng.normal(size=(n, k, p))
         w = rng.random((n, k))
-        raw, _ = feature_importance(k_hat, w)
+        raw, _ = feature_importance([(k_hat, w)])
         expected = np.zeros(p)
         for j in range(p):
             acc = 0.0
@@ -161,14 +161,35 @@ class TestFeatureImportance:
 
     def test_endpoints_attained(self):
         rng = np.random.default_rng(3)
-        _, norm = feature_importance(rng.normal(size=(10, 3, 6)), rng.random((10, 3)))
+        _, norm = feature_importance([(rng.normal(size=(10, 3, 6)), rng.random((10, 3)))])
         assert norm.min() == 0.0 and norm.max() == 1.0
         assert ((norm >= 0) & (norm <= 1)).all()
 
+    def test_blocks_reduce_to_the_bits_of_one(self):
+        """Rows add in row order across blocks, empty blocks included."""
+        rng = np.random.default_rng(4)
+        k_hat = rng.normal(size=(300, 4, 12))
+        w = rng.random((300, 4))
+        cuts = [0, 1, 1, 97, 256, 300]
+        blocks = [(k_hat[a:b], w[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        raw, norm = feature_importance(blocks)
+        ref = np.abs(np.einsum("il,ilj->ij", w, k_hat)).mean(axis=0)
+        assert np.array_equal(raw, ref)
+        assert np.array_equal(norm, feature_importance([(k_hat, w)])[1])
+
+    def test_blocks_of_other_widths_error(self):
+        with pytest.raises(DataError, match="do not conform"):
+            feature_importance([(np.ones((2, 1, 3)), np.ones((2, 1))),
+                                (np.ones((2, 1, 4)), np.ones((2, 1)))])
+
     def test_degenerate_importance_errors(self):
         with pytest.raises(DataError, match="degenerate"):
-            feature_importance(np.ones((2, 1, 3)), np.ones((2, 1)))
+            feature_importance([(np.ones((2, 1, 3)), np.ones((2, 1)))])
+
+    def test_one_feature_errors(self):
+        with pytest.raises(DataError, match="p >= 2"):
+            feature_importance([(np.ones((2, 1, 1)), np.ones((2, 1)))])
 
     def test_empty_trace_errors(self):
         with pytest.raises(DataError):
-            feature_importance(np.zeros((0, 1, 3)), np.zeros((0, 1)))
+            feature_importance([(np.zeros((0, 1, 3)), np.zeros((0, 1)))])

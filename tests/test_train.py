@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scalarnet import model as model_module
 from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams
 from scalarnet.calibration import CalibrationParams, self_calibrate, variational_encode_decode
-from scalarnet.data import Dataset, standardize, synth_nonlinear
-from scalarnet.errors import ConfigError, NumericError
+from scalarnet.data import Dataset, standardize, synth_nonlinear, take
+from scalarnet.errors import ConfigError, DataError, NumericError
 from scalarnet.head import HeadParams, feature_importance, head_forward
 from scalarnet.layers import Affine, Mlp2, named_tensors
 from scalarnet.losses import LossConfig, composite_loss, kl_weight, loss
@@ -672,8 +672,8 @@ class TestChunkedEval:
         assert np.array_equal(predict(acceptance_ckpt, ds_raw), expected)
         if n > 1:
             raw, normalized = importance_scores(acceptance_ckpt, ds_raw)
-            ref_raw, ref_normalized = feature_importance(trace.global_trace.k_hat,
-                                                         trace.global_trace.w)
+            ref_raw, ref_normalized = feature_importance([(trace.global_trace.k_hat,
+                                                          trace.global_trace.w)])
             assert np.array_equal(raw, ref_raw)
             assert np.array_equal(normalized, ref_normalized)
 
@@ -723,8 +723,8 @@ class TestChunkedEval:
                                    y_hat.data * scaler.y_std + scaler.y_mean,
                                    rtol=1e-9, atol=1e-12)
         raw, normalized = importance_scores(wide_ckpt, ds_raw)
-        ref_raw, ref_normalized = feature_importance(trace.global_trace.k_hat,
-                                                     trace.global_trace.w)
+        ref_raw, ref_normalized = feature_importance([(trace.global_trace.k_hat,
+                                                      trace.global_trace.w)])
         np.testing.assert_allclose(raw, ref_raw, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(normalized, ref_normalized, rtol=1e-9, atol=1e-12)
 
@@ -740,6 +740,34 @@ class TestChunkedEval:
             finally:
                 tracemalloc.stop()
             assert peak / ds_raw.n < 2048, (score.__name__, peak / ds_raw.n)
+
+    def test_importance_memory_is_flat_in_n(self, acceptance_ckpt):
+        """importance_scores reduces each chunk as it comes: its traced peak
+        on 40k rows is within 3 MB of that on 10k (~1.9 MB above it: 4032-row
+        chunks against 3392-row ones). Keeping k̂ and w for every row adds
+        ~14 MB."""
+        peaks = {}
+        for n in (10_000, 40_000):
+            ds_raw = eval_rows(n)
+            tracemalloc.start()
+            try:
+                importance_scores(acceptance_ckpt, ds_raw)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40_000] - peaks[10_000] < 3e6, peaks
+
+    def test_predict_on_zero_rows_is_empty(self, acceptance_ckpt):
+        y_hat = predict(acceptance_ckpt, take(eval_rows(8), np.arange(0)))
+        assert y_hat.shape == (0,)
+
+    def test_evaluate_on_zero_rows_raises_data_error(self, acceptance_ckpt):
+        with pytest.raises(DataError, match="at least 2 samples"):
+            evaluate(acceptance_ckpt, take(eval_rows(8), np.arange(0)))
+
+    def test_importance_on_zero_rows_raises_data_error(self, acceptance_ckpt):
+        with pytest.raises(DataError, match="empty trace set"):
+            importance_scores(acceptance_ckpt, take(eval_rows(8), np.arange(0)))
 
     def test_wide_memory_per_row_is_bounded(self, wide_ckpt):
         """Traced peak of predict on 4000 rows of 48 features below 3 KB per
