@@ -28,11 +28,14 @@ from .model import ModelConfig, ScalarModel, _check_fields
 from .tensor import Rng, Tensor, no_grad
 
 CHECKPOINT_VERSION = 1
-EVAL_ROWS = 4096  # most rows in one eval-mode forward: validation, predict, importance
+# Most rows in one eval-mode forward: validation, predict, importance. A
+# larger chunk raises the working set (peak RSS) and runs no faster; smaller
+# ones add forward calls that slow importance_scores.
+EVAL_ROWS = 1024
 # An eval forward's widest arrays, the attention tiers' k̂, hold k·p cells a
-# row; a chunk holds at most EVAL_CELLS of them, so models with k·p <= 48 run
+# row; a chunk holds at most EVAL_CELLS of them, so models with k·p <= 192 run
 # EVAL_ROWS-row chunks and wider ones fewer rows.
-EVAL_CELLS = EVAL_ROWS * 48
+EVAL_CELLS = EVAL_ROWS * 192
 # Eval chunks start on multiples of EVAL_ALIGN rows. OpenBLAS (0.3.31) rounds
 # some rows of a one-column product, such as phi_y's last layer, differently
 # when a call starts at an unaligned row; aligned chunks give the bits of one
@@ -274,7 +277,8 @@ def _eval_chunks(model: ScalarModel, x: np.ndarray, keep, scaler: Scaler = None)
     chunk by `scaler` when one is given, over ceil(n / rows) near-equal row
     chunks (sizes differ by at most EVAL_ALIGN rows). `rows` is the largest
     multiple of EVAL_ALIGN with rows·k·p <= EVAL_CELLS, kept within
-    [EVAL_ALIGN, EVAL_ROWS]. Yields, per chunk in row order, `keep(y_hat,
+    [EVAL_ALIGN, EVAL_ROWS]: 1024 rows while k·p <= 192, so both tiers' k̂
+    stay small beside the data. Yields, per chunk in row order, `keep(y_hat,
     trace)`: the row-major arrays picked from its forward; zero rows make one
     empty chunk.
     """

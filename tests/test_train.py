@@ -658,7 +658,7 @@ class TestChunkedEval:
     """predict and importance_scores run in row chunks of at most EVAL_ROWS
     without a graph, and give the bits of one full-batch forward."""
 
-    @pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 2 * 4096 + 7])
+    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 4095, 4096, 4097, 2 * 4096 + 7])
     def test_bit_equal_to_one_full_batch_forward_with_grad_on(
             self, acceptance_ckpt, n, monkeypatch):
         ds_raw = eval_rows(n)
@@ -694,7 +694,7 @@ class TestChunkedEval:
         assert max(sizes) <= EVAL_ROWS and min(sizes) > n // chunks - EVAL_ALIGN
         assert all(s % EVAL_ALIGN == 0 for s in sizes[:-1])  # aligned starts
 
-    @pytest.mark.parametrize("n", [2, 1024, 1025, 4000, EVAL_ROWS + 1])
+    @pytest.mark.parametrize("n", [2, 1024, 1025, 4000, 4097])
     @pytest.mark.parametrize("score", [predict, importance_scores])
     def test_wide_chunks_are_aligned_and_cover_every_row(self, wide_ckpt, n, score,
                                                          monkeypatch):
@@ -715,7 +715,7 @@ class TestChunkedEval:
     def test_wide_config_matches_full_batch_to_rounding(self, wide_ckpt):
         """On 48 features OpenBLAS picks other gemm kernels for a chunk's row
         count than for the full batch, so chunks agree to rounding only."""
-        ds_raw = wide_eval_rows(EVAL_ROWS + 1)
+        ds_raw = wide_eval_rows(4097)
         scaler = wide_ckpt.get_scaler()
         y_hat, trace = wide_ckpt.build_model().forward(
             (ds_raw.x - scaler.x_mean) / scaler.x_std, "eval")
@@ -743,8 +743,8 @@ class TestChunkedEval:
 
     def test_importance_memory_is_flat_in_n(self, acceptance_ckpt):
         """importance_scores reduces each chunk as it comes: its traced peak
-        on 40k rows is within 3 MB of that on 10k (~1.9 MB above it: 4032-row
-        chunks against 3392-row ones). Keeping k̂ and w for every row adds
+        on 40k rows is within 3 MB of that on 10k (~1 KB above it: chunks of
+        at most 1024 rows at both sizes). Keeping k̂ and w for every row adds
         ~14 MB."""
         peaks = {}
         for n in (10_000, 40_000):
@@ -756,6 +756,20 @@ class TestChunkedEval:
             finally:
                 tracemalloc.stop()
         assert peaks[40_000] - peaks[10_000] < 3e6, peaks
+
+    def test_twelve_feature_eval_peak_is_bounded(self, acceptance_ckpt):
+        """1024-row chunks keep the traced peak of predict and of
+        importance_scores on 20k rows of the acceptance config below 4 MB
+        (~2.6 and ~3.0 MB; ~9.6 and ~11.5 MB in 4096-row chunks)."""
+        ds_raw = eval_rows(20_000)
+        for score in (predict, importance_scores):
+            tracemalloc.start()
+            try:
+                score(acceptance_ckpt, ds_raw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, (score.__name__, peak)
 
     def test_predict_on_zero_rows_is_empty(self, acceptance_ckpt):
         y_hat = predict(acceptance_ckpt, take(eval_rows(8), np.arange(0)))
@@ -780,6 +794,32 @@ class TestChunkedEval:
         finally:
             tracemalloc.stop()
         assert peak / ds_raw.n < 3072, peak / ds_raw.n
+
+
+def test_twelve_feature_validation_in_chunks_equals_one_forward(monkeypatch):
+    """On the acceptance config, validating 4536 rows in 1024-row chunks
+    gives the history and checkpoint of one 4536-row validation forward."""
+    ds = standardize(eval_rows(5040, seed=3))
+    cfg = ModelConfig(groups=ACCEPTANCE_GROUPS, max_epochs=2, val_fraction=0.9, seed=0)
+    forward = ScalarModel.forward
+    runs = []
+
+    def spy(model, x, mode="train", rng=None):
+        if mode == "eval":
+            runs[-1].append(len(x))
+        return forward(model, x, mode, rng)
+
+    monkeypatch.setattr(ScalarModel, "forward", spy)
+    results = []
+    for rows in (EVAL_ROWS, 8192):
+        monkeypatch.setattr("scalarnet.train.EVAL_ROWS", rows)
+        monkeypatch.setattr("scalarnet.train.EVAL_CELLS", rows * 192)
+        runs.append([])
+        results.append(train(ds, cfg))
+    assert runs == [[960, 896, 896, 896, 888] * 2, [4536] * 2]  # two epochs each
+    (chunked, chunked_history), (whole, whole_history) = results
+    assert chunked_history == whole_history
+    assert chunked == whole
 
 
 def test_train_validation_memory_per_row_is_bounded():
