@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,11 +30,22 @@ from .train import (
 )
 
 
-def _load_config(path, groups, seed=None) -> ModelConfig:
-    raw = data.read_json(path, ConfigError)
+def _load_config(args, ds, seed=None) -> ModelConfig:
+    """The config of `train` and `ablate`. Its groups are the config's, which
+    `--groups` must then equal, or else those `load_csv` gave `ds`: the
+    `--groups` file's, or one group [0, p), with a warning."""
+    raw = data.read_json(args.config, ConfigError)
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config is not a JSON object")
-    raw.setdefault("groups", groups)
+        raise ConfigError(f"{args.config}: config is not a JSON object")
+    groups = [list(g) for g in ds.spec.groups]
+    if "groups" not in raw:
+        if args.groups is None:
+            warnings.warn(f"no groups in the config or --groups; "
+                          f"assuming a single group [0, {ds.p})")
+        raw["groups"] = groups
+    elif args.groups is not None and raw["groups"] != groups:
+        raise ConfigError(f"{args.config} names groups {raw['groups']}, "
+                          f"but --groups {args.groups} names {groups}")
     if seed is not None:
         raw["seed"] = seed
     return ModelConfig.from_dict(raw)
@@ -55,7 +67,7 @@ def _output(path):
 
 def cmd_train(args):
     ds = data.load_csv(args.data, args.target, args.groups)
-    cfg = _load_config(args.config, [list(g) for g in ds.spec.groups], args.seed)
+    cfg = _load_config(args, ds, args.seed)
     with _output(args.out):
         ckpt, history = train(data.standardize(ds), cfg)
         ckpt.save(args.out)
@@ -126,7 +138,7 @@ def cmd_synth(args):
 
 def cmd_ablate(args):
     ds = data.load_csv(args.data, args.target, args.groups)
-    cfg = _load_config(args.config, [list(g) for g in ds.spec.groups])
+    cfg = _load_config(args, ds)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError:

@@ -11,7 +11,6 @@ import contextlib
 import csv
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -120,7 +119,6 @@ def load_csv(path, target_column: str, groups_path=None) -> Dataset:
     names = [h for i, h in enumerate(header) if i != t_idx]
     p = x.shape[1]
     if groups_path is None:
-        warnings.warn(f"no groups file given; assuming a single group [0, {p})")
         spec = FeatureGroupSpec([(0, p)])
     else:
         spec = load_groups(groups_path)

@@ -131,6 +131,51 @@ class TestTrainEval:
         assert rc == 2
         assert "max_epochz" in capsys.readouterr().err
 
+    def test_commands_that_use_no_groups_file_do_not_warn(self, workspace, capsys):
+        """eval and importance use the checkpoint's groups and baseline uses
+        none, so without --groups they run without the single-group warning
+        (pyproject turns a scalarnet UserWarning into an error)."""
+        tmp, data_path, groups_path, config_path = workspace
+        ckpt = _trained_checkpoint(
+            tmp, ["--data", data_path, "--target", "y", "--groups", groups_path], config_path)
+        common = ["--data", data_path, "--target", "y"]
+        assert run(["eval", *common, "--ckpt", ckpt]) == 0
+        assert run(["importance", *common, "--ckpt", ckpt, "--out", tmp / "imp.csv"]) == 0
+        assert run(["baseline", *common, "--method", "ridge"]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_config_names_the_groups_or_one_group_is_warned(self, workspace, command):
+        """Without --groups the config's groups are used unwarned, and with
+        neither train and ablate warn that they assume one group."""
+        tmp, data_path, _, config_path = workspace
+        argv = [command, "--data", data_path, "--target", "y"]
+        argv += ["--out", tmp / "m.json"] if command == "train" else ["--fractions", "1.0"]
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        named = _write(tmp / "named.json", json.dumps({**raw, "groups": [[0, 2], [2, 8]]}))
+        assert run([*argv, "--config", named]) == 0
+        if command == "train":
+            ckpt = json.loads((tmp / "m.json").read_text(encoding="utf-8"))
+            assert ckpt["config"]["groups"] == [[0, 2], [2, 8]]
+        with pytest.warns(UserWarning, match=r"no groups in the config or --groups; "
+                                             r"assuming a single group \[0, 8\)"):
+            assert run([*argv, "--config", config_path]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_config_groups_must_equal_the_groups_file(self, workspace, capsys, command):
+        tmp, data_path, groups_path, config_path = workspace
+        out = tmp / "m.json"
+        argv = [command, "--data", data_path, "--target", "y", "--groups", groups_path]
+        argv += ["--out", out] if command == "train" else ["--fractions", "1.0"]
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        one = _write(tmp / "one.json", json.dumps({**raw, "groups": [[0, 8]]}))
+        capsys.readouterr()
+        assert run([*argv, "--config", one]) == 2
+        err = capsys.readouterr().err
+        assert "[[0, 8]]" in err and "[[0, 4], [4, 8]]" in err and str(groups_path) in err
+        assert not out.exists()
+        same = _write(tmp / "same.json", json.dumps({**raw, "groups": [[0, 4], [4, 8]]}))
+        assert run([*argv, "--config", same]) == 0
+
     def test_malformed_json_config(self, workspace, capsys):
         tmp, data_path, groups_path, _ = workspace
         bad = tmp / "bad.json"
@@ -155,15 +200,13 @@ class TestBaselineSynthGradcheck:
 
     def test_baseline_pls_constant_column(self, tmp_path, capsys):
         # CV must skip the counts above the rank of X instead of failing
-        with pytest.warns(UserWarning, match="no groups file"):
-            rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls"])
+        rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["n_components"] <= 5
 
     def test_baseline_pls_count_above_rank_exits_3(self, tmp_path, capsys):
-        with pytest.warns(UserWarning, match="no groups file"):
-            rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls",
-                      "--components", "6"])
+        rc = run(["baseline", *_constant_column_data(tmp_path), "--method", "pls",
+                  "--components", "6"])
         assert rc == 3
         assert "singular at 6 components" in capsys.readouterr().err
 

@@ -89,11 +89,10 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.y, [3, 6, 9])
         assert ds.feature_names == ["a", "b"]
 
-    def test_missing_groups_file_defaults_with_warning(self, tmp_path):
+    def test_missing_groups_file_defaults_to_one_group(self, tmp_path):
         csv_path = tmp_path / "d.csv"
         write(csv_path, "a,b,y\n1,2,3\n")
-        with pytest.warns(UserWarning, match="single group"):
-            ds = load_csv(csv_path, "y")
+        ds = load_csv(csv_path, "y")
         assert ds.spec.groups == ((0, 2),)
 
     def test_gap_in_groups_rejected(self, tmp_path):
@@ -191,8 +190,7 @@ class TestLoadCsv:
         ds = synth_nonlinear(20, spec, 0.3, seed=3)
         out = tmp_path / "rt.csv"
         write_csv(ds, out)
-        with pytest.warns(UserWarning):
-            back = load_csv(out, "y")
+        back = load_csv(out, "y")
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
 

@@ -796,11 +796,17 @@ class TestChunkedEval:
         assert peak / ds_raw.n < 3072, peak / ds_raw.n
 
 
-def test_twelve_feature_validation_in_chunks_equals_one_forward(monkeypatch):
+@pytest.mark.parametrize("changes", [
+    {},
+    {"use_variational": False},  # no μ/log σ blocks to join
+    {"loss": LossConfig(beta0=0.0)},  # blocks joined, the KL term weighted 0
+], ids=["variational", "no_variational", "beta0_zero"])
+def test_twelve_feature_validation_in_chunks_equals_one_forward(monkeypatch, changes):
     """On the acceptance config, validating 4536 rows in 1024-row chunks
     gives the history and checkpoint of one 4536-row validation forward."""
     ds = standardize(eval_rows(5040, seed=3))
-    cfg = ModelConfig(groups=ACCEPTANCE_GROUPS, max_epochs=2, val_fraction=0.9, seed=0)
+    cfg = ModelConfig(groups=ACCEPTANCE_GROUPS, max_epochs=2, val_fraction=0.9, seed=0,
+                      **changes)
     forward = ScalarModel.forward
     runs = []
 
