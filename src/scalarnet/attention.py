@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from .errors import ConfigError
 from .layers import Affine, Mlp2, hidden_width, stacked
 from .tensor import Rng, Tensor, _node, _softmax_rows, _softmax_rows_grad
@@ -144,8 +143,7 @@ def kernel_attention(x: Tensor, records):
         for j, (s, e) in enumerate(prm.cols):
             out[:, s:e] = z[j]
             traces[s] = AttentionTrace(k_hat[j], wsm[j])
-        if tensor._grad_enabled:  # only a backward reads these; eval keeps none
-            saved.append((prm, xs, hk, hw, wsm, m, k_hat, mix, att))
+        saved.append((prm, xs, hk, hw, wsm, m, k_hat, mix, att))
 
     def backward(g):
         for prm, xs, hk, hw, wsm, m, k_hat, mix, att in saved:

@@ -30,6 +30,14 @@ from .train import (
 )
 
 
+def _check_groups(args, ds, groups, source) -> None:
+    """A `--groups` file, if given, must name `groups`, those the model runs with."""
+    given = [list(g) for g in ds.spec.groups]
+    if args.groups is not None and groups != given:
+        raise ConfigError(f"{source} names groups {groups}, "
+                          f"but --groups {args.groups} names {given}")
+
+
 def _load_config(args, ds, seed=None) -> ModelConfig:
     """The config of `train` and `ablate`. Its groups are the config's, which
     `--groups` must then equal, or else those `load_csv` gave `ds`: the
@@ -37,15 +45,12 @@ def _load_config(args, ds, seed=None) -> ModelConfig:
     raw = data.read_json(args.config, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: config is not a JSON object")
-    groups = [list(g) for g in ds.spec.groups]
     if "groups" not in raw:
         if args.groups is None:
             warnings.warn(f"no groups in the config or --groups; "
                           f"assuming a single group [0, {ds.p})")
-        raw["groups"] = groups
-    elif args.groups is not None and raw["groups"] != groups:
-        raise ConfigError(f"{args.config} names groups {raw['groups']}, "
-                          f"but --groups {args.groups} names {groups}")
+        raw["groups"] = [list(g) for g in ds.spec.groups]
+    _check_groups(args, ds, raw["groups"], args.config)
     if seed is not None:
         raw["seed"] = seed
     return ModelConfig.from_dict(raw)
@@ -87,12 +92,14 @@ def cmd_train(args):
 def cmd_eval(args):
     ckpt = Checkpoint.load(args.ckpt)
     ds = data.load_csv(args.data, args.target, args.groups)
+    _check_groups(args, ds, ModelConfig.from_dict(ckpt.config).groups, args.ckpt)
     print(json.dumps(evaluate(ckpt, ds, n_bins=args.bins)))
 
 
 def cmd_importance(args):
     ckpt = Checkpoint.load(args.ckpt)
     ds = data.load_csv(args.data, args.target, args.groups)
+    _check_groups(args, ds, ModelConfig.from_dict(ckpt.config).groups, args.ckpt)
     with _output(args.out):
         _, normalized = importance_scores(ckpt, ds)
         order = sorted(range(ds.p), key=lambda j: -normalized[j])
@@ -150,14 +157,7 @@ def cmd_ablate(args):
 
 def cmd_gradcheck(args):
     report = gradcheck(seed=args.seed)
-    print(
-        json.dumps(
-            {
-                "max_rel_error": report["max_rel_error"],
-                "worst_param": report["worst_param"],
-            }
-        )
-    )
+    print(json.dumps(report))
     if report["max_rel_error"] > 1e-4:
         raise NumericError(
             f"gradient check failed: max relative error "

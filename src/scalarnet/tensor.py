@@ -34,10 +34,10 @@ constant, as the model input is. A node needs one when grad mode is on and
 some parent needs one; `_node` records only those parents, and a node with
 none is a constant with no `_prev` and no closure. Closures assume that every
 operand trains, except `kernel_attention`'s input x, which may be a constant
-(the model input is one). Under `no_grad()` no op records anything, so
-an eval forward keeps no graph and frees its intermediates as it goes; an op
-that keeps arrays for its backward reads grad mode as `tensor._grad_enabled`,
-the module attribute, not a copy imported once.
+(the model input is one). An op captures in its closure what its backward
+reads, and `_node` keeps that closure only in grad mode, for a node that
+needs a gradient. Under `no_grad()` no op records anything, so an eval
+forward keeps no graph and frees its intermediates when each op returns.
 """
 
 from __future__ import annotations

@@ -286,11 +286,11 @@ def _trained_checkpoint(tmp, common, config_path):
 
 
 def _narrow_data(tmp):
-    """A 6-feature CSV and groups file, for an 8-feature checkpoint."""
+    """A 6-feature CSV, for an 8-feature checkpoint. It has no groups file:
+    one would fail the groups check before the width check."""
     write_csv(synth_nonlinear(20, FeatureGroupSpec([(0, 3), (3, 6)]), 0.1, seed=0),
               tmp / "narrow.csv")
-    (tmp / "narrow.json").write_text("[[0, 3], [3, 6]]", encoding="utf-8")
-    return ["--data", tmp / "narrow.csv", "--target", "y", "--groups", tmp / "narrow.json"]
+    return ["--data", tmp / "narrow.csv", "--target", "y"]
 
 
 def _write(path, text):
@@ -348,6 +348,16 @@ def _bad_groups(text):
         "baseline", *common[:4], "--groups", _write(tmp / "g.json", text), "--method", "pls"]
 
 
+def _groups_differ(command):
+    """`eval` or `importance` on a checkpoint trained on the workspace's
+    groups [[0, 4], [4, 8]], with a groups file that names [[0, 8]]."""
+    def argv(tmp, common, config):
+        out = ["--out", tmp / "imp.csv"] if command == "importance" else []
+        return [command, *common[:4], "--groups", _write(tmp / "g.json", "[[0, 8]]"),
+                "--ckpt", _trained_checkpoint(tmp, common, config), *out]
+    return argv
+
+
 def _synth(*extra):
     """`synth` of 10 rows with the workspace's groups, then `extra` options."""
     return lambda tmp, common, config: [
@@ -390,6 +400,8 @@ BAD_INPUTS = {
     "importance_width_mismatch": lambda tmp, common, config: [
         "importance", *_narrow_data(tmp), "--ckpt",
         _trained_checkpoint(tmp, common, config), "--out", tmp / "imp.csv"],
+    "eval_groups_differ_from_checkpoint": _groups_differ("eval"),
+    "importance_groups_differ_from_checkpoint": _groups_differ("importance"),
     "config_k_string": _bad_config(k="4"),
     "config_learning_rate_string": _bad_config(learning_rate="fast"),
     "config_groups_string": _bad_config(groups="abc"),

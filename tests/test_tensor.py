@@ -670,6 +670,17 @@ class TestNodeConstructor:
                    if (found := _callers("", tree, "_guard"))}
         assert callers == {"tensor": {"_node"}, "layers": {"Affine.__call__"}}
 
+    def test_only_the_engine_reads_grad_mode(self):
+        """No module but `tensor` names `_grad_enabled`: an op captures what
+        its backward reads, and `_node` alone decides, by grad mode, whether
+        that closure is kept."""
+        readers = {name for name, tree in package_trees().items()
+                   if any("_grad_enabled" in (getattr(node, "id", None),
+                                              getattr(node, "attr", None),
+                                              getattr(node, "name", None))
+                          for node in ast.walk(tree))}
+        assert readers == {"tensor"}
+
     def test_node_guards_and_links(self):
         t = Tensor(Z)
         with no_grad():

@@ -795,6 +795,22 @@ class TestChunkedEval:
             tracemalloc.stop()
         assert peak / ds_raw.n < 3072, peak / ds_raw.n
 
+    def test_mixed_width_memory_per_row_is_bounded(self):
+        """Traced peak of predict on 4000 rows of widths 12, 6, 12, 6, 12 at
+        k = 4, whose grouped tier runs two width records, below 3 KB per row
+        (~2.1 KB): what a record keeps for its backward is freed in eval."""
+        spec = FeatureGroupSpec([[0, 12], [12, 18], [18, 30], [30, 36], [36, 48]])
+        ds = synth_nonlinear(128, spec, 0.1, seed=3)
+        ckpt = train(standardize(ds), ModelConfig(groups=spec.groups, max_epochs=1, seed=0))[0]
+        ds_raw = synth_nonlinear(4000, spec, 0.1, seed=5)
+        tracemalloc.start()
+        try:
+            predict(ckpt, ds_raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ds_raw.n < 3072, peak / ds_raw.n
+
 
 @pytest.mark.parametrize("changes", [
     {},
@@ -963,14 +979,18 @@ class TestTierBindings:
 
 class TestGraphScope:
     def test_eval_forward_builds_no_graph(self):
-        cfg = quick_cfg()
-        model = ScalarModel(cfg, 8)
-        y_hat, trace = model.forward(Rng(1).normal((5, 8)), "eval")
-        for t in (y_hat, trace.latent, trace.z):
-            assert t._prev == () and t._backward is None and not t.requires_grad
-        total, _ = composite_loss(np.zeros(5), y_hat, trace.latent,
-                                  0, 10, cfg.loss)  # the validation loss in train()
-        assert total._prev == () and not total.requires_grad
+        """On one width record, and on widths 1, 6, 6, 3, 1 at k = 2, whose
+        grouped tier runs three."""
+        for cfg, p in ((quick_cfg(), 8),
+                       (quick_cfg(groups=[[0, 1], [1, 7], [7, 13], [13, 16], [16, 17]],
+                                  k=2), 17)):
+            model = ScalarModel(cfg, p)
+            y_hat, trace = model.forward(Rng(1).normal((5, p)), "eval")
+            for t in (y_hat, trace.latent, trace.z):
+                assert t._prev == () and t._backward is None and not t.requires_grad
+            total, _ = composite_loss(np.zeros(5), y_hat, trace.latent,
+                                      0, 10, cfg.loss)  # the validation loss in train()
+            assert total._prev == () and not total.requires_grad
 
     def test_input_is_constant_and_parameter_gradients_unchanged(self, monkeypatch):
         """Against the graph in which the input needs a gradient too, as every
