@@ -92,14 +92,6 @@ class KernelAttentionParams:
                 for cols, *layers in (zip(*members) for members in by_width.values())]
 
 
-@dataclass
-class AttentionTrace:
-    """One group's kernels and kernel weights, kept for diagnostics and importance."""
-
-    k_hat: np.ndarray  # (batch, k, w) for a group of width w, unit rows up to the eps guard
-    w: np.ndarray  # (batch, k), simplex rows
-
-
 def _stack(arrays) -> np.ndarray:
     """Equal-shape arrays stacked on a new first axis; one array as a view."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
@@ -121,12 +113,12 @@ def kernel_attention(x: Tensor, records):
     contractions, so no (b, k, w) product of x and k̂ is built; backward keeps
     k̂ and mix. A record's groups run stacked, as (G, b, w) arrays through its
     layers; each group's arithmetic is the same as running it alone. Returns
-    (the (b, p) Tensor, per group in column order an AttentionTrace of k̂ and
-    w, views of the stacked ndarrays).
+    (the (b, p) Tensor, per record in `records` order its (k̂, w) stacks: the
+    (G, b, k, w) normalized kernels and the (G, b, k) kernel weights).
     """
     xd = x.data
     out = np.empty_like(xd)
-    traces, saved = {}, []  # start column -> the group's trace
+    kernels, saved = [], []
     for prm in records:
         xs = _stack([xd[:, s:e] for s, e in prm.cols])  # (G, b, w)
         # backward needs neither the logits nor the raw kernels: neither is kept
@@ -142,7 +134,7 @@ def kernel_attention(x: Tensor, records):
         z = prm.phi_p(att, "kernel_attention") + xs
         for j, (s, e) in enumerate(prm.cols):
             out[:, s:e] = z[j]
-            traces[s] = AttentionTrace(k_hat[j], wsm[j])
+        kernels.append((k_hat, wsm))
         saved.append((prm, xs, hk, hw, wsm, m, k_hat, mix, att))
 
     def backward(g):
@@ -170,4 +162,4 @@ def kernel_attention(x: Tensor, records):
                     x.grad[:, s:e] += gx[j]
 
     parents = (x, records[0].leaf)  # every record's leaf is the model's one leaf
-    return _node("kernel_attention", out, parents, backward), [traces[s] for s in sorted(traces)]
+    return _node("kernel_attention", out, parents, backward), kernels

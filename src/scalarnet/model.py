@@ -12,7 +12,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .attention import AttentionTrace, FeatureGroupSpec, KernelAttentionParams, is_int
+from .attention import FeatureGroupSpec, KernelAttentionParams, is_int
 # one op, a name per tier: the benchmark tracer patches each name to time its tier
 from .attention import kernel_attention as grouped_attention_forward
 from .attention import kernel_attention as kernel_attention_forward
@@ -110,13 +110,13 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """What one forward keeps beside y_hat, for diagnostics and importance."""
+    """What one forward keeps beside y_hat, for diagnostics and importance;
+    the grouped tier's kernels are not kept."""
 
-    group_traces: list  # per-group AttentionTrace
     delta: np.ndarray  # (batch,)
     gamma: np.ndarray  # (batch,)
     latent: "Tensor | None"  # the (2, batch, d) encode node: mu and log sigma
-    global_trace: AttentionTrace
+    global_kernels: tuple  # the global tier's k̂ (batch, k, p) and w (batch, k)
     z: Tensor  # (batch, p): the global tier's output node, the head's input
     alpha: np.ndarray  # (batch, 3)
 
@@ -212,19 +212,18 @@ class ScalarModel:
         if xt.data.ndim != 2 or xt.data.shape[1] != self.p:
             raise ConfigError(f"input must be (batch, {self.p}), got shape {xt.data.shape}")
         with no_grad() if mode == "eval" else contextlib.nullcontext():
-            z, group_traces = grouped_attention_forward(xt, self.group_params)
+            z = grouped_attention_forward(xt, self.group_params)[0]
             s, delta, gamma = self_calibrate(z, self.cal_params, rng)
             v, latent = s, None
             if self.cfg.use_variational:
                 v, latent = variational_encode_decode(s, self.var_params, rng)
-            g, (global_trace,) = kernel_attention_forward(v, [self.global_params])
+            g, ((k_hat, w),) = kernel_attention_forward(v, [self.global_params])
             y_hat, alpha = head_forward(g, self.head_params)
         trace = ForwardTrace(
-            group_traces=group_traces,
             delta=delta.reshape(-1),
             gamma=gamma.reshape(-1),
             latent=latent,
-            global_trace=global_trace,
+            global_kernels=(k_hat[0], w[0]),
             z=g,
             alpha=alpha,
         )

@@ -3,7 +3,7 @@ that the paper's stage ops build their graph nodes on.
 
 Each stage is one graph node, and there are no generic arithmetic ops. Each
 op lives beside the parameter record it takes: `attention.kernel_attention`
-(both attention tiers; it also returns each group's trace),
+(both attention tiers; it also returns each record's kernel stacks),
 `calibration.self_calibrate`, `calibration.encode`, `calibration.decode`,
 `head.head_forward` and `losses.loss`. An op runs its layers through
 `layers.Affine`/`Mlp2`: `__call__` forward, `backward` for the gradients.
@@ -21,12 +21,12 @@ binds the backward closure; a closure receives the node's gradient `g` and
 adds its parents' shares. Graphs are rebuilt every forward pass; backward()
 runs a deterministic reverse topological accumulation seeded with 1.
 
-Each backward gives every tensor it reaches exactly that backward's gradient,
-and returns the leaves it reached. A reached leaf that already holds a
-gradient array of its shape keeps it, zero-filled in place; every other
-reached tensor gets a new zero array. A model's one leaf holds its whole flat
-gradient buffer (`model.bind`), so a parameter the backward does not reach
-holds an exact zero, not an earlier gradient.
+Each backward gives every tensor it reaches exactly that backward's gradient.
+A reached leaf that already holds a gradient array of its shape keeps it,
+zero-filled in place; every other reached tensor gets a new zero array. A
+model's one leaf holds its whole flat gradient buffer (`model.bind`), so a
+parameter the backward does not reach holds an exact zero, not an earlier
+gradient.
 
 A tensor's `requires_grad` says whether backward gives it a gradient. A leaf
 needs one, unless it was made inside a `no_grad()` block: such a leaf is a
@@ -115,10 +115,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
     @np.errstate(all="ignore")
-    def backward(self) -> list:
+    def backward(self) -> None:
         """Reverse-mode accumulation from this scalar node; seed gradient 1.
         Only the nodes that need a gradient get one, and each holds exactly
-        this backward's gradient. Returns the leaves it reached."""
+        this backward's gradient."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -135,7 +135,6 @@ class Tensor:
         for t in reversed(topo):
             if t._backward is not None:
                 t._backward(t.grad)
-        return [t for t in topo if not t._prev]
 
     def _toposort(self):
         order, visited = [], set()

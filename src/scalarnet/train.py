@@ -325,8 +325,7 @@ def evaluate(ckpt: Checkpoint, ds_raw: Dataset, n_bins: int = 5) -> dict:
 def importance_scores(ckpt: Checkpoint, ds_raw: Dataset):
     """Global-tier feature importance over the whole evaluation set, reduced
     chunk by chunk."""
-    _, chunks = _forward_eval(
-        ckpt, ds_raw, lambda y_hat, trace: (trace.global_trace.k_hat, trace.global_trace.w))
+    _, chunks = _forward_eval(ckpt, ds_raw, lambda y_hat, trace: trace.global_kernels)
     return feature_importance(chunks)
 
 

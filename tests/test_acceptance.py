@@ -5,6 +5,7 @@ The heavier criteria (capacity, directional, ablation) train real models and
 take a few minutes combined; everything else is sub-second.
 """
 
+import contextlib
 import math
 import time
 
@@ -18,7 +19,7 @@ from scalarnet.head import HeadParams, feature_importance, head_forward
 from scalarnet.layers import named_tensors
 from scalarnet.losses import concordance_index, kl_weight, loss, metrics
 from scalarnet.model import ModelConfig, ScalarModel, bind
-from scalarnet.tensor import Rng, Tensor
+from scalarnet.tensor import Rng, Tensor, no_grad
 from scalarnet.train import Checkpoint, gradcheck, predict, train
 
 
@@ -46,11 +47,14 @@ def test_02_structural_invariants():
     problems = []
     for mode in ("train", "eval"):
         _, trace = model.forward(x, mode, Rng(3))
-        for tr in trace.group_traces + [trace.global_trace]:
-            norms = np.linalg.norm(tr.k_hat, axis=2)
+        # the grouped tier's (G, b, k, w) and (G, b, k) stacks, in the forward's grad mode
+        with no_grad() if mode == "eval" else contextlib.nullcontext():
+            _, grouped = kernel_attention(Tensor(x), model.group_params)
+        for k_hat, w in grouped + [trace.global_kernels]:
+            norms = np.linalg.norm(k_hat, axis=-1)
             if np.abs(norms - 1.0).max() > 1e-10:
                 problems.append(f"kernel norm off by {np.abs(norms - 1.0).max():.1e}")
-            if np.abs(tr.w.sum(axis=1) - 1.0).max() > 1e-12:
+            if np.abs(w.sum(axis=-1) - 1.0).max() > 1e-12:
                 problems.append("kernel weights not a simplex")
         if np.abs(trace.alpha.sum(axis=1) - 1.0).max() > 1e-12:
             problems.append("alpha not a simplex")

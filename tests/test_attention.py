@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from scalarnet import tensor
-from scalarnet.attention import (
-    AttentionTrace,
-    FeatureGroupSpec,
-    KernelAttentionParams,
-    kernel_attention,
-)
+from scalarnet.attention import FeatureGroupSpec, KernelAttentionParams, kernel_attention
 from scalarnet.errors import ConfigError
 from scalarnet.layers import Affine, Mlp2, hidden_width, named_tensors, stacked
 from scalarnet.losses import composite_loss
@@ -128,8 +123,8 @@ class TestKernelAttention:
     def test_single_kernel_weight_is_one(self):
         params = tier(Rng(2), 4, 1)
         x = np.random.default_rng(3).normal(size=(6, 4))
-        _, (trace,) = kernel_attention(Tensor(x), [params])
-        np.testing.assert_array_equal(trace.w, np.ones((6, 1)))
+        _, ((_, w),) = kernel_attention(Tensor(x), [params])
+        np.testing.assert_array_equal(w, np.ones((1, 6, 1)))
 
     def test_matches_loop_oracle(self):
         params = tier(Rng(4), 4, 2)
@@ -143,11 +138,11 @@ class TestKernelAttention:
     def test_kernel_unit_norms_and_weight_simplex(self):
         params = tier(Rng(8), 7, 4)
         x = np.random.default_rng(9).normal(size=(20, 7))
-        _, (trace,) = kernel_attention(Tensor(x), [params])
-        norms = np.linalg.norm(trace.k_hat, axis=2)
+        _, ((k_hat, w),) = kernel_attention(Tensor(x), [params])
+        norms = np.linalg.norm(k_hat, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
-        np.testing.assert_allclose(trace.w.sum(axis=1), 1.0, atol=1e-12)
-        assert (trace.w >= 0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+        assert (w >= 0).all()
 
     def test_gradients_reach_all_parameters(self):
         params = tier(Rng(10), 4, 2)
@@ -163,15 +158,17 @@ class TestKernelAttention:
 
 
 class TestGroupedAttention:
-    def test_one_trace_per_group_in_column_order_without_z(self):
-        # widths 2, 3, 2: the width-2 record runs first, yet traces follow columns
+    def test_one_kernel_pair_per_record_in_record_order(self):
+        # widths 2, 3, 2: the width-2 record holds groups 0 and 2 and runs first
         spec = FeatureGroupSpec([(0, 2), (2, 5), (5, 7)])
         records = laid_out(KernelAttentionParams.init(Rng(0), spec.groups, 3))
+        assert [prm.cols for prm in records] == [((0, 2), (5, 7)), ((2, 5),)]
         x = np.random.default_rng(1).normal(size=(4, 7))
-        _, traces = kernel_attention(Tensor(x), records)
-        assert [t.k_hat.shape for t in traces] == [(4, 3, e - s) for s, e in spec.groups]
-        assert all(t.w.shape == (4, 3) for t in traces)
-        assert [f.name for f in fields(AttentionTrace)] == ["k_hat", "w"]
+        _, kernels = kernel_attention(Tensor(x), records)
+        # (G, b, k, w) unit kernels and (G, b, k) kernel weights, one stack per record
+        assert [(type(k_hat), k_hat.shape, type(w), w.shape) for k_hat, w in kernels] == [
+            (np.ndarray, (2, 4, 3, 2), np.ndarray, (2, 4, 3)),
+            (np.ndarray, (1, 4, 3, 3), np.ndarray, (1, 4, 3))]
 
     def test_identical_groups_identical_blocks(self):
         spec = FeatureGroupSpec([(0, 3), (3, 6)])
@@ -299,18 +296,21 @@ class TestFusedGroups:
         u, w = c[:, 0], c[0]  # the upstream gradient is u wᵀ
         with no_grad():
             xt = Tensor(x)
-        z, traces = kernel_attention(xt, records)
+        z, kernels = kernel_attention(xt, records)
+        stacks = {id(prm): pair for prm, pair in zip(records, kernels)}
         weighted_sum(z, u, w).backward()
         fused = [{n: t.grad[j].copy() for n, t in named_tensors(prm, "a").items()}
                  for prm, j in by_column(records)]
         for g, (s, e) in enumerate(spec.groups):
             with no_grad():
                 xg = Tensor(x[:, s:e])
-            prm = taken_out(*by_column(records)[g])
-            z_alone, (alone,) = kernel_attention(xg, [prm])
+            stacked_prm, j = by_column(records)[g]
+            k_hats, ws = stacks[id(stacked_prm)]  # group g is row j of its record's stacks
+            prm = taken_out(stacked_prm, j)
+            z_alone, ((k_alone, w_alone),) = kernel_attention(xg, [prm])
             assert np.array_equal(z.data[:, s:e], z_alone.data)
-            assert np.array_equal(traces[g].k_hat, alone.k_hat)
-            assert np.array_equal(traces[g].w, alone.w)
+            assert np.array_equal(k_hats[j], k_alone[0])
+            assert np.array_equal(ws[j], w_alone[0])
             weighted_sum(z_alone, u, w[s:e]).backward()
             for name, t in named_tensors(prm, "a").items():
                 assert np.array_equal(fused[g][name], t.grad[0]), (g, name)

@@ -43,8 +43,8 @@ def unit_row_attention(m, k, phi_k2, phi_k2_bias, phi_w_bias):
     params = [Tensor(np.zeros((m, 1))), Tensor(np.array([20.0])), wrap[0], wrap[1],
               Tensor(np.zeros((m, 1))), Tensor(np.zeros(1)), Tensor(np.zeros((1, k))), wrap[2],
               Tensor(np.eye(m)), Tensor(np.zeros(m))]
-    out, (trace,) = attend(Tensor(np.ones((1, m))), [(0, m)], [attention_params(params)])
-    return out, trace.k_hat[0], trace.w[0]
+    out, ((k_hat, w),) = attend(Tensor(np.ones((1, m))), [(0, m)], [attention_params(params)])
+    return out, k_hat[0, 0], w[0, 0]
 
 
 def attend(x, groups, params):
@@ -404,9 +404,9 @@ class TestGradients:
         backward's gradient, and the rest of the larger array is untouched."""
         x = Tensor(np.arange(6.0).reshape(2, 3))
         buf = np.full(10, 7.0)
-        x.grad = buf[2:8].reshape(2, 3)
-        (leaf,) = weighted(x, np.full((2, 3), 0.5)).backward()
-        assert leaf is x and np.shares_memory(x.grad, buf)
+        x.grad = view = buf[2:8].reshape(2, 3)
+        weighted(x, np.full((2, 3), 0.5)).backward()
+        assert x.grad is view and np.shares_memory(x.grad, buf)
         np.testing.assert_array_equal(buf, [7.0, 7.0, *[0.5] * 6, 7.0, 7.0])
 
 
@@ -459,11 +459,11 @@ class TestInvariantsProperties:
         # upstream gradient on row r0's first group-1 column alone: every other
         # row's raw gradient is exactly 0, so phi_k's b2 gradient is row r0's
         ts = [Tensor(a) for a in arrays]
-        z, traces = attend_all(ts)
+        z, ((k_hats, ws),) = attend_all(ts)  # one record: the three 3-wide groups
         c = np.zeros((5, 9))
         c[r0, 3] = 1.0
         weighted(z, c).backward()
-        k_hat, w = traces[1].k_hat[r0], traces[1].w[r0]
+        k_hat, w = k_hats[1, r0], ws[1, r0]
         np.testing.assert_allclose(k_hat[j0], [0.3, 0.4, 0.0], rtol=1e-12)  # raw / EPS
         u = sets[1][8][:, 0] * x0[r0, 3:6]  # (gz @ wpᵀ) ⊙ x with gz = (1, 0, 0)
         b2_grad = ts[14].grad.reshape(2, 3)

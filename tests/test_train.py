@@ -117,7 +117,10 @@ class TestGradcheck:
             y_hat, trace = model.forward(x, "train", noise)
             return composite_loss(y, y_hat, trace.latent, 5, 10, cfg.loss)[0]
 
-        (leaf,) = loss_at(0.0).backward()  # the model's one leaf, every record's
+        loss0 = loss_at(0.0)
+        loss0.backward()
+        # the one leaf backward reaches is the model's, every record's
+        (leaf,) = [t for t in loss0._toposort() if not t._prev]
         assert leaf.data is model.flat and leaf.grad is model.grad_flat
         g, h, worst = model.grad_flat.copy(), 1e-5, 0.0
         for _ in range(8):
@@ -356,9 +359,9 @@ class TestParameterNames:
         backward = Tensor.backward
 
         def poisoned(self):
-            leaves = backward(self)
-            leaves[0].grad[0] = np.inf
-            return leaves
+            backward(self)
+            (leaf,) = [t for t in self._toposort() if not t._prev]
+            leaf.grad[0] = np.inf
 
         monkeypatch.setattr(Tensor, "backward", poisoned)
         with pytest.raises(NumericError, match=r"epoch 0, batch 0: non-finite gradient norm"):
@@ -672,8 +675,7 @@ class TestChunkedEval:
         assert np.array_equal(predict(acceptance_ckpt, ds_raw), expected)
         if n > 1:
             raw, normalized = importance_scores(acceptance_ckpt, ds_raw)
-            ref_raw, ref_normalized = feature_importance([(trace.global_trace.k_hat,
-                                                          trace.global_trace.w)])
+            ref_raw, ref_normalized = feature_importance([trace.global_kernels])
             assert np.array_equal(raw, ref_raw)
             assert np.array_equal(normalized, ref_normalized)
 
@@ -723,8 +725,7 @@ class TestChunkedEval:
                                    y_hat.data * scaler.y_std + scaler.y_mean,
                                    rtol=1e-9, atol=1e-12)
         raw, normalized = importance_scores(wide_ckpt, ds_raw)
-        ref_raw, ref_normalized = feature_importance([(trace.global_trace.k_hat,
-                                                      trace.global_trace.w)])
+        ref_raw, ref_normalized = feature_importance([trace.global_kernels])
         np.testing.assert_allclose(raw, ref_raw, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(normalized, ref_normalized, rtol=1e-9, atol=1e-12)
 
@@ -743,7 +744,7 @@ class TestChunkedEval:
 
     def test_importance_memory_is_flat_in_n(self, acceptance_ckpt):
         """importance_scores reduces each chunk as it comes: its traced peak
-        on 40k rows is within 3 MB of that on 10k (~1 KB above it: chunks of
+        on 40k rows is within 3 MB of that on 10k (~3 KB above it: chunks of
         at most 1024 rows at both sizes). Keeping k̂ and w for every row adds
         ~14 MB."""
         peaks = {}
@@ -759,8 +760,9 @@ class TestChunkedEval:
 
     def test_twelve_feature_eval_peak_is_bounded(self, acceptance_ckpt):
         """1024-row chunks keep the traced peak of predict and of
-        importance_scores on 20k rows of the acceptance config below 4 MB
-        (~2.6 and ~3.0 MB; ~9.6 and ~11.5 MB in 4096-row chunks)."""
+        importance_scores on 20k rows of the acceptance config below 2.8 MB
+        (~2.2 and ~2.5 MB; ~7.7 and ~9.7 MB in 4096-row chunks, and ~2.6 and
+        ~3.0 MB if the forward keeps the grouped tier's k̂ to its end)."""
         ds_raw = eval_rows(20_000)
         for score in (predict, importance_scores):
             tracemalloc.start()
@@ -769,7 +771,7 @@ class TestChunkedEval:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4e6, (score.__name__, peak)
+            assert peak < 2.8e6, (score.__name__, peak)
 
     def test_predict_on_zero_rows_is_empty(self, acceptance_ckpt):
         y_hat = predict(acceptance_ckpt, take(eval_rows(8), np.arange(0)))
@@ -784,8 +786,9 @@ class TestChunkedEval:
             importance_scores(acceptance_ckpt, take(eval_rows(8), np.arange(0)))
 
     def test_wide_memory_per_row_is_bounded(self, wide_ckpt):
-        """Traced peak of predict on 4000 rows of 48 features below 3 KB per
-        row (~2.1 KB in 1024-row chunks, ~8.1 KB in one 4000-row chunk)."""
+        """Traced peak of predict on 4000 rows of 48 features below 1900 B per
+        row (~1.7 KB in 1024-row chunks, ~6.1 KB in one 4000-row chunk; ~2.1 KB
+        if the forward keeps the grouped tier's k̂ to its end)."""
         ds_raw = wide_eval_rows(4000)
         tracemalloc.start()
         try:
@@ -793,12 +796,12 @@ class TestChunkedEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / ds_raw.n < 3072, peak / ds_raw.n
+        assert peak / ds_raw.n < 1900, peak / ds_raw.n
 
     def test_mixed_width_memory_per_row_is_bounded(self):
         """Traced peak of predict on 4000 rows of widths 12, 6, 12, 6, 12 at
         k = 4, whose grouped tier runs two width records, below 3 KB per row
-        (~2.1 KB): what a record keeps for its backward is freed in eval."""
+        (~1.6 KB): what a record keeps for its backward is freed in eval."""
         spec = FeatureGroupSpec([[0, 12], [12, 18], [18, 30], [30, 36], [36, 48]])
         ds = synth_nonlinear(128, spec, 0.1, seed=3)
         ckpt = train(standardize(ds), ModelConfig(groups=spec.groups, max_epochs=1, seed=0))[0]
@@ -847,7 +850,7 @@ def test_twelve_feature_validation_in_chunks_equals_one_forward(monkeypatch, cha
 def test_train_validation_memory_per_row_is_bounded():
     """train() validates in eval chunks: on 8000 rows of 48 features with
     val_fraction 0.9 (7200 validation rows, 1024-row chunks), one epoch's
-    traced peak stays below 3 KB per validation row (~1.9 KB; ~7.9 KB with
+    traced peak stays below 3 KB per validation row (~1.6 KB; ~7.9 KB with
     the whole validation set in one forward)."""
     ds = standardize(wide_eval_rows(8000))
     cfg = ModelConfig(groups=WIDE_GROUPS, max_epochs=1, val_fraction=0.9, seed=0)
