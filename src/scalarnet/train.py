@@ -52,7 +52,8 @@ class Adam:
     `t` and `lr`, and updates `model.flat` in place with a few whole-buffer
     array operations into two buffers of its own, reading the gradients where
     backward left them: all of `grad_flat` is the latest backward's, zero
-    where it did not reach. `params` names the model's parameters.
+    where it did not reach. `params` names the model's parameters for
+    `benchmarks/tracer.py` (`train.param_tensors`, `train.params`); no step reads it.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -375,7 +376,7 @@ def gradcheck(seed: int = 0) -> dict:
     reparameterization noise.
 
     Returns {"max_rel_error", "worst_param"}: the largest relative error
-    over every parameter entry, and the parameter that holds it.
+    over every entry of `model.flat`, and the parameter that holds it.
     """
     cfg = ModelConfig(
         groups=[[0, 3], [3, 6]],
@@ -387,36 +388,27 @@ def gradcheck(seed: int = 0) -> dict:
     )
     model = ScalarModel(cfg, 6)
     data_rng = Rng(seed + 100)
-    x = data_rng.normal((3, 6))
-    y = data_rng.normal(3)
+    x, y = data_rng.normal((3, 6)), data_rng.normal(3)
     noise = _FixedDraws(data_rng.bernoulli(0.8, (3, 6)), data_rng.normal((3, model.d)))
 
     def loss_value():
         y_hat, trace = model.forward(x, "train", noise)
-        total, _ = composite_loss(y, y_hat, trace.latent, 50, 100, cfg.loss)
-        return total
+        return composite_loss(y, y_hat, trace.latent, 50, 100, cfg.loss)[0]
 
-    total = loss_value()
-    total.backward()
-    named = model.named_parameters()
-    analytic = {k: t.grad.copy() for k, t in named.items()}
-
+    loss_value().backward()
+    analytic, flat, num = model.grad_flat.copy(), model.flat, np.zeros(model.flat.size)
     h = 1e-5  # central-difference step
-    worst, worst_key = 0.0, None
-    for k, t in named.items():
-        num = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        nflat = num.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(loss_value().data)
-            flat[i] = orig - h
-            dn = float(loss_value().data)
-            flat[i] = orig
-            nflat[i] = (up - dn) / (2.0 * h)
-        denom = np.maximum(np.maximum(np.abs(analytic[k]), np.abs(num)), 1e-4)
-        rel = float((np.abs(analytic[k] - num) / denom).max())
-        if rel > worst:
-            worst, worst_key = rel, k
-    return {"max_rel_error": worst, "worst_param": worst_key}
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = float(loss_value().data)
+        flat[i] = orig - h
+        dn = float(loss_value().data)
+        flat[i] = orig
+        num[i] = (up - dn) / (2.0 * h)
+    rel = np.abs(analytic - num) / np.maximum(np.maximum(np.abs(analytic), np.abs(num)), 1e-4)
+    i = int(rel.argmax())
+    # the named views tile `flat`: exactly one holds entry i
+    worst = next(k for k, t in model.named_parameters().items()
+                 if np.shares_memory(t.data, flat[i : i + 1]))
+    return {"max_rel_error": float(rel[i]), "worst_param": worst}

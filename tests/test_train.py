@@ -59,6 +59,27 @@ class TestGradcheck:
         report = gradcheck(seed=0)
         assert report["max_rel_error"] < 1e-4, report["worst_param"]
 
+    def test_worst_param_names_the_parameter_with_a_wrong_gradient(self, monkeypatch):
+        """A head backward that adds 1 to head.w1's gradient at [0, 0] makes
+        that entry the worst, and the report names head.w1."""
+        real = model_module.head_forward
+
+        def head_forward(g, params):
+            y_hat, alpha = real(g, params)
+            backward = y_hat._backward
+
+            def wrong_backward(g_out):
+                backward(g_out)
+                params.w1.grad[0, 0] += 1.0
+
+            y_hat._backward = wrong_backward
+            return y_hat, alpha
+
+        monkeypatch.setattr(model_module, "head_forward", head_forward)
+        report = gradcheck(seed=0)
+        assert report["worst_param"] == "head.w1"
+        assert report["max_rel_error"] > 0.5
+
     def test_beta0_zero_latent_path_still_gets_gradient(self):
         from scalarnet.losses import composite_loss
 
